@@ -53,7 +53,6 @@ class FiniteKernel:
         if err > ROW_SUM_TOL:
             raise ValueError(f"matrix rows must sum to 1 within {ROW_SUM_TOL} (max error {err:.3e})")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_cum", np.cumsum(m, axis=1))
         object.__setattr__(self, "_cum_rows", [row.tolist() for row in np.cumsum(m, axis=1)])
 
     @property

@@ -5,6 +5,14 @@ smoothed stationary target x -> E_pi[K_h(x - Y)], i.e. the fluctuation part;
 smoothing bias is out of scope.  The supremum over space is taken over a grid
 with spacing at most h/4, whose adequacy is covered by a refinement-stability
 test rather than an analytic modulus argument.
+
+Kernels are compactly supported on [-1, 1] (per coordinate, or the unit ball
+for radial kernels), and ``Kernel`` rejects a profile that is non-zero just
+outside it.  The estimator relies on that: each query point is evaluated only
+over the window of samples within h of it in the first coordinate, found in
+the sample sorted once.  The estimate is still bit-identical to summing over
+every sample, because samples outside the window contribute exact zeros and
+the row sums are taken over all samples in their original order.
 """
 
 import json
@@ -19,7 +27,14 @@ from .chains import ChainModel, simulate
 from .rng import child_seed
 
 QUAD_TOL = 1e-8
-_EVAL_CHUNK = 4_000_000  # max elements of a (grid x sample) block
+# Max elements of the (query x sample) row buffer and of each evaluated window piece.
+_EVAL_BUDGET = 2 ** 18
+# Widening of each query's window, relative to h + |x|.  It exceeds the
+# rounding of both x -+ h and (x - X_i)/h, so every sample with a computed
+# |(x - X_i)/h| <= 1 lies inside the window.
+_WINDOW_MARGIN = 2.0 ** -30
+# Points just outside [-1, 1] where a base profile must be exactly zero.
+_OUTSIDE_SUPPORT = np.array([1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.1, 1.5, 2.0, 10.0])
 
 
 def _box_k0(t):
@@ -48,7 +63,9 @@ class Kernel:
 
     ``form`` is "product" (K(x) = prod_k k0(x_k)) or "radial" (K(x) =
     k0(|x|)); ``k0_sup`` and ``k0_l2sq`` are sup|k0| and the integral of
-    k0^2.  The base profile must integrate to one (checked by quadrature).
+    k0^2.  The base profile must integrate to one (checked by quadrature)
+    and vanish outside [-1, 1] (checked at points just outside), because
+    ``kde_evaluate`` only evaluates samples inside that support.
     """
 
     name: str
@@ -64,6 +81,11 @@ class Kernel:
         mass, _ = quad(lambda t: float(self.k0(t)), -1.0, 1.0, epsabs=QUAD_TOL / 10)
         if abs(mass - 1.0) > QUAD_TOL:
             raise ValueError(f"base profile integrates to {mass:.10g}, not 1")
+        ts = np.concatenate((-_OUTSIDE_SUPPORT, _OUTSIDE_SUPPORT))
+        vals = np.asarray(self.k0(ts), dtype=float)
+        for t, v in zip(ts.tolist(), vals.tolist()):
+            if v != 0.0:
+                raise ValueError(f"base profile is {v:.6g} at t = {t!r}, outside its support [-1, 1]")
 
     def sup_norm(self, d: int) -> float:
         return self.k0_sup ** d if self.form == "product" else self.k0_sup
@@ -102,11 +124,39 @@ KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
 # ---------------------------------------------------------------------------
 
 
+def _window_pieces(starts, stops, budget: int):
+    """The pairs (row j, sorted position p) with starts[j] <= p < stops[j].
+
+    Rows are taken in order and positions ascending within a row; the pairs
+    come in pieces of at most ``budget``, so no piece grows with the windows.
+    """
+    offsets = np.concatenate(([0], np.cumsum(stops - starts)))
+    total = int(offsets[-1])
+    for a in range(0, total, budget):
+        b = min(a + budget, total)
+        lens = np.clip(offsets[1:], a, b) - np.clip(offsets[:-1], a, b)
+        rows = np.repeat(np.arange(len(lens)), lens)
+        yield rows, np.arange(a, b) + (starts - offsets[:-1])[rows]
+
+
 def kde_evaluate(sample, kernel: Kernel, h: float, x):
     """The density estimate n^-1 sum_i K((x - X_i)/h) / h^d at query points x.
 
     A scalar query (or a single d-vector for d > 1) returns a float; an array
     of queries returns an array.
+
+    Only the window of each query is evaluated: the samples whose first
+    coordinate lies within h of the query's, found by ``searchsorted`` on the
+    sample sorted once by that coordinate.  This rests on the kernel's support
+    being [-1, 1] per coordinate (product form) or the unit ball (radial),
+    which ``Kernel`` checks.  The window is widened by a relative margin,
+    because a sample just outside fl(x -+ h) can still give a computed
+    |(x - X_i)/h| = 1; the extra samples evaluate to exact zeros.
+
+    The result is bit-identical to evaluating every (query, sample) pair: the
+    window's kernel values go into a zeroed row at the samples' original
+    indices, and the row mean then adds the same operands in the same order,
+    since every sample outside the window contributes an exact zero.
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
@@ -114,6 +164,8 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     if s.ndim == 1:
         s = s[:, None]
     n, d = s.shape
+    if n == 0:
+        raise ValueError("empty sample")
     xq = np.asarray(x, dtype=float)
     if xq.ndim == 0:
         q, scalar_in = xq.reshape(1, 1), True
@@ -121,13 +173,28 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
         q, scalar_in = (xq[:, None], False) if d == 1 else (xq[None, :], True)
     else:
         q, scalar_in = xq, False
+    if q.shape[1] != d:
+        raise ValueError(f"query points have {q.shape[1]} coordinates, the sample has {d}")
+    order = np.argsort(s[:, 0])
+    srt = s[order]
+    keys = srt[:, 0]
+    reach = h + _WINDOW_MARGIN * (h + np.abs(q[:, 0]))
+    starts = np.searchsorted(keys, q[:, 0] - reach, side="left")
+    stops = np.searchsorted(keys, q[:, 0] + reach, side="right")
+    step = max(_EVAL_BUDGET // n, 1)
+    buf = np.zeros((min(step, len(q)), n))
+    cells = buf.reshape(-1)
     out = np.empty(len(q))
-    step = max(_EVAL_CHUNK // max(n, 1), 1)
     for lo in range(0, len(q), step):
         hi = min(lo + step, len(q))
-        diff = (q[lo:hi, None, :] - s[None, :, :]) / h
-        vals = kernel.evaluate(diff.reshape(-1, d)).reshape(hi - lo, n)
-        out[lo:hi] = vals.mean(axis=1) / h ** d
+        touched = []
+        for rows, pos in _window_pieces(starts[lo:hi], stops[lo:hi], _EVAL_BUDGET):
+            at = rows * n + order[pos]
+            cells[at] = kernel.evaluate((q[lo + rows] - srt[pos]) / h)
+            touched.append(at)
+        out[lo:hi] = buf[:hi - lo].mean(axis=1) / h ** d
+        for at in touched:
+            cells[at] = 0.0
     return float(out[0]) if scalar_in else out
 
 

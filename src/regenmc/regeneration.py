@@ -269,11 +269,13 @@ class RegenStats:
 
         The estimate is flagged unreliable when a single block carries more
         than ``mgf_mass_cap`` of the MGF sum, the signature of an infinite
-        theoretical MGF being propped up by one extreme draw.
+        theoretical MGF being propped up by one extreme draw, and whenever
+        the sum overflows.
         """
-        terms = np.exp(float(lam) * self.tau_samples.astype(float))
+        with np.errstate(over="ignore"):
+            terms = np.exp(float(lam) * self.tau_samples.astype(float))
         total = terms.sum()
-        reliable = bool(terms.max() <= self.mgf_mass_cap * total)
+        reliable = bool(np.isfinite(total) and terms.max() <= self.mgf_mass_cap * total)
         return float(total / len(terms)), reliable
 
     def tail_rate(self):
@@ -306,7 +308,7 @@ class RegenStats:
             "n_blocks": int(len(self.tau_samples)),
             "moments": {str(p): self.moment(p) for p in (1, 2, 3)},
             "mgf": [
-                {"lambda": float(lam), "value": v, "reliable": r}
+                {"lambda": float(lam), "value": v if np.isfinite(v) else None, "reliable": r}
                 for lam in self.lambda_grid
                 for v, r in [self.mgf(lam)]
             ],
@@ -314,7 +316,7 @@ class RegenStats:
             "tail_fit_points": npts,
             "suggested_lambda": None if not np.isfinite(rate) else 0.5 * rate,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def regen_stats(blocks: BlockSet, lambda_grid=None, min_blocks: int = 30) -> RegenStats:

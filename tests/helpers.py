@@ -25,3 +25,26 @@ def batch_means_se(x, n_batches: int = 100) -> float:
     m = len(x) // n_batches
     means = x[: m * n_batches].reshape(n_batches, m).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
+def dense_kde_evaluate(sample, kernel, h: float, x):
+    """Reference KDE: the kernel at every (query, sample) pair, in row chunks."""
+    s = np.asarray(sample, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    n, d = s.shape
+    xq = np.asarray(x, dtype=float)
+    if xq.ndim == 0:
+        q, scalar_in = xq.reshape(1, 1), True
+    elif xq.ndim == 1:
+        q, scalar_in = (xq[:, None], False) if d == 1 else (xq[None, :], True)
+    else:
+        q, scalar_in = xq, False
+    out = np.empty(len(q))
+    step = max(4_000_000 // max(n, 1), 1)
+    for lo in range(0, len(q), step):
+        hi = min(lo + step, len(q))
+        diff = (q[lo:hi, None, :] - s[None, :, :]) / h
+        vals = kernel.evaluate(diff.reshape(-1, d)).reshape(hi - lo, n)
+        out[lo:hi] = vals.mean(axis=1) / h ** d
+    return float(out[0]) if scalar_in else out

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regenmc import (
     KDEConfig,
@@ -12,12 +16,21 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc.kde import (
+    _EVAL_BUDGET,
     Kernel,
+    _epanechnikov_k0,
     deviation_grid,
     occupancy_moment_premise_check,
     smoothed_target_quadrature,
 )
 from regenmc.rng import stream
+
+from .helpers import dense_kde_evaluate
+
+RADIAL_EPANECHNIKOV = Kernel(name="radial-epanechnikov", k0=_epanechnikov_k0, form="radial",
+                             k0_sup=0.75, k0_l2sq=0.6)
+KERNEL_CASES = {"box": box_kernel(), "epanechnikov": epanechnikov_kernel(),
+                "radial": RADIAL_EPANECHNIKOV}
 
 
 def test_kernel_constants():
@@ -33,6 +46,15 @@ def test_kernel_normalization_checked():
                form="product", k0_sup=0.7, k0_l2sq=0.98)
 
 
+def test_kernel_support_checked():
+    def leaky(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        return np.where(t <= 1.0, 0.5, np.where(t < 1.2, 0.1, 0.0))
+
+    with pytest.raises(ValueError, match=r"0\.1 at t = -1\.0000000000000002"):
+        Kernel(name="leaky", k0=leaky, form="product", k0_sup=0.5, k0_l2sq=0.5)
+
+
 def test_single_point_box_evaluation():
     assert kde_evaluate(np.array([0.0]), box_kernel(), 1.0, 0.0) == 0.5
 
@@ -44,6 +66,88 @@ def test_far_query_is_zero():
 def test_bandwidth_must_be_positive():
     with pytest.raises(ValueError):
         kde_evaluate(np.array([0.0]), box_kernel(), 0.0, 0.0)
+
+
+def test_empty_sample_rejected():
+    with pytest.raises(ValueError, match="empty sample"):
+        kde_evaluate(np.array([]), box_kernel(), 0.1, 0.5)
+
+
+@pytest.mark.parametrize("x", [np.full((3, 1), 0.5), np.full(3, 0.5)])
+def test_query_dimension_must_match_sample(x):
+    sample = stream(8, 0).random((10, 2))
+    with pytest.raises(ValueError, match="query points have . coordinates, the sample has 2"):
+        kde_evaluate(sample, epanechnikov_kernel(), 0.5, x)
+
+
+@given(kernel=st.sampled_from(sorted(KERNEL_CASES)), d=st.sampled_from([1, 2]),
+       n=st.integers(1, 300), ties=st.booleans(), scalar=st.booleans(),
+       h=st.floats(1e-3, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+@example(kernel="box", d=1, n=1, ties=False, scalar=True, h=1.0, seed=0)
+def test_kde_evaluate_bit_identical_to_dense(kernel, d, n, ties, scalar, h, seed):
+    rng = np.random.default_rng(seed)
+    sample = rng.uniform(-1.0, 2.0, (n, d))
+    if ties:
+        sample = np.round(sample * 4.0) / 4.0
+    edges = sample[rng.integers(0, n, 8)] + h * rng.choice([-1.0, 1.0], (8, 1))
+    queries = np.concatenate([rng.uniform(-1.5, 2.5, (16, d)), edges])
+    if d == 1:
+        sample, queries = sample[:, 0], queries[:, 0]
+    x = queries[0] if scalar else queries
+    got = kde_evaluate(sample, KERNEL_CASES[kernel], h, x)
+    want = dense_kde_evaluate(sample, KERNEL_CASES[kernel], h, x)
+    assert isinstance(got, float) == scalar
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [_EVAL_BUDGET // 2 - 1, _EVAL_BUDGET + 1])
+@pytest.mark.parametrize("h", [0.01, 2.0])
+def test_kde_evaluate_bit_identical_across_eval_budget(n, h):
+    # h = 2 puts the whole sample in every window, so with n above the
+    # budget each window is evaluated in more than one piece.
+    sample = stream(n, 0).random(n)
+    grid = np.linspace(-0.1, 1.1, 9)
+    ep = epanechnikov_kernel()
+    assert np.array_equal(kde_evaluate(sample, ep, h, grid),
+                          dense_kde_evaluate(sample, ep, h, grid))
+
+
+def test_window_keeps_samples_one_ulp_beyond_x_pm_h():
+    # A sample one ulp outside fl(x - h) or fl(x + h) can still give a computed
+    # |(x - X)/h| of exactly 1, where the box kernel is 0.5.
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(10_000):
+        x, h = rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 1.0)
+        for X in (np.nextafter(x - h, -np.inf), np.nextafter(x + h, np.inf)):
+            if abs((x - X) / h) == 1.0:
+                cases.append((x, h, X))
+        if len(cases) >= 50:
+            break
+    assert len(cases) >= 50
+    for x, h, X in cases:
+        sample = np.array([X, x + 3.0 * h])
+        assert kde_evaluate(sample, box_kernel(), h, x) == 0.25 / h
+        assert kde_evaluate(sample, box_kernel(), h, x) == dense_kde_evaluate(sample, box_kernel(), h, x)
+
+
+def test_kde_evaluate_memory_bounded_by_sample_size():
+    # The sample order, the sorted sample, one buffer row and the touched
+    # cells are n-sized; window pieces hold at most _EVAL_BUDGET pairs.  A
+    # dense (query chunk x n) evaluation needs several times more.
+    n = 2 ** 20
+    sample = stream(21, 0).random(n)
+    h = 0.01
+    grid = deviation_grid(h)
+    assert len(grid) > 400
+    tracemalloc.start()
+    try:
+        kde_evaluate(sample, epanechnikov_kernel(), h, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (4 * n + 12 * _EVAL_BUDGET)
 
 
 def test_uniform_sample_interior_level():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,14 @@ def test_mgf_unreliable_when_one_block_dominates():
     stats = RegenStats(tau_samples=np.array([1] * 100 + [50]))
     _, reliable = stats.mgf(1.0)
     assert not reliable
+
+
+def test_mgf_overflow_is_unreliable_and_written_as_null():
+    stats = RegenStats(tau_samples=np.array([1] * 100 + [800, 900]))
+    val, reliable = stats.mgf(1.0)
+    assert val == np.inf and not reliable
+    entry = next(m for m in json.loads(stats.to_json())["mgf"] if m["lambda"] == 1.0)
+    assert entry == {"lambda": 1.0, "value": None, "reliable": False}
 
 
 def test_regen_stats_warns_on_few_blocks():
