@@ -375,7 +375,7 @@ class _FiniteResidualSampler:
 
 @dataclass(frozen=True)
 class _ConstantState:
-    value: int
+    value: object
 
     def __call__(self, rng):
         return self.value

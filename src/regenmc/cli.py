@@ -27,7 +27,7 @@ from .function_classes import (BlockMeasure, check_lifted_covering_bound,
 from .kde import KDEConfig, KERNELS, rate_experiment
 from .metropolis import (TARGETS, build_minorization, credible_interval_experiment,
                          gaussian_step_proposal, uniform_step_proposal)
-from .parallel import pool_map
+from .parallel import pool_map, replication_seeds
 from .rademacher import (compare_bound_vs_empirical, empirical_block_rademacher,
                          empirical_rademacher_iid, block_variance_proxy)
 from .regeneration import extract_blocks, regen_stats, simulate_split_retrospective
@@ -216,7 +216,7 @@ def _run_bounds(config, out, jobs):
         model, cls, config["n_grid"], config["replications"], config["seed"],
         n_mc=config.get("n_mc", 2000), mode=config.get("mode", "em"),
         m_const=consts["M_const"], p=config.get("p", 2.0),
-        lam=config.get("lambda"))
+        lam=config.get("lambda"), jobs=jobs)
     report.to_csv(out / "bound_report.csv")
     (out / "bound_report.json").write_text(report.to_json())
     lo, hi = config.get("exponent_range", [0.45, 0.60])
@@ -365,8 +365,7 @@ def _replication_seeds(config):
     """The derived per-replication seeds this run used, for the manifest."""
     seed = config["seed"]
     if "n_grid" in config and "replications" in config:
-        return [[child_seed(seed, i, r) for r in range(config["replications"])]
-                for i in range(len(config["n_grid"]))]
+        return replication_seeds(seed, len(config["n_grid"]), config["replications"])
     if config.get("experiment") == "verify-lemmas":
         return [child_seed(seed, t) for t in range(config["trials"])]
     return None

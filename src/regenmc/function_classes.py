@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .regeneration import block_sums
+
 EXACT_COVER_CAP = 16
 DEDUP_TOL = 1e-12
 
@@ -77,9 +79,8 @@ class LiftedClass:
     trunc: Optional[float] = None
 
     def evaluate(self, measure: "BlockMeasure") -> np.ndarray:
-        vals = self.base.evaluate(measure.all_states)
-        cs = np.concatenate([np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1)
-        out = cs[:, measure.offsets[1:]] - cs[:, measure.offsets[:-1]]
+        out = block_sums(self.base.evaluate(measure.all_states), measure.offsets[:-1],
+                         measure.offsets[1:])
         if self.trunc is not None:
             out = out * (measure.lengths <= self.trunc)
         return out

@@ -15,16 +15,17 @@ every sample, because samples outside the window contribute exact zeros and
 the row sums are taken over all samples in their original order.
 """
 
-import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
-from .chains import ChainModel, simulate
-from .rng import child_seed
+from .chains import ChainModel, _ConstantState, simulate
+from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .regeneration import simulate_split_retrospective
 
 QUAD_TOL = 1e-8
 # Max elements of the (query x sample) row buffer and of each evaluated window piece.
@@ -86,15 +87,6 @@ class Kernel:
         for t, v in zip(ts.tolist(), vals.tolist()):
             if v != 0.0:
                 raise ValueError(f"base profile is {v:.6g} at t = {t!r}, outside its support [-1, 1]")
-
-    def sup_norm(self, d: int) -> float:
-        return self.k0_sup ** d if self.form == "product" else self.k0_sup
-
-    def l2sq(self, d: int) -> float:
-        """Integral of K^2 over R^d (product form only for d > 1)."""
-        if self.form == "product" or d == 1:
-            return self.k0_l2sq ** d
-        raise NotImplementedError("radial L2 norm implemented for d = 1 only")
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """K at each row of u, shape (m, d) -> (m,)."""
@@ -280,31 +272,21 @@ class RateReport:
         return abs(self.slope - self.theory_slope) <= tol
 
     def to_json(self) -> str:
-        return json.dumps({"slope": self.slope, "slope_se": self.slope_se,
-                           "theory_slope": self.theory_slope, "rows": self.rows}, indent=2)
+        return strict_json({"slope": self.slope, "slope_se": self.slope_se,
+                            "theory_slope": self.theory_slope, "rows": self.rows})
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,h,mean_dev,std_err,theory_rate\n")
-            for r in self.rows:
-                fh.write(",".join(format(r[k], ".17g")
-                                  for k in ("n", "h", "mean_dev", "std_err", "theory_rate")) + "\n")
+        keys = ("n", "h", "mean_dev", "std_err", "theory_rate")
+        write_csv(path, ",".join(keys), [[r[k] for k in keys] for r in self.rows])
 
 
-def _rate_one(model, kernel, config, sample_fn, task):
-    n, task_seed = task
-    try:
-        h = config.bandwidth(n)
-        grid = config.grid(h)
-        target = config.smoothed_target(kernel, h, grid)
-        if sample_fn is None:
-            states = simulate(model, n, task_seed).states
-        else:
-            states = sample_fn(n, task_seed)
-        d = 1 if np.asarray(states).ndim == 1 else np.asarray(states).shape[1]
-        return uniform_deviation(states, kernel, h, grid, target), d
-    except Exception as exc:
-        raise RuntimeError(f"replication with seed {task_seed} (n={n}) failed: {exc}") from exc
+def _rate_one(model, kernel, config, sample_fn, n, task_seed):
+    h = config.bandwidth(n)
+    grid = config.grid(h)
+    target = config.smoothed_target(kernel, h, grid)
+    states = simulate(model, n, task_seed).states if sample_fn is None else sample_fn(n, task_seed)
+    d = 1 if np.asarray(states).ndim == 1 else np.asarray(states).shape[1]
+    return uniform_deviation(states, kernel, h, grid, target), d
 
 
 def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid,
@@ -317,32 +299,28 @@ def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid
     its own derived seed, so jobs > 1 changes nothing but wall time.  The
     theoretical slope reported is -(1 - beta d)/2, log factors ignored.
     """
-    from functools import partial
-
-    from .parallel import pool_map
-
     if len(n_grid) < 3:
         raise ValueError("need at least 3 grid points to fit a rate")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    tasks = [(int(n), child_seed(seed, i, r))
-             for i, n in enumerate(n_grid) for r in range(replications)]
-    results = pool_map(partial(_rate_one, model, kernel, config, sample_fn), tasks, jobs)
-    d = results[0][1]
+    ns = [int(n) for n in n_grid]
+    groups = replicate(partial(_rate_one, model, kernel, config, sample_fn), ns,
+                       replications, seed, jobs)
+    d = groups[0][0][1]
     rows = []
-    for i, n in enumerate(n_grid):
-        n = int(n)
+    for n, results in zip(ns, groups):
         h = config.bandwidth(n)
-        devs = [dev for (dev, _) in results[i * replications:(i + 1) * replications]]
-        rows.append({
-            "n": float(n), "h": h, "mean_dev": float(np.mean(devs)),
-            "std_err": float(np.std(devs, ddof=1) / math.sqrt(len(devs))) if len(devs) > 1 else 0.0,
-            "theory_rate": math.sqrt(math.log(1.0 / h) / (n * h ** d)),
-        })
-    from .rademacher import fit_loglog_slope
+        mean_dev, std_err = mean_se([dev for (dev, _) in results])
+        rows.append({"n": float(n), "h": h, "mean_dev": mean_dev, "std_err": std_err,
+                     "theory_rate": math.sqrt(math.log(1.0 / h) / (n * h ** d))})
     slope, slope_se = fit_loglog_slope([r["n"] for r in rows], [r["mean_dev"] for r in rows])
     theory = -(1.0 - config.beta * d) / 2.0
     return RateReport(rows=rows, slope=slope, slope_se=slope_se, theory_slope=theory)
+
+
+def _first_regeneration(model, horizon, x, task_seed):
+    started = ChainModel(kernel=model.kernel, initial_sample=_ConstantState(np.array([x])),
+                         minorization=model.minorization, model_id=model.model_id)
+    flags = np.flatnonzero(simulate_split_retrospective(started, horizon, task_seed).regen_flags)
+    return float(flags[0] + 1) if len(flags) else float(horizon)
 
 
 def occupancy_moment_premise_check(model: ChainModel, p: float, x_grid, horizon: int,
@@ -354,26 +332,11 @@ def occupancy_moment_premise_check(model: ChainModel, p: float, x_grid, horizon:
     the first regeneration time over replications; finiteness and stability of
     the returned sup support the same-rate regime for the deviation bound.
     """
-    from .regeneration import simulate_split_retrospective
-    cert = model.minorization
-    if cert is None:
+    if model.minorization is None:
         raise ValueError("model carries no minorization certificate")
+    xs = np.asarray(x_grid, dtype=float)
+    groups = replicate(partial(_first_regeneration, model, horizon), xs, replications, seed)
     sup_val = 0.0
-    for j, x in enumerate(np.asarray(x_grid, dtype=float)):
-        taus = []
-        for r in range(replications):
-            started = ChainModel(kernel=model.kernel, initial_sample=_PointStart(x),
-                                 minorization=cert, model_id=model.model_id)
-            traj = simulate_split_retrospective(started, horizon, child_seed(seed, j, r))
-            flags = np.flatnonzero(traj.regen_flags)
-            taus.append(float(flags[0] + 1) if len(flags) else float(horizon))
+    for x, taus in zip(xs, groups):
         sup_val = max(sup_val, stationary_density(float(x)) * float(np.mean(np.asarray(taus) ** p)))
     return sup_val
-
-
-@dataclass(frozen=True)
-class _PointStart:
-    x: float
-
-    def __call__(self, rng):
-        return np.array([self.x])

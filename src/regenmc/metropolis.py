@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .chains import REJECTION_CAP, SamplingError, Trajectory
-from .rng import child_seed, stream
+from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .rng import stream
 
 CERT_TOL = 1e-9
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -57,9 +59,6 @@ class Box:
 
     def centroid(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
 
     def uniform_sample(self, rng) -> np.ndarray:
         return self.lo + rng.random(self.dim) * (self.hi - self.lo)
@@ -189,10 +188,6 @@ class Target:
         for k, c in enumerate(self.coords):
             vals = vals * c.pdf(x[:, k])
         return vals
-
-    def logpdf(self, x) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf(x))
 
     def pdf_point(self, x) -> float:
         val = 1.0
@@ -596,14 +591,12 @@ def empirical_quantiles(values, us) -> np.ndarray:
 class QuantileReport:
     """Reference vs empirical quantiles for one coordinate at one sample size."""
 
-    coordinate: int
     n: int
     u_grid: np.ndarray
     empirical: np.ndarray     # mean over replications of Q-hat(u)
     reference: np.ndarray
     sup_error: float          # mean over replications of sup_u |Q-hat - Q|
     sup_error_se: float
-    density_floor: float      # inf of the marginal density between the gamma quantiles
     monotone: bool            # Q-hat nondecreasing on every replication
 
 
@@ -613,35 +606,28 @@ class QuantileSeries:
     slope: float
     slope_se: float
     gamma: float
-    density_floor: float
+    density_floor: float      # inf of the marginal density between the gamma quantiles
     rate_checked: bool
 
     def to_json(self) -> str:
-        return json.dumps({
+        return strict_json({
             "gamma": self.gamma, "slope": self.slope, "slope_se": self.slope_se,
             "density_floor": self.density_floor, "rate_checked": self.rate_checked,
             "sup_errors": [{"n": r.n, "sup_err": r.sup_error, "se": r.sup_error_se,
                             "monotone": r.monotone} for r in self.reports],
-        }, indent=2)
+        })
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,u,qhat,qref,err\n")
-            for rep in self.reports:
-                for u, qh, qr in zip(rep.u_grid, rep.empirical, rep.reference):
-                    fh.write(f"{rep.n},{format(u, '.17g')},{format(qh, '.17g')},"
-                             f"{format(qr, '.17g')},{format(abs(qh - qr), '.17g')}\n")
+        write_csv(path, "n,u,qhat,qref,err",
+                  [(rep.n, u, qh, qr, abs(qh - qr)) for rep in self.reports
+                   for u, qh, qr in zip(rep.u_grid, rep.empirical, rep.reference)])
 
 
-def _credible_one(target, proposal, cert, k, us, q_ref, task):
-    n, task_seed = task
-    try:
-        traj = mh_chain_regen(target, proposal, cert, n, task_seed)
-        qh = empirical_quantiles(traj.states[:, k], us)
-        mono = bool(np.all(np.diff(qh) >= 0))
-        return float(np.max(np.abs(qh - q_ref))), qh, mono
-    except Exception as exc:
-        raise RuntimeError(f"replication with seed {task_seed} (n={n}) failed: {exc}") from exc
+def _credible_one(target, proposal, cert, k, us, q_ref, n, task_seed):
+    traj = mh_chain_regen(target, proposal, cert, n, task_seed)
+    qh = empirical_quantiles(traj.states[:, k], us)
+    mono = bool(np.all(np.diff(qh) >= 0))
+    return float(np.max(np.abs(qh - q_ref))), qh, mono
 
 
 def credible_interval_experiment(target: Target, proposal: RWProposal,
@@ -666,27 +652,15 @@ def credible_interval_experiment(target: Target, proposal: RWProposal,
     rate_checked = density_floor > 0
     if not rate_checked:
         warnings.warn("marginal density floor is not positive; rate check skipped", stacklevel=2)
-    from functools import partial
-
-    from .parallel import pool_map
-
-    tasks = [(int(n), child_seed(seed, i, r))
-             for i, n in enumerate(n_grid) for r in range(replications)]
-    results = pool_map(partial(_credible_one, target, proposal, cert, k, us, q_ref),
-                       tasks, jobs)
+    ns = [int(n) for n in n_grid]
+    groups = replicate(partial(_credible_one, target, proposal, cert, k, us, q_ref), ns,
+                       replications, seed, jobs)
     reports = []
-    for i, n in enumerate(n_grid):
-        n = int(n)
-        chunk = results[i * replications:(i + 1) * replications]
-        sups = [c[0] for c in chunk]
-        qhats = [c[1] for c in chunk]
-        mono = all(c[2] for c in chunk)
+    for n, chunk in zip(ns, groups):
+        sup_error, sup_error_se = mean_se([c[0] for c in chunk])
         reports.append(QuantileReport(
-            coordinate=k, n=n, u_grid=us, empirical=np.mean(qhats, axis=0),
-            reference=q_ref, sup_error=float(np.mean(sups)),
-            sup_error_se=float(np.std(sups, ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0,
-            density_floor=density_floor, monotone=mono))
-    from .rademacher import fit_loglog_slope
+            n=n, u_grid=us, empirical=np.mean([c[1] for c in chunk], axis=0), reference=q_ref,
+            sup_error=sup_error, sup_error_se=sup_error_se, monotone=all(c[2] for c in chunk)))
     if rate_checked:
         slope, slope_se = fit_loglog_slope([r.n for r in reports],
                                            [r.sup_error for r in reports])

@@ -10,17 +10,18 @@ multiplicative constants are configuration inputs (default 1); experiments
 report the minimal constant that makes the bound dominate what is measured.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .chains import ChainModel
 from .function_classes import EvaluableClass
+from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
 from .regeneration import BlockSet, extract_blocks, simulate_split_retrospective
-from .rng import child_seed, stream
+from .rng import stream
 
 SIGN_CHUNK = 2048
 EXHAUSTIVE_CAP = 20
@@ -90,8 +91,7 @@ def empirical_block_rademacher(cls: EvaluableClass, blocks: BlockSet, n_mc: int,
     """
     if blocks.n_complete == 0:
         raise ValueError("no complete blocks")
-    values = np.vstack([blocks.block_values(f) for f in cls.members])
-    return _signed_sup_mc(values, n_mc, seed)
+    return _signed_sup_mc(blocks.block_values(cls.evaluate), n_mc, seed)
 
 
 def block_variance_proxy(cls: EvaluableClass, blocks: BlockSet) -> float:
@@ -102,8 +102,7 @@ def block_variance_proxy(cls: EvaluableClass, blocks: BlockSet) -> float:
     """
     if blocks.n_complete == 0:
         raise ValueError("no complete blocks")
-    values = np.vstack([blocks.block_values(f) for f in cls.members])
-    return float((values ** 2).mean(axis=1).max())
+    return float((blocks.block_values(cls.evaluate) ** 2).mean(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +137,6 @@ class BoundInputs:
     initial_tau_mean: Optional[float] = None
     sup_mean: Optional[float] = None
     tau_param: Optional[float] = None
-
-
-def c_lambda_from_mgf(lam: float, mgf_value: float) -> float:
-    """The exponential-remainder constant 2 E[exp(lam tau)] / lam."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return 2.0 * mgf_value / lam
 
 
 def _log_scale(c, u_eff, sigma):
@@ -283,84 +275,73 @@ class BoundReport:
     mode: str
 
     def to_json(self) -> str:
-        return json.dumps({
+        return strict_json({
             "mode": self.mode,
             "m_const": self.m_const,
             "m_min": self.m_min,
             "growth_exponent": self.growth_exponent,
             "growth_exponent_se": self.growth_exponent_se,
             "rows": self.rows,
-        }, indent=2)
+        })
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,empirical,mc_err,bound,ratio,L_opt,M_min\n")
-            for r in self.rows:
-                fh.write(",".join(format(r[k], ".17g") for k in
-                                  ("n", "empirical", "mc_err", "bound", "ratio", "trunc_opt"))
-                         + f",{format(self.m_min, '.17g')}\n")
+        keys = ("n", "empirical", "mc_err", "bound", "ratio", "trunc_opt")
+        write_csv(path, "n,empirical,mc_err,bound,ratio,L_opt,M_min",
+                  [[r[k] for k in keys] + [self.m_min] for r in self.rows])
 
 
-def fit_loglog_slope(xs, ys):
-    """OLS slope and its standard error for log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    dof = len(lx) - 2
-    if dof > 0 and len(res):
-        s2 = res[0] / dof
-        se = float(np.sqrt(s2 / np.sum((lx - lx.mean()) ** 2)))
-    else:
-        se = float("nan")
-    return float(coef[0]), se
+def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
+    """(estimate, block lengths, member means of f'^2), or None without complete blocks."""
+    blocks = extract_blocks(simulate_split_retrospective(model, n, task_seed))
+    if blocks.n_complete == 0:
+        return None
+    est = empirical_block_rademacher(cls, blocks, n_mc, sign_seed)
+    return est, blocks.lengths, (blocks.block_values(cls.evaluate) ** 2).mean(axis=1)
 
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
                                replications: int, seed: int, n_mc: int = 2000,
                                mode: str = "em", m_const: float = 1.0,
-                               p: float = 2.0, lam: Optional[float] = None) -> BoundReport:
+                               p: float = 2.0, lam: Optional[float] = None,
+                               jobs: int = 1) -> BoundReport:
     """Measure block complexities on a chain and pit them against the bound.
 
     For each n: the empirical block complexity (mean over replications,
     each on stream (seed, i, r)), and the bound with plug-in moments from the
     pooled blocks (variance proxy inflated by 3 MC standard errors), minimized
-    over the truncation grid.  Reports the domination ratio per n, the fitted
-    growth exponent of the empirical complexity, and the minimal constant
-    M_min that would make the bound dominate everywhere.
+    over the truncation grid; signs come from child_seed(seed, i, r, 1).
+    Reports the domination ratio per n, the fitted growth exponent of the
+    empirical complexity, and the minimal constant M_min that would make the
+    bound dominate everywhere.  jobs > 1 changes nothing but wall time.
     """
+    if mode == "em" and (lam is None or lam <= 0):
+        raise ValueError("mode='em' requires lam > 0")
     rows = []
     emp_means = []
-    for i, n in enumerate(n_grid):
-        estimates = []
-        taus = []
-        sig_sqs = []
-        for r in range(replications):
-            traj = simulate_split_retrospective(model, int(n), child_seed(seed, i, r))
-            blocks = extract_blocks(traj)
-            if blocks.n_complete == 0:
-                continue
-            est = empirical_block_rademacher(cls, blocks, n_mc, child_seed(seed, i, r, 1))
-            estimates.append(est)
-            taus.append(blocks.lengths)
-            values = np.vstack([blocks.block_values(f) for f in cls.members])
-            sig_sqs.append((values ** 2).mean(axis=1))
-        if not estimates:
+    groups = replicate(partial(_bounds_one, model, cls, n_mc), [int(n) for n in n_grid],
+                       replications, seed, jobs, streams=2)
+    for n, results in zip(n_grid, groups):
+        done = [res for res in results if res is not None]
+        if not done:
             raise RuntimeError(f"no complete blocks at n={n}")
+        estimates, taus, sig_sqs = zip(*done)
         emp = float(np.mean([e.mean for e in estimates]))
         mc_err = float(np.sqrt(np.mean([e.mc_std_error ** 2 for e in estimates]) / len(estimates)))
         tau_all = np.concatenate(taus).astype(float)
         n_blocks = float(np.mean([len(t) for t in taus]))
         sig_sq = np.mean(sig_sqs, axis=0).max()
-        sig_se = np.std([s.max() for s in sig_sqs], ddof=1) / math.sqrt(len(sig_sqs)) if len(sig_sqs) > 1 else 0.0
+        _, sig_se = mean_se([s.max() for s in sig_sqs])
         sigma_plug = math.sqrt(sig_sq + 3.0 * sig_se)
         inputs = BoundInputs(u=cls.envelope, sigma=sigma_plug, c=cls.vc_c, v=cls.vc_v,
-                             n=n_blocks, p=p,
-                             tau_moment_p=float(np.mean(tau_all ** p)),
+                             n=n_blocks, p=p, tau_moment_p=float(np.mean(tau_all ** p)),
                              lam=lam, m_const=m_const)
         if mode == "em":
-            if lam is None:
-                raise ValueError("mode='em' requires lam")
-            inputs = replace(inputs, c_lambda=c_lambda_from_mgf(lam, float(np.mean(np.exp(lam * tau_all)))))
+            with np.errstate(over="ignore"):
+                mgf = float(np.mean(np.exp(lam * tau_all)))
+            if not math.isfinite(mgf):
+                raise ValueError(f"E[exp(lam tau)] overflows at n={n}: lam={lam:g}, "
+                                 f"longest block {int(tau_all.max())}")
+            inputs = replace(inputs, c_lambda=2.0 * mgf / lam)  # 2 E[exp(lam tau)] / lam
         bound, trunc_opt, _ = optimize_block_bound(inputs, mode)
         rows.append({"n": float(n), "empirical": emp, "mc_err": mc_err, "bound": bound,
                      "ratio": bound / emp if emp > 0 else float("inf"), "trunc_opt": trunc_opt,
@@ -385,8 +366,13 @@ class GrowthReport:
     exponent_se: float
 
     def to_json(self) -> str:
-        return json.dumps({"exponent": self.exponent, "exponent_se": self.exponent_se,
-                           "rows": self.rows}, indent=2)
+        return strict_json({"exponent": self.exponent, "exponent_se": self.exponent_se,
+                            "rows": self.rows})
+
+
+def _centered_sup(sample_fn, cls, true_means, n, task_seed):
+    vals = cls.evaluate(sample_fn(n, task_seed))
+    return float(np.abs(vals.sum(axis=1) - n * true_means).max())
 
 
 def supremum_growth_experiment(sample_fn, cls: EvaluableClass, true_means,
@@ -397,14 +383,11 @@ def supremum_growth_experiment(sample_fn, cls: EvaluableClass, true_means,
     the stationary means of the members, in order.
     """
     true_means = np.asarray(true_means, dtype=float)
+    groups = replicate(partial(_centered_sup, sample_fn, cls, true_means),
+                       [int(n) for n in n_grid], replications, seed)
     rows = []
-    for i, n in enumerate(n_grid):
-        sups = []
-        for r in range(replications):
-            states = sample_fn(int(n), child_seed(seed, i, r))
-            vals = cls.evaluate(states)
-            sups.append(float(np.abs(vals.sum(axis=1) - n * true_means).max()))
-        rows.append({"n": float(n), "mean_sup": float(np.mean(sups)),
-                     "std_err": float(np.std(sups, ddof=1) / math.sqrt(len(sups)))})
+    for n, sups in zip(n_grid, groups):
+        mean_sup, std_err = mean_se(sups)
+        rows.append({"n": float(n), "mean_sup": mean_sup, "std_err": std_err})
     slope, se = fit_loglog_slope([r["n"] for r in rows], [r["mean_sup"] for r in rows])
     return GrowthReport(rows=rows, exponent=slope, exponent_se=se)

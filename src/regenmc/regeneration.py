@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import ChainModel, REJECTION_CAP, SamplingError, Trajectory, sample_path
+from .parallel import strict_json
 from .rng import stream
 
 RATIO_TOL = 1e-9
@@ -125,16 +126,22 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def block_sums(values, starts, ends) -> np.ndarray:
+    """Sums over [starts[k], ends[k]) along the last axis: the block-sum lift of each row.
+
+    A prefix sum from zero, differenced at the bounds; each row gets the bits it would alone.
+    """
+    vals = np.asarray(values, dtype=float)
+    cs = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(vals, axis=-1)], axis=-1)
+    return cs[..., ends] - cs[..., starts]
+
+
 @dataclass(frozen=True)
 class Block:
     """One path segment; index 0 is the initial block, the last is trailing."""
 
     states: np.ndarray
     index: int
-
-    @property
-    def length(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,6 @@ class BlockSet:
 
     @property
     def lengths(self) -> np.ndarray:
-        if self.n_complete == 0:
-            return np.zeros(0, dtype=np.int64)
         return self.complete_bounds[:, 1] - self.complete_bounds[:, 0]
 
     @property
@@ -181,12 +186,13 @@ class BlockSet:
             yield Block(self.states[s:e], k + 1)
 
     def block_values(self, f) -> np.ndarray:
-        """Per-complete-block sums of f over states: the lifted values f'(B_k)."""
-        if self.n_complete == 0:
-            return np.zeros(0)
-        vals = np.asarray(f(self.states), dtype=float)
-        cs = np.concatenate([[0.0], np.cumsum(vals)])
-        return cs[self.complete_bounds[:, 1]] - cs[self.complete_bounds[:, 0]]
+        """Per-complete-block sums of f over states: the lifted values f'(B_k).
+
+        ``f`` may return (n,) or (m, n), e.g. ``EvaluableClass.evaluate``.  Rows
+        are contiguous, so row reductions add as on one function's values.
+        """
+        return np.ascontiguousarray(
+            block_sums(f(self.states), self.complete_bounds[:, 0], self.complete_bounds[:, 1]))
 
     def to_json(self) -> str:
         payload = {
@@ -308,15 +314,15 @@ class RegenStats:
             "n_blocks": int(len(self.tau_samples)),
             "moments": {str(p): self.moment(p) for p in (1, 2, 3)},
             "mgf": [
-                {"lambda": float(lam), "value": v if np.isfinite(v) else None, "reliable": r}
+                {"lambda": float(lam), "value": v, "reliable": r}
                 for lam in self.lambda_grid
                 for v, r in [self.mgf(lam)]
             ],
-            "tail_rate": None if not np.isfinite(rate) else rate,
+            "tail_rate": rate,
             "tail_fit_points": npts,
-            "suggested_lambda": None if not np.isfinite(rate) else 0.5 * rate,
+            "suggested_lambda": 0.5 * rate,
         }
-        return json.dumps(payload, indent=2, allow_nan=False)
+        return strict_json(payload)
 
 
 def regen_stats(blocks: BlockSet, lambda_grid=None, min_blocks: int = 30) -> RegenStats:

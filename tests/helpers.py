@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import json
+
 import numpy as np
 from scipy.stats import kstwobign
 
@@ -48,3 +50,29 @@ def dense_kde_evaluate(sample, kernel, h: float, x):
         vals = kernel.evaluate(diff.reshape(-1, d)).reshape(hi - lo, n)
         out[lo:hi] = vals.mean(axis=1) / h ** d
     return float(out[0]) if scalar_in else out
+
+
+def member_block_values(blocks, cls):
+    """Reference lifted values over a BlockSet: one prefix sum per member, stacked."""
+    rows = []
+    for f in cls.members:
+        cs = np.concatenate([[0.0], np.cumsum(np.asarray(f(blocks.states), dtype=float))])
+        rows.append(cs[blocks.complete_bounds[:, 1]] - cs[blocks.complete_bounds[:, 0]])
+    return np.vstack(rows)
+
+
+def lifted_class_values(lifted, measure):
+    """Reference lifted values over a BlockMeasure, truncation included."""
+    vals = lifted.base.evaluate(measure.all_states)
+    cs = np.concatenate([np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1)
+    out = cs[:, measure.offsets[1:]] - cs[:, measure.offsets[:-1]]
+    if lifted.trunc is not None:
+        out = out * (measure.lengths <= lifted.trunc)
+    return out
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and infinities."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)

@@ -128,8 +128,9 @@ def test_lemma_outputs(tmp_path):
     assert header == "instance,eps,side,lhs,rhs,pass"
 
 
-def test_jobs_do_not_change_results(tmp_path):
-    cfg = load("kde_rate_tiny.json")
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*_tiny.json")))
+def test_jobs_do_not_change_results(tmp_path, name):
+    cfg = load(name + ".json")
     m1, _ = run(cfg, tmp_path / "serial", jobs=1)
     m2, _ = run(cfg, tmp_path / "parallel", jobs=2)
     assert m1["outputs"] == m2["outputs"]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regenmc import (
     BlockMeasure,
     EmpiricalMeasure,
     LiftedClass,
+    Trajectory,
     check_lifted_covering_bound,
     check_truncated_covering_bound,
     covering_number,
@@ -12,9 +15,12 @@ from regenmc import (
     kernel_class,
     lift_measure,
     lift_second_moment_gap,
+    extract_blocks,
     table_class,
 )
-from regenmc.kde import box_kernel
+from regenmc.kde import box_kernel, epanechnikov_kernel
+
+from .helpers import lifted_class_values, member_block_values
 
 
 def random_instance(rng, max_states=4, max_members=6, max_blocks=5, max_len=4):
@@ -253,3 +259,34 @@ def test_lifted_class_truncation_zeroes_long_blocks():
                       weights=np.array([0.5, 0.5]))
     vals = LiftedClass(cls, trunc=2).evaluate(bm)
     assert vals.tolist() == [[1.0, 0.0]]
+
+
+@given(kind=st.sampled_from(["kernel", "table"]), n=st.integers(1, 300),
+       members=st.integers(1, 6), trunc=st.one_of(st.none(), st.integers(1, 8)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_lifted_values_bit_identical_to_per_member_reference(kind, n, members, trunc, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "kernel":
+        cls = kernel_class(epanechnikov_kernel(), float(rng.uniform(0.05, 0.5)),
+                           rng.uniform(0, 1, members))
+        states = rng.uniform(0, 1, (n, 1))
+    else:
+        cls = table_class(rng.uniform(-1, 1, (members, 5)))
+        states = rng.integers(0, 5, n)
+    flags = rng.random(n) < rng.uniform(0.05, 0.9)
+    blocks = extract_blocks(Trajectory(states=states, regen_flags=flags, seed=0, model_id="h"))
+    ref = member_block_values(blocks, cls)
+    got = blocks.block_values(cls.evaluate)
+    assert np.array_equal(got, ref)
+    if blocks.n_complete == 0:
+        return
+    # same row layout too: row reductions add in the reference's order
+    assert np.array_equal((got ** 2).mean(axis=1), (ref ** 2).mean(axis=1))
+    bm = BlockMeasure.from_blockset(blocks, weights=rng.dirichlet(np.ones(blocks.n_complete)))
+    lifted = LiftedClass(cls, trunc)
+    ref = lifted_class_values(lifted, bm)
+    got = lifted.evaluate(bm)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.sum(got ** 2 * bm.weights, axis=1),
+                          np.sum(ref ** 2 * bm.weights, axis=1))

@@ -302,3 +302,12 @@ def test_compare_bound_vs_empirical_report():
         assert row["bound"] >= row["empirical"] or report.m_min > 1.0
         # re-evaluating at the reported minimal constant dominates everywhere
         assert report.m_min * row["main_term"] + row["remainder"] >= row["empirical"] - 1e-9
+
+
+def test_em_bound_rejects_overflowing_mgf():
+    # blocks of mean length 20 make exp(10 tau) overflow once a block exceeds 70 steps
+    model = wrapped_doeblin_chain(0.05, 0.25)
+    cls = halfline_class(np.linspace(0.05, 0.95, 10))
+    with pytest.raises(ValueError, match=r"overflows at n=512: lam=10, longest block \d+"):
+        compare_bound_vs_empirical(model, cls, [256, 512, 1024], 2, seed=0, n_mc=200,
+                                   mode="em", lam=10.0)
