@@ -98,14 +98,18 @@ def build_class(spec):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def validate(config) -> list:
     """All violations that would prevent a run; empty means runnable."""
     errs = []
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
         errs.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    if not isinstance(config.get("seed"), int):
-        errs.append("seed is mandatory and must be an integer")
+    if not _int_at_least(config.get("seed"), 0):
+        errs.append(f"seed is mandatory and must be an integer >= 0, got {config.get('seed')!r}")
     consts = config.get("constants", {})
     for name in ("M_const", "K_const", "tau_param"):
         if name in consts and not (isinstance(consts[name], (int, float)) and consts[name] > 0):
@@ -117,7 +121,7 @@ def validate(config) -> list:
     if vc_c is not None and vc_v is not None and vc_c < (3 * math.sqrt(math.e)) ** vc_v:
         errs.append(f"constants.vc_C must be >= (3 sqrt(e))^v = {(3 * math.sqrt(math.e)) ** vc_v:.6g}")
     if exp in ("simulate", "blocks", "rademacher"):
-        if not isinstance(config.get("n"), int) or config.get("n", 0) < 1:
+        if not _int_at_least(config.get("n"), 1):
             errs.append("n must be a positive integer")
         if "model" not in config:
             errs.append("model spec is required")
@@ -125,15 +129,22 @@ def validate(config) -> list:
         grid = config.get("n_grid")
         if not isinstance(grid, list) or len(grid) < 3:
             errs.append("n_grid must be a list with at least 3 sizes")
-        if not isinstance(config.get("replications"), int) or config.get("replications", 0) < 1:
+        for i, n in enumerate(grid if isinstance(grid, list) else []):
+            if not _int_at_least(n, 1):
+                errs.append(f"n_grid[{i}] must be an integer >= 1, got {n!r}")
+        if not _int_at_least(config.get("replications"), 1):
             errs.append("replications must be a positive integer")
     if exp == "kde-rate":
         beta = config.get("beta")
         d = config.get("d", 1)
         if not isinstance(beta, (int, float)) or beta < 0:
             errs.append("beta must be a nonnegative number")
+        if not _int_at_least(d, 1):
+            errs.append(f"d must be an integer >= 1, got {d!r}")
         p = config.get("p")
-        if p is not None and isinstance(beta, (int, float)):
+        if p is not None and not (isinstance(p, (int, float)) and p > 1):
+            errs.append(f"p must be a number > 1, got {p!r}")
+        elif p is not None and isinstance(beta, (int, float)) and _int_at_least(d, 1):
             # polynomial-moment regime couples beta, p and the dimension
             coupling = beta * p / (p - 1.0)
             if not 0 < coupling < 1.0 / d:
@@ -149,6 +160,10 @@ def validate(config) -> list:
             errs.append("mode must be 'pm' or 'em'")
         if "M_const" not in consts:
             errs.append("constants.M_const must be explicit for bound experiments")
+    if exp in ("rademacher", "bounds"):
+        n_mc = config.get("n_mc", 2000)
+        if not _int_at_least(n_mc, 100):
+            errs.append(f"n_mc must be an integer >= 100, got {n_mc!r}")
     if exp == "mh-credible":
         gamma = config.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:
@@ -156,7 +171,7 @@ def validate(config) -> list:
         if "target" not in config:
             errs.append("target spec is required")
     if exp == "verify-lemmas":
-        if not isinstance(config.get("trials"), int) or config.get("trials", 0) < 1:
+        if not _int_at_least(config.get("trials"), 1):
             errs.append("trials must be a positive integer")
     return errs
 
@@ -344,7 +359,7 @@ def run(config: dict, out_dir, jobs: int = 1):
         raise ValueError("invalid config:\n  " + "\n  ".join(violations))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary, passed, outputs = _RUNNERS[config["experiment"]](config, out, jobs)
     manifest = {
         "artifact_version": __version__,
@@ -352,7 +367,7 @@ def run(config: dict, out_dir, jobs: int = 1):
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": config["seed"],
         "replication_seeds": _replication_seeds(config),
-        "wall_clock_s": round(time.time() - t0, 3),
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
         "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
         "summary": summary,
         "pass": passed,

@@ -18,8 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .chains import REJECTION_CAP, SamplingError, Trajectory
+from .chains import REJECTION_CAP, ChainModel, SamplingError, Trajectory, _ConstantState
 from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .regeneration import simulate_split_retrospective
 from .rng import stream
 
 CERT_TOL = 1e-9
@@ -272,7 +273,7 @@ class RWProposal:
 
     name: str
     increments: object              # bulk sampler: (rng, n) -> (n, d)
-    density: object                 # scalar + vectorized density of the increment
+    density: object                 # increment density, vectorized as ``.vec``
     floor_b: float
     floor_eps: float
     dim: int
@@ -310,12 +311,6 @@ class _UniformIncrementDensity:
         inside = np.all(np.abs(z) <= self.a, axis=1)
         return np.where(inside, (2.0 * self.a) ** (-self.d), 0.0)
 
-    def scalar(self, z) -> float:
-        for k in range(self.d):
-            if abs(float(z[k])) > self.a:
-                return 0.0
-        return (2.0 * self.a) ** (-self.d)
-
 
 def uniform_step_proposal(a: float, d: int = 1) -> RWProposal:
     """Uniform increments on [-a, a]^d; floor (2a)^-d on the inscribed ball."""
@@ -345,12 +340,6 @@ class _GaussIncrementDensity:
         return (np.exp(-0.5 * (z ** 2).sum(axis=1) / self.s ** 2)
                 / (2 * math.pi * self.s ** 2) ** (self.d / 2))
 
-    def scalar(self, z) -> float:
-        ss = 0.0
-        for k in range(self.d):
-            ss += float(z[k]) ** 2
-        return math.exp(-0.5 * ss / self.s ** 2) / (2 * math.pi * self.s ** 2) ** (self.d / 2)
-
 
 def gaussian_step_proposal(s: float, eps: float, d: int = 1) -> RWProposal:
     """Gaussian increments N(0, s^2 I); floor is the density at radius eps."""
@@ -367,53 +356,59 @@ def gaussian_step_proposal(s: float, eps: float, d: int = 1) -> RWProposal:
 
 
 @dataclass(frozen=True)
-class MoveInfo:
-    proposed: np.ndarray
-    accept_prob: float
-    forward_density: float
+class MHKernel:
+    """The random-walk MH transition kernel of ``target`` with ``proposal`` increments.
 
-
-def mh_step(target: Target, proposal: RWProposal, x: np.ndarray, rng):
-    """One accept/reject move from x; returns (next state, accepted, MoveInfo).
-
-    The acceptance probability is min(1, pi(y)/pi(x)) for the even random-walk
-    increment, and 1 by convention when pi(x) vanishes.  Proposals falling
-    outside the support have zero target density, hence zero acceptance.
+    From x the move proposes y = x + z and accepts it with probability
+    min(1, pi(y)/pi(x)), which is 1 by convention when pi(x) vanishes.
+    Proposals outside the support have zero target density, hence zero
+    acceptance.
     """
-    x = np.asarray(x, dtype=float)
-    z = proposal.sample_increments(rng, 1)[0]
-    y = x + z
-    px = target.pdf_point(x)
-    py = target.pdf_point(y)
-    if px == 0.0:
-        rho = 1.0
-    elif py >= px:
-        rho = 1.0
-    else:
-        rho = py / px
-    accepted = rng.random() < rho
-    info = MoveInfo(proposed=y, accept_prob=rho, forward_density=proposal.density.scalar(z))
-    return (y if accepted else x), accepted, info
+
+    target: Target
+    proposal: RWProposal
+
+    def sample_path(self, x0, n, rng):
+        """n states from x0: n - 1 increments, then n - 1 acceptance uniforms, then the walk."""
+        incs = self.proposal.sample_increments(rng, n - 1)
+        u_acc = rng.random(n - 1)
+        pdf_point = self.target.pdf_point
+        states = np.empty((n, self.target.dim))
+        states[0] = x = np.asarray(x0, dtype=float)
+        px = pdf_point(x)
+        for i in range(n - 1):
+            y = x + incs[i]
+            py = pdf_point(y)
+            if px == 0.0 or py >= px or u_acc[i] * px < py:
+                x, px = y, py
+            states[i + 1] = x
+        return states
+
+    def density(self, xs, ys):
+        """p(x, y) = q(y - x) min(1, pi(y)/pi(x)) for a move, inf where y == x.
+
+        A rejection is an atom of P(x, .) on which Psi, having a density, puts
+        no mass, so a rejected step gets flag probability 0.  The recomputed
+        increment fl(fl(x + z) - x) can exceed |z| by up to 2^-51 (|x| + |y|),
+        so q is read that far closer to 0: an accepted move keeps a positive
+        density at the edge of the proposal's support.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        z = ys - xs
+        z = np.copysign(np.maximum(np.abs(z) - 2.0 ** -51 * (np.abs(xs) + np.abs(ys)), 0.0), z)
+        px, py = self.target.pdf(xs), self.target.pdf(ys)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = np.where(px > 0, np.minimum(1.0, py / px), 1.0)
+        p = self.proposal.density.vec(z) * rho
+        return np.where(np.all(xs == ys, axis=1), np.inf, p)
 
 
 def run_mh(target: Target, proposal: RWProposal, n: int, seed: int,
            x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain MH path of n states; starts at the support centroid by default."""
-    rng = stream(seed, 0)
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else target.support.centroid()
-    incs = proposal.sample_increments(rng, n)
-    u_acc = rng.random(n)
-    states = np.empty((n, target.dim))
-    px = target.pdf_point(x)
-    for i in range(n):
-        states[i] = x
-        if i == n - 1:
-            break
-        y = x + incs[i]
-        py = target.pdf_point(y)
-        if px == 0.0 or py >= px or u_acc[i] * px < py:
-            x, px = y, py
-    return states
+    x = target.support.centroid() if x0 is None else x0
+    return MHKernel(target, proposal).sample_path(x, n + 1, stream(seed, 0))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -518,53 +513,17 @@ def mh_chain_regen(target: Target, proposal: RWProposal, cert: MHMinorization,
                    n: int, seed: int, x0: Optional[np.ndarray] = None) -> Trajectory:
     """MH path with retrospective regeneration flags from the certificate.
 
-    A step can regenerate only when it starts in the small set and the move is
-    an accepted move to a fresh point: the minorizing measure has a density,
-    so the rejection atom carries none of its mass.  The flag probability is
-    delta psi(y) / (q(y - x) rho(x, y)), checked to never exceed 1 + 1e-9;
-    the X-marginal is that of the plain sampler.  The start is a Psi draw
-    unless ``x0`` overrides it.
+    The sampler is split like any other chain, by
+    :func:`regenmc.regeneration.simulate_split_retrospective` on
+    :class:`MHKernel`.  Only a step that starts in the small set and accepts a
+    move can regenerate, with probability delta psi(y) / (q(y - x) rho(x, y)),
+    which is checked to never exceed 1 + 1e-9; the X-marginal is that of the
+    plain sampler.  The start is a Psi draw unless ``x0`` overrides it.
     """
-    rng = stream(seed, 0)
-    rng_flags = stream(seed, 1)
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else cert.psi_sample(rng)
-    incs = proposal.sample_increments(rng, n)
-    u_acc = rng.random(n)
-    states = np.empty((n, target.dim))
-    flags = np.zeros(n, dtype=bool)
-    center = cert.center
-    radius = cert.radius
-    delta = cert.delta
-    psi_mass = cert.psi_mass
-    q_scalar = proposal.density.scalar
-    px = target.pdf_point(x)
-    for i in range(n):
-        states[i] = x
-        z = incs[i]
-        y = x + z
-        py = target.pdf_point(y)
-        if px == 0.0:
-            rho, accepted = 1.0, True
-        elif py >= px:
-            rho, accepted = 1.0, True
-        else:
-            rho = py / px
-            accepted = u_acc[i] * px < py
-        if accepted and py > 0.0 and px > 0.0:
-            dx = x - center
-            if float(dx @ dx) <= radius * radius:
-                dy = y - center
-                if float(dy @ dy) <= radius * radius:
-                    prob = delta * (py / psi_mass) / (q_scalar(z) * rho)
-                    if prob > 1.0 + CERT_TOL:
-                        raise ValueError(
-                            f"certificate violation at step {i}: "
-                            f"regeneration probability {prob:.12g} > 1")
-                    flags[i] = rng_flags.random() < prob
-        if accepted:
-            x, px = y, py
-    return Trajectory(states=states, regen_flags=flags, seed=seed,
-                      model_id=f"mh({target.name},{proposal.name})")
+    start = cert.psi_sample if x0 is None else _ConstantState(x0)
+    model = ChainModel(MHKernel(target, proposal), start, cert,
+                       f"mh({target.name},{proposal.name})")
+    return simulate_split_retrospective(model, n, seed)
 
 
 # ---------------------------------------------------------------------------

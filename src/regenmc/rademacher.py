@@ -91,6 +91,8 @@ def empirical_block_rademacher(cls: EvaluableClass, blocks: BlockSet, n_mc: int,
     """
     if blocks.n_complete == 0:
         raise ValueError("no complete blocks")
+    if n_mc < 100:
+        raise ValueError("n_mc must be >= 100")
     return _signed_sup_mc(blocks.block_values(cls.evaluate), n_mc, seed)
 
 

@@ -25,11 +25,14 @@ RATIO_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _pair_density(kernel, xs, ys):
+def _pair_density(kernel, xs, ys, steps):
+    """p(x, y) of observed transitions; ``steps`` are their chain steps, named on failure."""
     p = np.asarray(kernel.density(xs, ys), dtype=float)
-    if np.any(p <= 0):
-        i = int(np.flatnonzero(p <= 0)[0])
-        raise ValueError(f"observed transition has zero density at step {i}; invalid kernel density")
+    bad = np.flatnonzero(p <= 0)
+    if len(bad):
+        j = int(bad[0])
+        raise ValueError(f"observed transition has zero density at step {int(steps[j])} "
+                         f"(x={xs[j]}, y={ys[j]}); invalid kernel density")
     return p
 
 
@@ -50,18 +53,18 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
     x0 = model.initial_sample(rng)
     ext = sample_path(model.kernel, x0, n + 1, rng)
     xs, ys = ext[:-1], ext[1:]
-    in_s = np.asarray(cert.small_set(xs), dtype=bool)
+    steps = np.flatnonzero(np.asarray(cert.small_set(xs), dtype=bool))
     probs = np.zeros(n)
-    if np.any(in_s):
-        p = _pair_density(model.kernel, xs[in_s], ys[in_s])
-        ratio = cert.delta * np.asarray(cert.psi_density(ys[in_s]), dtype=float) / p
+    if len(steps):
+        p = _pair_density(model.kernel, xs[steps], ys[steps], steps)
+        ratio = cert.delta * np.asarray(cert.psi_density(ys[steps]), dtype=float) / p
         if np.any(ratio > 1.0 + RATIO_TOL):
             j = int(np.argmax(ratio))
-            i = int(np.flatnonzero(in_s)[j])
+            i = int(steps[j])
             raise ValueError(
-                f"invalid certificate: flag probability {ratio[j]:.12g} > 1 at step {i} "
-                f"(x={xs[in_s][j]}, y={ys[in_s][j]})")
-        probs[in_s] = np.minimum(ratio, 1.0)
+                f"invalid certificate: regeneration probability {ratio[j]:.12g} > 1 at step {i} "
+                f"(x={xs[i]}, y={ys[i]}); a flag probability cannot exceed 1")
+        probs[steps] = np.minimum(ratio, 1.0)
     flags = stream(seed, 1).random(n) < probs
     return Trajectory(states=ext[:n], regen_flags=flags, seed=seed, model_id=model.model_id)
 
@@ -74,7 +77,7 @@ def _residual_draw(model, cert, x, rng, step):
     for _ in range(REJECTION_CAP):
         y = model.kernel.sample_next(x, rng)
         yb = np.asarray([y]) if np.ndim(y) == 0 else np.asarray(y)[None, :]
-        p = float(_pair_density(model.kernel, xb, yb)[0])
+        p = float(_pair_density(model.kernel, xb, yb, [step])[0])
         accept = 1.0 - cert.delta * float(np.asarray(cert.psi_density(yb), dtype=float)[0]) / p
         if rng.random() < accept:
             return y

@@ -5,6 +5,8 @@ import json
 import numpy as np
 from scipy.stats import kstwobign
 
+from regenmc.rng import stream
+
 
 def discrete_ks_pvalue(samples, cdf) -> float:
     """One-sample KS test against a discrete integer-valued CDF.
@@ -76,3 +78,39 @@ def strict_loads(text):
     def reject(constant):
         raise ValueError(f"non-finite JSON constant {constant}")
     return json.loads(text, parse_constant=reject)
+
+
+def reference_run_mh(target, proposal, n, seed, x0=None):
+    """Reference plain MH path: the per-step loop of n states from the centroid or x0."""
+    rng = stream(seed, 0)
+    x = np.asarray(x0, dtype=float).copy() if x0 is not None else target.support.centroid()
+    incs = proposal.sample_increments(rng, n)
+    u_acc = rng.random(n)
+    states = np.empty((n, target.dim))
+    px = target.pdf_point(x)
+    for i in range(n):
+        states[i] = x
+        if i == n - 1:
+            break
+        y = x + incs[i]
+        py = target.pdf_point(y)
+        if px == 0.0 or py >= px or u_acc[i] * px < py:
+            x, px = y, py
+    return states
+
+
+def reference_mh_regen_path(target, proposal, cert, n, seed, x0=None):
+    """Reference path of the regeneration sampler: a Psi draw (or x0), then n MH moves."""
+    rng = stream(seed, 0)
+    x = np.asarray(x0, dtype=float).copy() if x0 is not None else cert.psi_sample(rng)
+    incs = proposal.sample_increments(rng, n)
+    u_acc = rng.random(n)
+    states = np.empty((n, target.dim))
+    px = target.pdf_point(x)
+    for i in range(n):
+        states[i] = x
+        y = x + incs[i]
+        py = target.pdf_point(y)
+        if px == 0.0 or py >= px or u_acc[i] * px < py:
+            x, px = y, py
+    return states

@@ -27,6 +27,9 @@ def test_validate_missing_seed():
     cfg = load("simulate_tiny.json")
     del cfg["seed"]
     assert any("seed" in v for v in validate(cfg))
+    for bad in (-5, True, 1.5):         # rng.stream takes only integers >= 0
+        cfg["seed"] = bad
+        assert f"seed is mandatory and must be an integer >= 0, got {bad!r}" in validate(cfg)
 
 
 def test_validate_kde_moment_coupling():
@@ -35,6 +38,10 @@ def test_validate_kde_moment_coupling():
     assert validate(cfg) == []          # 0.5 * 3/2 = 0.75 < 1 passes
     cfg["beta"] = 0.8                   # 0.8 * 3/2 = 1.2 >= 1 fails
     assert any("beta*p/(p-1)" in v for v in validate(cfg))
+    cfg.update(beta=0.5, p=1)           # beta*p/(p-1) divides by zero
+    assert validate(cfg) == ["p must be a number > 1, got 1"]
+    cfg.update(p=3, d=0)                # 1/d divides by zero
+    assert validate(cfg) == ["d must be an integer >= 1, got 0"]
 
 
 def test_validate_bounds_sigma_hypothesis():
@@ -47,6 +54,25 @@ def test_validate_bounds_requires_explicit_constant():
     cfg = load("bounds_tiny.json")
     del cfg["constants"]["M_const"]
     assert any("M_const" in v for v in validate(cfg))
+
+
+@pytest.mark.parametrize("name", ["bounds_tiny.json", "kde_rate_tiny.json",
+                                  "mh_credible_tiny.json"])
+@pytest.mark.parametrize("bad", [64.5, 0, -3, "256", True])
+def test_validate_names_bad_n_grid_entry(name, bad):
+    cfg = load(name)
+    cfg["n_grid"][1] = bad
+    assert f"n_grid[1] must be an integer >= 1, got {bad!r}" in validate(cfg)
+
+
+@pytest.mark.parametrize("name", ["bounds_tiny.json", "rademacher_tiny.json"])
+@pytest.mark.parametrize("bad", [0, 99, 150.0])
+def test_validate_names_bad_n_mc(name, bad, tmp_path):
+    cfg = load(name)
+    cfg["n_mc"] = bad
+    assert f"n_mc must be an integer >= 100, got {bad!r}" in validate(cfg)
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
 
 
 def test_manifest_records_replication_seeds(tmp_path):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from regenmc import (
     Box,
+    MHKernel,
     bimodal_target,
     build_minorization,
     check_ball_chaining_geometry,
@@ -16,7 +17,6 @@ from regenmc import (
     extract_blocks,
     gaussian_step_proposal,
     mh_chain_regen,
-    mh_step,
     regen_stats,
     run_mh,
     truncated_gaussian_target,
@@ -24,9 +24,11 @@ from regenmc import (
     uniform_target,
 )
 from regenmc.chains import ChainModel, FiniteKernel, Minorization
-from regenmc.metropolis import empirical_quantiles
+from regenmc.metropolis import TARGETS, empirical_quantiles
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_forward
 from regenmc.rng import stream
+
+from .helpers import reference_mh_regen_path, reference_run_mh
 
 
 # ---------------------------------------------------------------------------
@@ -37,35 +39,74 @@ from regenmc.rng import stream
 def test_acceptance_rate_against_overlap():
     # uniform target: every in-support proposal is accepted, so the rate from
     # a fixed state is the window/support overlap fraction
-    target = uniform_target()
-    prop = uniform_step_proposal(0.6)
+    kernel = MHKernel(uniform_target(), uniform_step_proposal(0.6))
     rng = stream(1, 0)
     x = np.array([0.5])
-    accepts = sum(mh_step(target, prop, x, rng)[1] for _ in range(20_000))
+    accepts = sum(bool(kernel.sample_path(x, 2, rng)[1, 0] != x[0]) for _ in range(20_000))
     expected = 1.0 / 1.2
     se = math.sqrt(expected * (1 - expected) / 20_000)
     assert abs(accepts / 20_000 - expected) <= 3 * se
 
 
 def test_vanishing_current_density_always_accepts():
-    target = uniform_target()
-    prop = uniform_step_proposal(0.1)
-    rng = stream(2, 0)
-    _, accepted, info = mh_step(target, prop, np.array([5.0]), rng)
-    assert info.accept_prob == 1.0 and accepted
+    kernel = MHKernel(uniform_target(), uniform_step_proposal(0.1))
+    path = kernel.sample_path(np.array([5.0]), 2, stream(2, 0))
+    assert path[1, 0] != 5.0
+    # acceptance probability 1: the move's density is the bare proposal density
+    assert kernel.density(path[:1], path[1:])[0] == pytest.approx(1.0 / 0.2)
 
 
 def test_uphill_moves_always_accepted():
     target = truncated_gaussian_target()
     prop = uniform_step_proposal(0.3)
-    rng = stream(3, 0)
-    x = np.array([0.9])
-    for _ in range(500):
-        nxt, accepted, info = mh_step(target, prop, x, rng)
-        y = info.proposed
-        if target.pdf_point(y) >= target.pdf_point(x):
-            assert accepted
-        x = nxt
+    path = MHKernel(target, prop).sample_path(np.array([0.9]), 501, stream(3, 0))
+    # the path drew its 500 increments first from the same stream
+    ys = path[:-1] + prop.sample_increments(stream(3, 0), 500)
+    uphill = np.array([target.pdf_point(y) >= target.pdf_point(x) for x, y in zip(path, ys)])
+    assert uphill.any() and (~uphill).any()
+    assert np.array_equal(path[1:][uphill], ys[uphill])
+
+
+def test_rejection_has_infinite_density_and_is_never_flagged():
+    target = truncated_gaussian_target()
+    prop = uniform_step_proposal(0.25)
+    kernel = MHKernel(target, prop)
+    x = np.array([[0.5]])
+    assert kernel.density(x, x)[0] == np.inf
+    cert = build_minorization(target, prop)
+    traj = mh_chain_regen(target, prop, cert, 50_000, seed=16)
+    flagged = np.flatnonzero(traj.regen_flags[:-1])
+    rejected = np.all(traj.states[1:] == traj.states[:-1], axis=1)
+    assert len(flagged) > 1000 and rejected.mean() > 0.05
+    assert not rejected[flagged].any()
+
+
+def test_accepted_move_at_proposal_edge_keeps_positive_density():
+    # y = fl(x - a) with a = 0.3: the recomputed increment fl(y - x) lands
+    # beyond -a for a share of x, where q would read 0
+    a = 0.3
+    kernel = MHKernel(uniform_target(), uniform_step_proposal(a))
+    xs = np.linspace(a, 1.0, 4001, endpoint=False)[:, None]
+    ys = xs - a
+    assert np.mean(np.abs(ys - xs) > a) > 0.05
+    assert np.all(kernel.density(xs, ys) == 1.0 / (2 * a))
+    assert np.all(kernel.density(ys, xs) == 1.0 / (2 * a))
+
+
+@given(target=st.sampled_from(sorted(TARGETS)), gaussian=st.booleans(),
+       d=st.sampled_from([1, 2]), x0=st.none() | st.floats(-0.5, 1.5),
+       n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(target="bimodal", gaussian=False, d=2, x0=5.0, n=300, seed=1)
+def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, seed):
+    tgt = TARGETS[target](d=d)
+    prop = gaussian_step_proposal(0.2, 0.3, d) if gaussian else uniform_step_proposal(0.25, d)
+    cert = build_minorization(tgt, prop)
+    start = None if x0 is None else np.full(d, x0)
+    traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
+    assert np.array_equal(traj.states, reference_mh_regen_path(tgt, prop, cert, n, seed, start))
+    assert np.array_equal(run_mh(tgt, prop, n, seed, x0=start),
+                          reference_run_mh(tgt, prop, n, seed, start))
 
 
 def test_out_of_support_proposals_rejected():

@@ -113,6 +113,9 @@ def test_empty_inputs_rejected():
     blocks = extract_blocks(traj_with_flags([0, 1], [False, False]))
     with pytest.raises(ValueError, match="complete"):
         empirical_block_rademacher(cls, blocks, 500, seed=0)
+    blocks = extract_blocks(traj_with_flags([0, 1], [True, True]))
+    with pytest.raises(ValueError, match="n_mc"):
+        empirical_block_rademacher(cls, blocks, 50, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.stats import ks_2samp
 
 from regenmc import (
     ChainModel,
+    FiniteKernel,
+    Minorization,
     Trajectory,
     block_bootstrap_se,
     extract_blocks,
@@ -75,6 +78,34 @@ def test_invalid_certificate_detected():
                      minorization=bad_cert, model_id="bad")
     with pytest.raises(ValueError, match="flag probability"):
         simulate_split_retrospective(bad, 2000, seed=0)
+
+
+@dataclass(frozen=True)
+class _MisreportingKernel:
+    """Samples from ``sampler`` but reports the density of ``reported``."""
+
+    sampler: FiniteKernel
+    reported: FiniteKernel
+
+    def sample_path(self, x0, n, rng):
+        return self.sampler.sample_path(x0, n, rng)
+
+    def density(self, x, y):
+        return self.reported.density(x, y)
+
+
+def test_zero_density_error_names_chain_step_and_pair():
+    # the chain alternates 0, 1, 0, ...; on S = {1} the reported density of
+    # the move 1 -> 0 is zero, first met at chain step 1
+    kernel = _MisreportingKernel(FiniteKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                                 FiniteKernel(np.array([[0.0, 1.0], [0.0, 1.0]])))
+    cert = Minorization(delta=0.5, psi_sample=lambda rng: 0,
+                        psi_density=lambda y: np.full(len(y), 0.5),
+                        small_set=lambda x: np.asarray(x) == 1)
+    model = ChainModel(kernel=kernel, initial_sample=lambda rng: 0, minorization=cert,
+                       model_id="misreporting")
+    with pytest.raises(ValueError, match=r"zero density at step 1 \(x=1, y=0\)"):
+        simulate_split_retrospective(model, 10, seed=0)
 
 
 def test_forward_delta_one_all_flags():
