@@ -29,7 +29,7 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 class SamplingError(RuntimeError):
-    """Kernel sampling failure, carrying the step index where it occurred."""
+    """A rejection sampler exceeded ``REJECTION_CAP`` proposals."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,6 @@ class FiniteKernel:
     @property
     def n_states(self) -> int:
         return self.matrix.shape[0]
-
-    def sample_next(self, x, rng):
-        return bisect.bisect_right(self._cum_rows[int(x)], rng.random())
 
     def sample_path(self, x0, n, rng):
         us = rng.random(max(n - 1, 0)).tolist()
@@ -111,12 +108,6 @@ class WrappedMixtureKernel:
         y = np.ravel(np.asarray(y, dtype=float))
         near = _circ_dist(x, y) <= self.width + 1e-15
         return self.delta + (1.0 - self.delta) * near / (2.0 * self.width)
-
-    def sample_next(self, x, rng):
-        x = float(np.ravel(x)[0])
-        if rng.random() < self.delta:
-            return np.array([rng.random()])
-        return np.array([(x + rng.uniform(-self.width, self.width)) % 1.0])
 
     def sample_path(self, x0, n, rng):
         x0 = float(np.ravel(x0)[0])
@@ -201,11 +192,11 @@ class Trajectory:
         """0 for finite label states, d for vector states."""
         return 0 if self.states.ndim == 1 and np.issubdtype(self.states.dtype, np.integer) else self.states.shape[1]
 
-    def values_1d(self, k: int = 0) -> np.ndarray:
-        """Coordinate k as a float vector (the labels, for finite chains)."""
+    def values_1d(self) -> np.ndarray:
+        """Coordinate 0 as a float vector (the labels, for finite chains)."""
         if self.dim == 0:
             return self.states.astype(float)
-        return self.states[:, k]
+        return self.states[:, 0]
 
     def to_csv(self, path):
         d = self.dim
@@ -248,18 +239,12 @@ class Trajectory:
 
 
 def sample_path(kernel, x0, n, rng):
-    """n states starting at x0, using the kernel's bulk sampler when it has one."""
-    if hasattr(kernel, "sample_path"):
-        return kernel.sample_path(x0, n, rng)
-    states = [np.asarray(x0, dtype=float)]
-    x = x0
-    for i in range(n - 1):
-        try:
-            x = kernel.sample_next(x, rng)
-        except RuntimeError as exc:
-            raise SamplingError(f"kernel sampling failed at step {i + 1}: {exc}") from exc
-        states.append(np.asarray(x, dtype=float))
-    return np.vstack(states)
+    """n states starting at x0, drawn by the kernel's ``sample_path``.
+
+    Every walk of a kernel in the package goes through this function, so it
+    is the one place a kernel's steps can be counted or timed from outside.
+    """
+    return kernel.sample_path(x0, n, rng)
 
 
 def simulate(model: ChainModel, n: int, seed: int) -> Trajectory:
@@ -399,55 +384,31 @@ class _WrappedResidualSampler:
         return np.array([(x + rng.uniform(-self.width, self.width)) % 1.0])
 
 
-def doeblin_chain(delta, kernel, psi_sample, psi_density,
-                  initial_sample=None, model_id="doeblin", check_points=None) -> ChainModel:
-    """Certify a kernel whose whole space is a small set: P(x, .) >= delta Psi(.).
+def finite_doeblin_chain(delta: float, matrix, psi) -> ChainModel:
+    """Finite chain certified with the whole space small: matrix >= delta * psi.
 
     Regeneration times of the split chain are then exactly geometric(delta).
-    Domination is checked exactly for finite kernels and on ``check_points``
-    (pairs of state batches) otherwise; a violation raises with a witness.
+    Domination is checked exactly; a violation raises with a witness.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if isinstance(kernel, FiniteKernel):
-        psi = np.asarray(psi_density(np.arange(kernel.n_states)), dtype=float)
-        gap = kernel.matrix - delta * psi[None, :]
-        if np.min(gap) < -1e-12:
-            x, y = np.unravel_index(np.argmin(gap), gap.shape)
-            raise ValueError(
-                f"domination violated at (x={x}, y={y}): P={kernel.matrix[x, y]:.6g} < delta*psi={delta * psi[y]:.6g}")
-    elif check_points is not None:
-        xs, ys = check_points
-        p = np.asarray(kernel.density(xs, ys), dtype=float)
-        floor = delta * np.asarray(psi_density(ys), dtype=float)
-        bad = p < floor - 1e-12
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"domination violated at checked pair index {i}")
-    cert = Minorization(delta=delta, psi_sample=psi_sample, psi_density=psi_density,
-                        small_set=_all_true)
-    return ChainModel(kernel=kernel, initial_sample=initial_sample or psi_sample,
-                      minorization=cert, model_id=model_id)
-
-
-def finite_doeblin_chain(delta: float, matrix, psi) -> ChainModel:
-    """Finite chain certified with the whole space small: matrix >= delta * psi."""
     kernel = FiniteKernel(matrix)
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (kernel.n_states,) or abs(psi.sum() - 1.0) > 1e-12 or np.any(psi < 0):
         raise ValueError("psi must be a probability vector over the states")
-    model = doeblin_chain(delta, kernel, _PmfSampler(tuple(np.cumsum(psi))), _PmfDensity(psi),
-                          model_id=f"finite_doeblin(delta={delta:g})")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    gap = kernel.matrix - delta * psi[None, :]
+    if np.min(gap) < -1e-12:
+        x, y = np.unravel_index(np.argmin(gap), gap.shape)
+        raise ValueError(
+            f"domination violated at (x={x}, y={y}): P={kernel.matrix[x, y]:.6g} < delta*psi={delta * psi[y]:.6g}")
+    resid_sampler = None
     if delta < 1.0:
-        residual = (kernel.matrix - delta * psi[None, :]) / (1.0 - delta)
-        resid_sampler = _FiniteResidualSampler(tuple(tuple(np.cumsum(r)) for r in residual))
-    else:
-        resid_sampler = None
-    cert = Minorization(delta=delta, psi_sample=model.minorization.psi_sample,
-                        psi_density=model.minorization.psi_density,
+        resid_sampler = _FiniteResidualSampler(tuple(tuple(np.cumsum(r)) for r in gap / (1.0 - delta)))
+    psi_sample = _PmfSampler(tuple(np.cumsum(psi)))
+    cert = Minorization(delta=delta, psi_sample=psi_sample, psi_density=_PmfDensity(psi),
                         small_set=_all_true, residual_sample=resid_sampler)
-    return ChainModel(kernel=kernel, initial_sample=model.initial_sample,
-                      minorization=cert, model_id=model.model_id)
+    return ChainModel(kernel=kernel, initial_sample=psi_sample, minorization=cert,
+                      model_id=f"finite_doeblin(delta={delta:g})")
 
 
 def wrapped_doeblin_chain(delta: float, width: float) -> ChainModel:

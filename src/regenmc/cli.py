@@ -10,7 +10,6 @@ a one-line summary.  Exit codes: 0 pass, 2 acceptance-threshold failure,
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from functools import partial
@@ -21,7 +20,7 @@ import numpy as np
 from . import __version__
 from .chains import (finite_atom_chain, finite_doeblin_chain, simulate, two_state_chain,
                      wrapped_doeblin_chain)
-from .function_classes import (BlockMeasure, check_lifted_covering_bound,
+from .function_classes import (EXACT_COVER_CAP, BlockMeasure, check_lifted_covering_bound,
                                check_truncated_covering_bound, halfline_class,
                                kernel_class, table_class)
 from .kde import KDEConfig, KERNELS, rate_experiment
@@ -102,6 +101,14 @@ def _int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _number_above(value, bound: float) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > bound
+
+
+# Smallest value of each verify-lemmas instance limit: an instance needs two states.
+_LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 1}
+
+
 def validate(config) -> list:
     """All violations that would prevent a run; empty means runnable."""
     errs = []
@@ -111,15 +118,20 @@ def validate(config) -> list:
     if not _int_at_least(config.get("seed"), 0):
         errs.append(f"seed is mandatory and must be an integer >= 0, got {config.get('seed')!r}")
     consts = config.get("constants", {})
-    for name in ("M_const", "K_const", "tau_param"):
-        if name in consts and not (isinstance(consts[name], (int, float)) and consts[name] > 0):
-            errs.append(f"constants.{name} must be a positive number")
-    vc_v = consts.get("vc_v")
-    if vc_v is not None and vc_v < 1:
-        errs.append("constants.vc_v must be >= 1")
-    vc_c = consts.get("vc_C")
-    if vc_c is not None and vc_v is not None and vc_c < (3 * math.sqrt(math.e)) ** vc_v:
-        errs.append(f"constants.vc_C must be >= (3 sqrt(e))^v = {(3 * math.sqrt(math.e)) ** vc_v:.6g}")
+    if not isinstance(consts, dict):
+        errs.append(f"constants must be an object, got {consts!r}")
+        consts = {}
+    for name in consts:
+        if name in ("vc_C", "vc_v"):
+            errs.append(f"constants.{name} is not read by any experiment; "
+                        f"set {name} in the class spec")
+        elif name != "M_const":
+            errs.append(f"constants.{name} is not read by any experiment; "
+                        f"constants takes only M_const")
+    if "M_const" in consts and not _number_above(consts["M_const"], 0):
+        errs.append(f"constants.M_const must be a positive number, got {consts['M_const']!r}")
+    if consts and exp != "bounds":
+        errs.append(f"constants is read only by bounds experiments, not by {exp!r}")
     if exp in ("simulate", "blocks", "rademacher"):
         if not _int_at_least(config.get("n"), 1):
             errs.append("n must be a positive integer")
@@ -135,6 +147,12 @@ def validate(config) -> list:
         if not _int_at_least(config.get("replications"), 1):
             errs.append("replications must be a positive integer")
     if exp == "kde-rate":
+        kernel = config.get("kernel", "epanechnikov")
+        if kernel not in KERNELS:
+            errs.append(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+        scale = config.get("bandwidth_scale", 1.0)
+        if not _number_above(scale, 0):
+            errs.append(f"bandwidth_scale must be a positive number, got {scale!r}")
         beta = config.get("beta")
         d = config.get("d", 1)
         if not isinstance(beta, (int, float)) or beta < 0:
@@ -164,15 +182,43 @@ def validate(config) -> list:
         n_mc = config.get("n_mc", 2000)
         if not _int_at_least(n_mc, 100):
             errs.append(f"n_mc must be an integer >= 100, got {n_mc!r}")
+        spec = config.get("class")
+        if isinstance(spec, dict) and spec.get("kind") == "halfline":
+            errs.extend(f"class.{name} is not read by a halfline class, whose (C, v) is (2, 2)"
+                        for name in ("vc_C", "vc_v") if name in spec)
     if exp == "mh-credible":
         gamma = config.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:
             errs.append("gamma must lie in (0, 0.25)")
-        if "target" not in config:
+        target = config.get("target")
+        if not isinstance(target, dict):
             errs.append("target spec is required")
+        elif target.get("kind") not in TARGETS:
+            errs.append(f"target.kind must be one of {tuple(TARGETS)}, got {target.get('kind')!r}")
+        elif not _int_at_least(target.get("d", 1), 1):
+            errs.append(f"target.d must be an integer >= 1, got {target.get('d')!r}")
+        else:
+            k, dim = config.get("coordinate", 0), target.get("d", 1)
+            if not (_int_at_least(k, 0) and k < dim):
+                errs.append(f"coordinate must be an integer in [0, {dim}) for a {dim}-d target, "
+                            f"got {k!r}")
     if exp == "verify-lemmas":
         if not _int_at_least(config.get("trials"), 1):
             errs.append("trials must be a positive integer")
+        for name, least in _LEMMA_LIMITS.items():
+            value = config.get(name, least)
+            if not _int_at_least(value, least):
+                errs.append(f"{name} must be an integer >= {least}, got {value!r}")
+        members = config.get("max_members", 1)
+        if _int_at_least(members, 1) and members > EXACT_COVER_CAP:
+            errs.append(f"max_members must be at most {EXACT_COVER_CAP} for exact covers, "
+                        f"got {members!r}")
+        eps_grid = config.get("eps_grid", [1.0])
+        if not isinstance(eps_grid, list) or not eps_grid:
+            errs.append(f"eps_grid must be a non-empty list, got {eps_grid!r}")
+        for i, eps in enumerate(eps_grid if isinstance(eps_grid, list) else []):
+            if not _number_above(eps, 0):
+                errs.append(f"eps_grid[{i}] must be a positive number, got {eps!r}")
     return errs
 
 

@@ -86,6 +86,15 @@ class LiftedClass:
         return out
 
 
+def _probability_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {float(w[~np.isfinite(w)][0])!r}")
+    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Weighted atoms on the state space; weights sum to one."""
@@ -94,10 +103,7 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _probability_weights(self.weights))
 
     @classmethod
     def uniform(cls, points):
@@ -114,12 +120,9 @@ class BlockMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(self.blocks):
+        if len(self.weights) != len(self.blocks):
             raise ValueError("one weight per block required")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _probability_weights(self.weights))
         lengths = np.array([len(b) for b in self.blocks], dtype=np.int64)
         if np.any(lengths == 0):
             raise ValueError("blocks must be nonempty")
@@ -236,11 +239,10 @@ def covering_number(cls, measure, eps: float, method: str = "greedy") -> int:
 def _merge_atoms(points, weights):
     pts = np.asarray(points)
     if pts.ndim == 1:
-        order = np.argsort(pts, kind="stable")
-        sp, sw = pts[order], np.asarray(weights)[order]
-        uniq, inv = np.unique(sp, return_inverse=True)
+        # np.add.at adds the weights of equal atoms in index order
+        uniq, inv = np.unique(pts, return_inverse=True)
         agg = np.zeros(len(uniq))
-        np.add.at(agg, inv, sw)
+        np.add.at(agg, inv, weights)
         return uniq, agg
     # vector states: merge on exact byte equality
     keys = [p.tobytes() for p in pts]
@@ -263,26 +265,19 @@ def lift_measure(block_measure: BlockMeasure, trunc: Optional[float] = None) -> 
     the total normalizes to one.  With ``trunc`` set, only blocks of length
     <= trunc contribute (the measure matched by the truncated lift).
     """
-    keep = np.ones(len(block_measure.blocks), dtype=bool)
+    lengths, w = block_measure.lengths, block_measure.weights
+    live = w != 0
     if trunc is not None:
-        keep = block_measure.lengths <= trunc
-    if not np.any(keep):
-        raise ValueError("no blocks survive the truncation")
-    pts, wts = [], []
-    for b, w, ell, k in zip(block_measure.blocks, block_measure.weights,
-                            block_measure.lengths, keep):
-        if not k or w == 0:
-            continue
-        arr = np.asarray(b)
-        pts.append(arr)
-        wts.append(np.full(len(arr), w * float(ell)))
-    points = np.concatenate(pts)
-    weights = np.concatenate(wts)
-    merged_p, merged_w = _merge_atoms(points, weights)
-    total = merged_w.sum()
-    if total <= 0:
+        kept = lengths <= trunc
+        if not np.any(kept):
+            raise ValueError("no blocks survive the truncation")
+        live &= kept
+    if not np.any(live):
         raise ValueError("lifted measure has zero mass")
-    return EmpiricalMeasure(points=merged_p, weights=merged_w / total)
+    points = block_measure.all_states[np.repeat(live, lengths)]
+    weights = np.repeat((w * lengths)[live], lengths[live])
+    merged_p, merged_w = _merge_atoms(points, weights)
+    return EmpiricalMeasure(points=merged_p, weights=merged_w / merged_w.sum())
 
 
 @dataclass(frozen=True)
@@ -392,11 +387,10 @@ class KernelTranslate:
     kernel: object
     center: float
     h: float
-    coordinate: int = 0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        vals = x if x.ndim == 1 else x[:, self.coordinate]
+        vals = x if x.ndim == 1 else x[:, 0]
         return self.kernel.k0((self.center - vals) / self.h)
 
 
@@ -424,9 +418,8 @@ def halfline_class(thresholds, coordinate: int = 0) -> EvaluableClass:
         return EvaluableClass(members=members, envelope=1.0, vc_c=2.0, vc_v=2.0)
 
 
-def kernel_class(kernel, h: float, centers, vc_c=None, vc_v: float = 2.0,
-                 coordinate: int = 0) -> EvaluableClass:
-    """Kernel translates y -> K((x - y)/h) over a center grid.
+def kernel_class(kernel, h: float, centers, vc_c=None, vc_v: float = 2.0) -> EvaluableClass:
+    """Kernel translates y -> K((x - y)/h) of coordinate 0 over a center grid.
 
     The characteristic (C, v) of a kernel-translate family is not derivable
     from the data; it is configuration, defaulting to the admissibility floor
@@ -436,6 +429,5 @@ def kernel_class(kernel, h: float, centers, vc_c=None, vc_v: float = 2.0,
         raise ValueError("bandwidth h must be positive")
     if vc_c is None:
         vc_c = (3.0 * math.sqrt(math.e)) ** vc_v
-    members = tuple(KernelTranslate(kernel, float(c), h, coordinate)
-                    for c in np.asarray(centers, dtype=float))
+    members = tuple(KernelTranslate(kernel, float(c), h) for c in np.asarray(centers, dtype=float))
     return EvaluableClass(members=members, envelope=kernel.k0_sup, vc_c=vc_c, vc_v=vc_v)

@@ -224,12 +224,11 @@ def uniform_deviation(sample, kernel: Kernel, h: float, grid, target_values) -> 
     return float(np.max(np.abs(est - np.asarray(target_values, dtype=float))))
 
 
-def deviation_grid(h: float, lo: float = 0.0, hi: float = 1.0, pad: bool = True,
+def deviation_grid(h: float, lo: float = 0.0, hi: float = 1.0,
                    spacing_factor: float = 4.0) -> np.ndarray:
     """Evaluation grid with spacing h/spacing_factor, padded by h beyond the support."""
-    a, b = (lo - h, hi + h) if pad else (lo, hi)
     step = h / spacing_factor
-    return np.arange(a, b + step / 2, step)
+    return np.arange(lo - h, hi + h + step / 2, step)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +238,22 @@ def deviation_grid(h: float, lo: float = 0.0, hi: float = 1.0, pad: bool = True,
 
 @dataclass(frozen=True)
 class KDEConfig:
-    """Bandwidth rule h_n = scale * n^(-beta) plus grid and target policy."""
+    """Bandwidth rule h_n = scale * n^(-beta) on a uniform stationary law over ``support``."""
 
     beta: float
     scale: float = 1.0
     support: tuple = (0.0, 1.0)
-    spacing_factor: float = 4.0
-    density: Optional[Callable] = None   # None means uniform on the support
 
     def bandwidth(self, n: int) -> float:
         return self.scale * float(n) ** (-self.beta)
 
     def grid(self, h: float) -> np.ndarray:
         lo, hi = self.support
-        return deviation_grid(h, lo, hi, spacing_factor=self.spacing_factor)
+        return deviation_grid(h, lo, hi)
 
     def smoothed_target(self, kernel: Kernel, h: float, grid) -> np.ndarray:
         lo, hi = self.support
-        if self.density is None:
-            return uniform_smoothed_target(kernel, h, grid, lo, hi)
-        return smoothed_target_quadrature(kernel, h, grid, self.density, self.support)
+        return uniform_smoothed_target(kernel, h, grid, lo, hi)
 
 
 @dataclass

@@ -24,6 +24,8 @@ from .regeneration import simulate_split_retrospective
 from .rng import stream
 
 CERT_TOL = 1e-9
+# Validation-grid points per axis of the small ball (d = 1); d > 1 uses its d-th root.
+CERT_GRID = 41
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -463,7 +465,7 @@ class MHMinorization:
 
 
 def build_minorization(target: Target, proposal: RWProposal,
-                       center=None, grid_size: int = 41) -> MHMinorization:
+                       center=None) -> MHMinorization:
     """Construct and grid-validate the small-ball certificate.
 
     The small set is the ball of radius floor_eps/2 around ``center`` (the
@@ -484,7 +486,7 @@ def build_minorization(target: Target, proposal: RWProposal,
     if delta >= 1.0:
         raise ValueError(f"degenerate certificate: delta = {delta:.6g} >= 1")
     d = target.dim
-    per_axis = grid_size if d == 1 else max(5, int(round(grid_size ** (1.0 / d))))
+    per_axis = CERT_GRID if d == 1 else max(5, int(round(CERT_GRID ** (1.0 / d))))
     lo = np.maximum(z - radius, target.support.lo)
     hi = np.minimum(z + radius, target.support.hi)
     axes = [np.linspace(lo[k], hi[k], per_axis) for k in range(d)]

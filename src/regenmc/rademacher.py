@@ -25,6 +25,8 @@ from .rng import stream
 
 SIGN_CHUNK = 2048
 EXHAUSTIVE_CAP = 20
+# Truncation levels L searched by optimize_block_bound.
+TRUNC_GRID = 2.0 ** np.arange(0, 31)
 
 
 @dataclass(frozen=True)
@@ -197,18 +199,15 @@ def block_rademacher_bound_em(inputs: BoundInputs) -> float:
     return _block_main_term(inputs) + remainder
 
 
-def optimize_block_bound(inputs: BoundInputs, mode: str,
-                         trunc_grid=None):
-    """Minimize the block bound over a truncation grid; returns (value, L, table).
+def optimize_block_bound(inputs: BoundInputs, mode: str):
+    """Minimize the block bound over ``TRUNC_GRID``; returns (value, L, table).
 
     Grid entries violating sigma' <= L U are skipped; with no feasible entry a
     ValueError is raised.
     """
-    if trunc_grid is None:
-        trunc_grid = 2.0 ** np.arange(0, 31)
     fn = {"pm": block_rademacher_bound_pm, "em": block_rademacher_bound_em}[mode]
     table = []
-    for L in trunc_grid:
+    for L in TRUNC_GRID:
         if inputs.sigma > L * inputs.u:
             continue
         try:

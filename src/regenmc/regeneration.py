@@ -8,7 +8,7 @@ flag and the trailing segment after the last flag are kept separate.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,7 +75,7 @@ def _residual_draw(model, cert, x, rng, step):
     # rejection from P(x, .): accept y with probability 1 - delta psi(y) / p(x, y)
     xb = np.asarray([x]) if np.ndim(x) == 0 else np.asarray(x)[None, :]
     for _ in range(REJECTION_CAP):
-        y = model.kernel.sample_next(x, rng)
+        y = sample_path(model.kernel, x, 2, rng)[1]
         yb = np.asarray([y]) if np.ndim(y) == 0 else np.asarray(y)[None, :]
         p = float(_pair_density(model.kernel, xb, yb, [step])[0])
         accept = 1.0 - cert.delta * float(np.asarray(cert.psi_density(yb), dtype=float)[0]) / p
@@ -89,8 +89,9 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
 
     When X_i is in the small set, Y_i is Bernoulli(delta); on Y_i = 1 the next
     state is drawn from Psi, otherwise from the residual kernel
-    (P(X_i, .) - delta Psi(.)) / (1 - delta).  Distributionally equivalent to
-    :func:`simulate_split_retrospective`.
+    (P(X_i, .) - delta Psi(.)) / (1 - delta).  A plain step of the kernel is
+    the second state of a two-state ``sample_path``.  Distributionally
+    equivalent to :func:`simulate_split_retrospective`.
     """
     cert = model.minorization
     if cert is None:
@@ -117,7 +118,7 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
             # delta == 1: the Y = 0 branch has probability zero
             x = cert.psi_sample(rng)
         else:
-            x = model.kernel.sample_next(x, rng)
+            x = sample_path(model.kernel, x, 2, rng)[1]
     arr = np.asarray(states, dtype=np.int64 if finite else float)
     if not finite and arr.ndim == 1:
         arr = arr[:, None]
@@ -259,7 +260,10 @@ def block_bootstrap_se(blocks: BlockSet, f, n_boot: int = 200, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_LAMBDA_GRID = np.round(np.arange(0.05, 1.01, 0.05), 10)
+# MGF arguments reported by RegenStats.to_json.
+LAMBDA_GRID = np.round(np.arange(0.05, 1.01, 0.05), 10)
+# Largest share of the MGF sum one block may carry in a reliable estimate.
+MGF_MASS_CAP = 0.5
 
 
 @dataclass
@@ -267,8 +271,6 @@ class RegenStats:
     """Empirical moments, MGF profile, and tail diagnostics of block lengths."""
 
     tau_samples: np.ndarray
-    lambda_grid: np.ndarray = field(default_factory=lambda: DEFAULT_LAMBDA_GRID.copy())
-    mgf_mass_cap: float = 0.5
 
     def moment(self, p: float) -> float:
         return float(np.mean(self.tau_samples.astype(float) ** p))
@@ -277,14 +279,14 @@ class RegenStats:
         """Empirical E[exp(lam * tau)] and whether it looks finite.
 
         The estimate is flagged unreliable when a single block carries more
-        than ``mgf_mass_cap`` of the MGF sum, the signature of an infinite
+        than ``MGF_MASS_CAP`` of the MGF sum, the signature of an infinite
         theoretical MGF being propped up by one extreme draw, and whenever
         the sum overflows.
         """
         with np.errstate(over="ignore"):
             terms = np.exp(float(lam) * self.tau_samples.astype(float))
         total = terms.sum()
-        reliable = bool(np.isfinite(total) and terms.max() <= self.mgf_mass_cap * total)
+        reliable = bool(np.isfinite(total) and terms.max() <= MGF_MASS_CAP * total)
         return float(total / len(terms)), reliable
 
     def tail_rate(self):
@@ -318,7 +320,7 @@ class RegenStats:
             "moments": {str(p): self.moment(p) for p in (1, 2, 3)},
             "mgf": [
                 {"lambda": float(lam), "value": v, "reliable": r}
-                for lam in self.lambda_grid
+                for lam in LAMBDA_GRID
                 for v, r in [self.mgf(lam)]
             ],
             "tail_rate": rate,
@@ -328,7 +330,7 @@ class RegenStats:
         return strict_json(payload)
 
 
-def regen_stats(blocks: BlockSet, lambda_grid=None, min_blocks: int = 30) -> RegenStats:
+def regen_stats(blocks: BlockSet, min_blocks: int = 30) -> RegenStats:
     """Block-length statistics; warns (never fails) below ``min_blocks`` blocks."""
     tau = blocks.lengths
     if len(tau) == 0:
@@ -336,5 +338,4 @@ def regen_stats(blocks: BlockSet, lambda_grid=None, min_blocks: int = 30) -> Reg
     if len(tau) < min_blocks:
         warnings.warn(f"only {len(tau)} complete blocks; tail diagnostics are unreliable",
                       stacklevel=2)
-    kwargs = {} if lambda_grid is None else {"lambda_grid": np.asarray(lambda_grid, dtype=float)}
-    return RegenStats(tau_samples=tau.astype(np.int64), **kwargs)
+    return RegenStats(tau_samples=tau.astype(np.int64))

@@ -114,3 +114,31 @@ def reference_mh_regen_path(target, proposal, cert, n, seed, x0=None):
         if px == 0.0 or py >= px or u_acc[i] * px < py:
             x, px = y, py
     return states
+
+
+def reference_lift_measure(block_measure, trunc=None):
+    """Reference lift of a block measure to states: the per-block loop and stable-sort merge.
+
+    When every surviving block has weight 0 it has nothing to concatenate and raises
+    numpy's error.  States are 1-d.
+    """
+    keep = np.ones(len(block_measure.blocks), dtype=bool)
+    if trunc is not None:
+        keep = block_measure.lengths <= trunc
+    if not np.any(keep):
+        raise ValueError("no blocks survive the truncation")
+    pts, wts = [], []
+    for b, w, ell, k in zip(block_measure.blocks, block_measure.weights,
+                            block_measure.lengths, keep):
+        if not k or w == 0:
+            continue
+        arr = np.asarray(b)
+        pts.append(arr)
+        wts.append(np.full(len(arr), w * float(ell)))
+    points = np.concatenate(pts)
+    weights = np.concatenate(wts)
+    order = np.argsort(points, kind="stable")
+    uniq, inv = np.unique(points[order], return_inverse=True)
+    agg = np.zeros(len(uniq))
+    np.add.at(agg, inv, weights[order])
+    return uniq, agg / agg.sum()

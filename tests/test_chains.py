@@ -13,7 +13,6 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
-from regenmc.chains import SamplingError, sample_path
 
 from .helpers import batch_means_se, discrete_ks_pvalue
 
@@ -117,11 +116,3 @@ def test_doeblin_block_lengths_geometric():
     se = np.std(mean_taus, ddof=1) / np.sqrt(len(mean_taus))
     assert abs(pooled - 1 / delta) <= 3 * se
 
-
-def test_sampling_error_carries_step_index():
-    class ExplodingKernel:
-        def sample_next(self, x, rng):
-            raise RuntimeError("boom")
-
-    with pytest.raises(SamplingError, match="step 1"):
-        sample_path(ExplodingKernel(), np.array([0.0]), 5, np.random.default_rng(0))

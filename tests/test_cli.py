@@ -75,6 +75,52 @@ def test_validate_names_bad_n_mc(name, bad, tmp_path):
         run(cfg, tmp_path)
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("vc_C", 1e9, "constants.vc_C is not read by any experiment; set vc_C in the class spec"),
+    ("vc_v", 2.0, "constants.vc_v is not read by any experiment; set vc_v in the class spec"),
+    ("K_const", 3, "constants.K_const is not read by any experiment; constants takes only M_const"),
+    ("tau_param", 1.0,
+     "constants.tau_param is not read by any experiment; constants takes only M_const"),
+])
+def test_validate_rejects_constants_no_experiment_reads(name, value, message, tmp_path):
+    cfg = load("bounds_tiny.json")
+    cfg["constants"][name] = value
+    assert validate(cfg) == [message]
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("name,key,value,message", [
+    ("verify_lemmas_tiny.json", "eps_grid", [], "eps_grid must be a non-empty list, got []"),
+    ("verify_lemmas_tiny.json", "eps_grid", [0.5, 0],
+     "eps_grid[1] must be a positive number, got 0"),
+    ("verify_lemmas_tiny.json", "max_states", 1, "max_states must be an integer >= 2, got 1"),
+    ("verify_lemmas_tiny.json", "max_members", 0, "max_members must be an integer >= 1, got 0"),
+    ("verify_lemmas_tiny.json", "max_members", 17,
+     "max_members must be at most 16 for exact covers, got 17"),
+    ("verify_lemmas_tiny.json", "max_blocks", 0, "max_blocks must be an integer >= 1, got 0"),
+    ("verify_lemmas_tiny.json", "max_len", 0, "max_len must be an integer >= 1, got 0"),
+    ("kde_rate_tiny.json", "bandwidth_scale", -1,
+     "bandwidth_scale must be a positive number, got -1"),
+    ("kde_rate_tiny.json", "kernel", "gauss",
+     "kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
+    ("mh_credible_tiny.json", "coordinate", 3,
+     "coordinate must be an integer in [0, 1) for a 1-d target, got 3"),
+    ("mh_credible_tiny.json", "coordinate", -1,
+     "coordinate must be an integer in [0, 1) for a 1-d target, got -1"),
+    ("mh_credible_tiny.json", "target", {"kind": "gauss"},
+     "target.kind must be one of ('uniform', 'trunc_gauss', 'bimodal'), got 'gauss'"),
+    ("rademacher_tiny.json", "constants", {"M_const": 2.0},
+     "constants is read only by bounds experiments, not by 'rademacher'"),
+])
+def test_validate_names_key_and_value(name, key, value, message, tmp_path):
+    cfg = load(name)
+    cfg[key] = value
+    assert validate(cfg) == [message]
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
+
+
 def test_manifest_records_replication_seeds(tmp_path):
     manifest, _ = run(load("kde_rate_tiny.json"), tmp_path)
     seeds = manifest["replication_seeds"]
@@ -201,3 +247,17 @@ def test_main_seed_override(tmp_path):
 def test_main_validate_subcommand(capsys):
     assert main(["validate", "--config", str(CONFIGS / "bounds_tiny.json")]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["bounds_tiny.json", "rademacher_tiny.json"])
+def test_validate_rejects_covering_constants_of_a_halfline_class(name):
+    cfg = load(name)
+    cfg["class"].update(vc_C=1e9, vc_v=3.0)
+    assert validate(cfg) == ["class.vc_C is not read by a halfline class, whose (C, v) is (2, 2)",
+                             "class.vc_v is not read by a halfline class, whose (C, v) is (2, 2)"]
+
+
+def test_validate_accepts_last_coordinate_of_a_2d_target():
+    cfg = load("mh_credible_tiny.json")
+    cfg.update(target={"kind": "uniform", "d": 2}, coordinate=1)
+    assert validate(cfg) == []

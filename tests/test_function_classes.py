@@ -20,7 +20,7 @@ from regenmc import (
 )
 from regenmc.kde import box_kernel, epanechnikov_kernel
 
-from .helpers import lifted_class_values, member_block_values
+from .helpers import lifted_class_values, member_block_values, reference_lift_measure
 
 
 def random_instance(rng, max_states=4, max_members=6, max_blocks=5, max_len=4):
@@ -121,6 +121,33 @@ def test_lift_truncation_requires_survivors():
     bm = BlockMeasure(blocks=(np.array([0, 1, 2]),), weights=np.array([1.0]))
     with pytest.raises(ValueError, match="truncation"):
         lift_measure(bm, trunc=2)
+    # the only survivor has weight 0
+    bm = BlockMeasure(blocks=(np.array([0]), np.array([1, 2])), weights=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="lifted measure has zero mass"):
+        lift_measure(bm, trunc=1)
+
+
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       n_values=st.integers(1, 6), zeros=st.integers(0, 7),
+       trunc=st.one_of(st.none(), st.integers(1, 6)), floats=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lift_measure_equals_per_block_reference(lengths, n_values, zeros, trunc, floats, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, n_values) if floats else np.arange(n_values)
+    blocks = tuple(rng.choice(values, ell) for ell in lengths)
+    w = rng.dirichlet(np.ones(len(lengths)))
+    w[rng.permutation(len(lengths))[:min(zeros, len(lengths) - 1)]] = 0.0
+    bm = BlockMeasure(blocks=blocks, weights=w / w.sum())
+    try:
+        ref = reference_lift_measure(bm, trunc)
+    except ValueError as exc:
+        match = "no blocks survive" if "truncation" in str(exc) else "lifted measure has zero mass"
+        with pytest.raises(ValueError, match=match):
+            lift_measure(bm, trunc)
+        return
+    got = lift_measure(bm, trunc)
+    assert np.array_equal(got.points, ref[0]) and np.array_equal(got.weights, ref[1])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +278,11 @@ def test_vc_floor_warning():
 def test_empirical_measure_weight_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(points=np.array([0, 1]), weights=np.array([0.6, 0.6]))
+    # abs(nan - 1) > 1e-12 is False, so NaN weights need their own check
+    with pytest.raises(ValueError, match="weights must be finite, got nan"):
+        EmpiricalMeasure(points=np.array([0, 1]), weights=np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="weights must be finite, got nan"):
+        BlockMeasure(blocks=(np.array([0, 1]),), weights=[np.nan])
 
 
 def test_lifted_class_truncation_zeroes_long_blocks():
