@@ -10,6 +10,7 @@ a one-line summary.  Exit codes: 0 pass, 2 acceptance-threshold failure,
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -105,6 +106,75 @@ def _number_above(value, bound: float) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and value > bound
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_list_errors(key: str, values) -> list:
+    """Violations of a non-empty list of finite numbers at ``key``."""
+    if not isinstance(values, list) or not values:
+        return [f"{key} must be a non-empty list, got {values!r}"]
+    return [f"{key}[{i}] must be a finite number, got {v!r}"
+            for i, v in enumerate(values) if not _finite(v)]
+
+
+def _model_states(model):
+    """Number of states of a model spec: 0 for the continuous model, None when unknown."""
+    if not isinstance(model, dict):
+        return None
+    if model.get("kind") == "doeblin_uniform":
+        return 0
+    if model.get("kind") == "two_state":
+        return 2
+    matrix = model.get("matrix")
+    return len(matrix) if isinstance(matrix, list) else None
+
+
+def _class_errors(spec, model) -> list:
+    """Violations of a class spec that build_class or the run would otherwise hit late."""
+    if not isinstance(spec, dict):
+        return ["class spec is required"]
+    kind = spec.get("kind")
+    if kind == "halfline":
+        errs = [f"class.{name} is not read by a halfline class, whose (C, v) is (2, 2)"
+                for name in ("vc_C", "vc_v") if name in spec]
+        if "thresholds" in spec:
+            return errs + _finite_list_errors("class.thresholds", spec["thresholds"])
+        errs += [f"class.{name} must be a finite number, got {spec[name]!r}"
+                 for name in ("lo", "hi") if name in spec and not _finite(spec[name])]
+        if not _int_at_least(spec.get("size", 21), 1):
+            errs.append(f"class.size must be an integer >= 1, got {spec['size']!r}")
+        return errs
+    if kind == "kernel":
+        errs = []
+        kernel = spec.get("kernel", "epanechnikov")
+        if not isinstance(kernel, str) or kernel not in KERNELS:
+            errs.append(f"class.kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+        if not (_finite(spec.get("h")) and spec["h"] > 0):
+            errs.append(f"class.h must be a finite positive number, got {spec.get('h')!r}")
+        return errs + _finite_list_errors("class.centers", spec.get("centers"))
+    if kind == "table":
+        tables = spec.get("tables")
+        if not isinstance(tables, list) or not tables:
+            return [f"class.tables must be a non-empty list, got {tables!r}"]
+        errs = [e for i, row in enumerate(tables)
+                for e in _finite_list_errors(f"class.tables[{i}]", row)]
+        widths = [len(row) for row in tables if isinstance(row, list)]
+        states = _model_states(model)
+        if len(set(widths)) > 1:
+            errs.append(f"class.tables rows must have equal lengths, got {widths}")
+        if states == 0:
+            errs.append(f"class.kind 'table' needs a finite-state model, "
+                        f"got model.kind {model.get('kind')!r}")
+        elif states is not None:
+            errs.extend(f"class.tables[{i}] must cover the model's {states} states, "
+                        f"got {len(row)} entries"
+                        for i, row in enumerate(tables) if isinstance(row, list) and row
+                        and len(row) < states)
+        return errs
+    return [f"class.kind must be one of ('halfline', 'table', 'kernel'), got {kind!r}"]
+
+
 # Smallest value of each verify-lemmas instance limit: an instance needs two states.
 _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 1}
 
@@ -132,11 +202,10 @@ def validate(config) -> list:
         errs.append(f"constants.M_const must be a positive number, got {consts['M_const']!r}")
     if consts and exp != "bounds":
         errs.append(f"constants is read only by bounds experiments, not by {exp!r}")
-    if exp in ("simulate", "blocks", "rademacher"):
-        if not _int_at_least(config.get("n"), 1):
-            errs.append("n must be a positive integer")
-        if "model" not in config:
-            errs.append("model spec is required")
+    if exp in ("simulate", "blocks", "rademacher") and not _int_at_least(config.get("n"), 1):
+        errs.append("n must be a positive integer")
+    if exp in ("simulate", "blocks", "rademacher", "bounds", "kde-rate") and "model" not in config:
+        errs.append("model spec is required")
     if exp in ("bounds", "kde-rate", "mh-credible"):
         grid = config.get("n_grid")
         if not isinstance(grid, list) or len(grid) < 3:
@@ -182,10 +251,7 @@ def validate(config) -> list:
         n_mc = config.get("n_mc", 2000)
         if not _int_at_least(n_mc, 100):
             errs.append(f"n_mc must be an integer >= 100, got {n_mc!r}")
-        spec = config.get("class")
-        if isinstance(spec, dict) and spec.get("kind") == "halfline":
-            errs.extend(f"class.{name} is not read by a halfline class, whose (C, v) is (2, 2)"
-                        for name in ("vc_C", "vc_v") if name in spec)
+        errs.extend(_class_errors(config.get("class"), config.get("model")))
     if exp == "mh-credible":
         gamma = config.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:

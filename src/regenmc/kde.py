@@ -24,12 +24,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .chains import ChainModel, _ConstantState, simulate
-from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .parallel import ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json, write_csv
 from .regeneration import simulate_split_retrospective
 
 QUAD_TOL = 1e-8
-# Max elements of the (query x sample) row buffer and of each evaluated window piece.
-_EVAL_BUDGET = 2 ** 18
 # Widening of each query's window, relative to h + |x|.  It exceeds the
 # rounding of both x -+ h and (x - X_i)/h, so every sample with a computed
 # |(x - X_i)/h| <= 1 lies inside the window.
@@ -173,14 +171,14 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     reach = h + _WINDOW_MARGIN * (h + np.abs(q[:, 0]))
     starts = np.searchsorted(keys, q[:, 0] - reach, side="left")
     stops = np.searchsorted(keys, q[:, 0] + reach, side="right")
-    step = max(_EVAL_BUDGET // n, 1)
+    step = max(ELEMENT_BUDGET // n, 1)
     buf = np.zeros((min(step, len(q)), n))
     cells = buf.reshape(-1)
     out = np.empty(len(q))
     for lo in range(0, len(q), step):
         hi = min(lo + step, len(q))
         touched = []
-        for rows, pos in _window_pieces(starts[lo:hi], stops[lo:hi], _EVAL_BUDGET):
+        for rows, pos in _window_pieces(starts[lo:hi], stops[lo:hi], ELEMENT_BUDGET):
             at = rows * n + order[pos]
             cells[at] = kernel.evaluate((q[lo + rows] - srt[pos]) / h)
             touched.append(at)

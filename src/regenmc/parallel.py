@@ -2,7 +2,8 @@
 
 Each work item carries its own derived seed, so results are independent of
 scheduling; the collector preserves item order, keeping outputs byte-stable
-for any worker count.
+for any worker count.  ``ELEMENT_BUDGET`` caps the dense temporaries the
+experiments build inside one work item.
 """
 
 import json
@@ -13,6 +14,10 @@ from functools import partial
 import numpy as np
 
 from .rng import child_seed
+
+# Max elements of one dense temporary: a KDE (query x sample) buffer or window
+# piece, or one slice of sign rows in the Rademacher estimates.
+ELEMENT_BUDGET = 2 ** 18
 
 
 def pool_map(fn, items, jobs: int = 1):

@@ -19,11 +19,15 @@ import numpy as np
 
 from .chains import ChainModel
 from .function_classes import EvaluableClass
-from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .parallel import (ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json,
+                       write_csv)
 from .regeneration import BlockSet, extract_blocks, simulate_split_retrospective
 from .rng import stream
 
 SIGN_CHUNK = 2048
+# Fewest sign rows per matmul: with fewer, BLAS switches to kernels whose
+# rounding differs, and a row's sums would depend on how the chunk is sliced.
+SLICE_FLOOR = 8
 EXHAUSTIVE_CAP = 20
 # Truncation levels L searched by optimize_block_bound.
 TRUNC_GRID = 2.0 ** np.arange(0, 31)
@@ -37,12 +41,41 @@ class RademacherEstimate:
     n_data: int
 
 
+def _row_slices(total: int, width: int):
+    """Consecutive (lo, hi) ranges over ``total`` rows of ``width`` elements.
+
+    Each holds about ELEMENT_BUDGET elements but at least SLICE_FLOOR rows; a
+    shorter tail joins the slice before it, so only a total below the floor
+    gives a smaller slice.
+    """
+    step = max(SLICE_FLOOR, ELEMENT_BUDGET // max(width, 1))
+    lo = 0
+    while lo < total:
+        hi = lo + step if total - lo - step >= SLICE_FLOOR else total
+        yield lo, hi
+        lo = hi
+
+
+def _signed_sups(values: np.ndarray, total: int, sign_rows) -> np.ndarray:
+    """max_f |sum_k s_k values[f, k]| for each of ``total`` sign rows.
+
+    ``sign_rows(lo, hi)`` returns rows lo..hi-1 of the +-1 sign matrix, which
+    is never built whole.
+    """
+    sups = np.empty(total)
+    for lo, hi in _row_slices(total, values.shape[1]):
+        sups[lo:hi] = np.abs(sign_rows(lo, hi) @ values.T).max(axis=1)
+    return sups
+
+
 def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstimate:
     """Monte Carlo E sup_f |sum_k eps_k values[f, k]| over n_mc sign vectors.
 
     Sign vectors are drawn in fixed-size chunks from stream(seed, chunk_index),
     so the result is deterministic given (seed, n_mc, chunk size) and invariant
-    to how chunks would be distributed across workers.
+    to how chunks would be distributed across workers.  Within a chunk the
+    signs are drawn in row slices from the chunk's stream, which gives the
+    same signs and the same sums as drawing the chunk at once.
     """
     m, n = values.shape
     total = 0.0
@@ -52,8 +85,8 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     while done < n_mc:
         c = min(SIGN_CHUNK, n_mc - done)
         rng = stream(seed, chunk_index)
-        signs = rng.integers(0, 2, size=(c, n)) * 2 - 1
-        sups = np.abs(signs @ values.T).max(axis=1)
+        sups = _signed_sups(values, c,
+                            lambda lo, hi: rng.integers(0, 2, size=(hi - lo, n)) * 2 - 1)
         total += sups.sum()
         total_sq += (sups ** 2).sum()
         done += c
@@ -69,8 +102,10 @@ def exhaustive_signed_sup(values: np.ndarray) -> float:
     m, n = values.shape
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration limited to {EXHAUSTIVE_CAP} data points")
-    signs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) * 2 - 1
-    return float(np.abs(signs @ values.T).max(axis=1).mean())
+    bits = np.arange(n)
+    sups = _signed_sups(values, 2 ** n,
+                        lambda lo, hi: ((np.arange(lo, hi)[:, None] >> bits) & 1) * 2 - 1)
+    return float(sups.mean())
 
 
 def empirical_rademacher_iid(cls: EvaluableClass, sample, n_mc: int, seed: int) -> RademacherEstimate:

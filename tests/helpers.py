@@ -5,6 +5,7 @@ import json
 import numpy as np
 from scipy.stats import kstwobign
 
+from regenmc.rademacher import SIGN_CHUNK
 from regenmc.rng import stream
 
 
@@ -142,3 +143,34 @@ def reference_lift_measure(block_measure, trunc=None):
     agg = np.zeros(len(uniq))
     np.add.at(agg, inv, weights[order])
     return uniq, agg / agg.sum()
+
+
+def reference_signed_sup_mc(values, n_mc, seed):
+    """Reference sign Monte Carlo: each chunk's whole sign matrix drawn and multiplied at once.
+
+    Returns (mean, mc_std_error).
+    """
+    m, n = values.shape
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk_index = 0
+    while done < n_mc:
+        c = min(SIGN_CHUNK, n_mc - done)
+        rng = stream(seed, chunk_index)
+        signs = rng.integers(0, 2, size=(c, n)) * 2 - 1
+        sups = np.abs(signs @ values.T).max(axis=1)
+        total += sups.sum()
+        total_sq += (sups ** 2).sum()
+        done += c
+        chunk_index += 1
+    mean = total / n_mc
+    var = max(total_sq / n_mc - mean ** 2, 0.0)
+    return float(mean), float(np.sqrt(var / n_mc))
+
+
+def reference_exhaustive_signed_sup(values):
+    """Reference exact enumeration: all 2^n sign rows built and multiplied at once."""
+    m, n = values.shape
+    signs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) * 2 - 1
+    return float(np.abs(signs @ values.T).max(axis=1).mean())

@@ -257,6 +257,82 @@ def test_validate_rejects_covering_constants_of_a_halfline_class(name):
                              "class.vc_v is not read by a halfline class, whose (C, v) is (2, 2)"]
 
 
+_FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
+                                                    [0.4, 0.0, 0.6]]}
+
+
+@pytest.mark.parametrize("name", ["bounds_tiny.json", "rademacher_tiny.json"])
+@pytest.mark.parametrize("model,spec,message", [
+    (None, None, "class spec is required"),
+    (None, {"kind": "box"},
+     "class.kind must be one of ('halfline', 'table', 'kernel'), got 'box'"),
+    (None, {"kind": "halfline", "thresholds": [0.2, float("nan")]},
+     "class.thresholds[1] must be a finite number, got nan"),
+    (None, {"kind": "halfline", "thresholds": []},
+     "class.thresholds must be a non-empty list, got []"),
+    (None, {"kind": "halfline", "lo": float("-inf")},
+     "class.lo must be a finite number, got -inf"),
+    (None, {"kind": "halfline", "size": 0}, "class.size must be an integer >= 1, got 0"),
+    (None, {"kind": "kernel", "h": 0.1, "centers": [0.5, float("inf")]},
+     "class.centers[1] must be a finite number, got inf"),
+    (None, {"kind": "kernel", "h": 0.1, "centers": []},
+     "class.centers must be a non-empty list, got []"),
+    (None, {"kind": "kernel", "h": -0.1, "centers": [0.5]},
+     "class.h must be a finite positive number, got -0.1"),
+    (None, {"kind": "kernel", "h": float("nan"), "centers": [0.5]},
+     "class.h must be a finite positive number, got nan"),
+    (None, {"kind": "kernel", "centers": [0.5]}, "class.h must be a finite positive number, got None"),
+    (None, {"kind": "kernel", "kernel": "gauss", "h": 0.1, "centers": [0.5]},
+     "class.kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
+    (None, {"kind": "table", "tables": [[0.0, 1.0, 0.5, 0.2]]},
+     "class.kind 'table' needs a finite-state model, got model.kind 'doeblin_uniform'"),
+    (_FINITE_ATOM_3, {"kind": "table", "tables": []},
+     "class.tables must be a non-empty list, got []"),
+    (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0, float("nan")]]},
+     "class.tables[0][2] must be a finite number, got nan"),
+    (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5, 0.2]]},
+     "class.tables rows must have equal lengths, got [3, 4]"),
+    (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0]]},
+     "class.tables[0] must cover the model's 3 states, got 2 entries"),
+])
+def test_validate_names_bad_class_spec(name, model, spec, message, tmp_path):
+    cfg = load(name)
+    if model is not None:
+        cfg["model"] = model
+    if spec is None:
+        del cfg["class"]
+    else:
+        cfg["class"] = spec
+    assert validate(cfg) == [message]
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
+
+
+def test_validate_subcommand_rejects_nan_literal(tmp_path, capsys):
+    # Python's JSON parser reads the bare NaN literal as a float.
+    cfg = load("rademacher_tiny.json")
+    cfg["class"] = {"kind": "halfline", "thresholds": [0.2, float("nan")]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text()
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "class.thresholds[1] must be a finite number, got nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["bounds_tiny.json", "kde_rate_tiny.json"])
+def test_validate_requires_model_spec(name):
+    cfg = load(name)
+    del cfg["model"]
+    assert validate(cfg) == ["model spec is required"]
+
+
+def test_validate_accepts_table_covering_the_model_states(tmp_path):
+    cfg = load("rademacher_tiny.json")
+    cfg.update(model=_FINITE_ATOM_3, **{"class": {"kind": "table", "tables": [[0.0, 1.0, 0.5]]}})
+    assert validate(cfg) == []
+    run(cfg, tmp_path)
+
+
 def test_validate_accepts_last_coordinate_of_a_2d_target():
     cfg = load("mh_credible_tiny.json")
     cfg.update(target={"kind": "uniform", "d": 2}, coordinate=1)

@@ -16,13 +16,13 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc.kde import (
-    _EVAL_BUDGET,
     Kernel,
     _epanechnikov_k0,
     deviation_grid,
     occupancy_moment_premise_check,
     smoothed_target_quadrature,
 )
+from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import stream
 
 from .helpers import dense_kde_evaluate
@@ -101,7 +101,7 @@ def test_kde_evaluate_bit_identical_to_dense(kernel, d, n, ties, scalar, h, seed
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [_EVAL_BUDGET // 2 - 1, _EVAL_BUDGET + 1])
+@pytest.mark.parametrize("n", [ELEMENT_BUDGET // 2 - 1, ELEMENT_BUDGET + 1])
 @pytest.mark.parametrize("h", [0.01, 2.0])
 def test_kde_evaluate_bit_identical_across_eval_budget(n, h):
     # h = 2 puts the whole sample in every window, so with n above the
@@ -134,7 +134,7 @@ def test_window_keeps_samples_one_ulp_beyond_x_pm_h():
 
 def test_kde_evaluate_memory_bounded_by_sample_size():
     # The sample order, the sorted sample, one buffer row and the touched
-    # cells are n-sized; window pieces hold at most _EVAL_BUDGET pairs.  A
+    # cells are n-sized; window pieces hold at most ELEMENT_BUDGET pairs.  A
     # dense (query chunk x n) evaluation needs several times more.
     n = 2 ** 20
     sample = stream(21, 0).random(n)
@@ -147,7 +147,7 @@ def test_kde_evaluate_memory_bounded_by_sample_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (4 * n + 12 * _EVAL_BUDGET)
+    assert peak < 8 * (4 * n + 12 * ELEMENT_BUDGET)
 
 
 def test_uniform_sample_interior_level():

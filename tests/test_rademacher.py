@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +30,12 @@ from regenmc import (
     table_class,
     wrapped_doeblin_chain,
 )
-from regenmc.rademacher import _signed_sup_mc
+from regenmc.parallel import ELEMENT_BUDGET
+from regenmc.rademacher import SIGN_CHUNK, SLICE_FLOOR, _row_slices, _signed_sup_mc
+
+from .helpers import reference_exhaustive_signed_sup, reference_signed_sup_mc
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def traj_with_flags(states, flags):
@@ -102,6 +113,92 @@ def test_sign_symmetry():
     a = _signed_sup_mc(values, 4000, seed=8)
     b = _signed_sup_mc(-values, 4000, seed=8)
     assert a.mean == b.mean
+
+
+# A tail of SLICE_FLOOR - 3 rows after three full slices of 1000-wide rows.
+_FOLDED_TAIL = 3 * (ELEMENT_BUDGET // 1000) + SLICE_FLOOR - 3
+
+
+@pytest.mark.parametrize("m,n,n_mc,seed", [
+    (10, 140_000, 100, 3),          # 8-row slices, the floor, and a 12-row tail
+    (10, 3000, 2050, 1),            # a 2-row last chunk
+    (7, 5000, 4099, 7),             # a 3-row last chunk
+    (1, 1000, 500, 2),              # one member
+    (4, 1000, _FOLDED_TAIL, 5),     # a tail folded into the slice before it
+])
+def test_sliced_sign_mc_bit_identical_to_whole_chunks(m, n, n_mc, seed):
+    values = np.random.default_rng(seed).uniform(-1, 1, (m, n))
+    est = _signed_sup_mc(values, n_mc, seed)
+    assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, n_mc, seed)
+
+
+@pytest.mark.parametrize("total,width", [(0, 10), (5, 10), (2048, 140_000), (2048, 3000),
+                                         (_FOLDED_TAIL, 1000), (64, 0)])
+def test_row_slices_cover_rows_within_budget(total, width):
+    step = max(SLICE_FLOOR, ELEMENT_BUDGET // max(width, 1))
+    slices = list(_row_slices(total, width))
+    bounds = [lo for lo, _ in slices] + [total]
+    assert bounds[0] == 0 and all(hi == lo for (_, hi), lo in zip(slices, bounds[1:]))
+    for lo, hi in slices:
+        assert min(SLICE_FLOOR, total) <= hi - lo < step + SLICE_FLOOR
+    if total == _FOLDED_TAIL:
+        assert slices[-1] == (2 * step, total)
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_exhaustive_sliced_equals_whole_enumeration(n):
+    values = np.random.default_rng(n).uniform(-1, 1, (5, n))
+    assert exhaustive_signed_sup(values) == reference_exhaustive_signed_sup(values)
+
+
+def test_sign_mc_memory_bounded_by_budget():
+    # A slice holds at most (step + SLICE_FLOOR - 1) rows, so at most
+    # ELEMENT_BUDGET + SLICE_FLOOR * n elements.  At most three slice-sized
+    # 8-byte arrays live at once (the draw, the +-1 signs, the float copy the
+    # matmul takes), next to a possible copy of the value matrix and the sups.
+    # A whole 2048-row chunk needs two 2048 x n arrays, 655 MB here.
+    m, n, n_mc = 10, 20_000, 2048
+    values = np.random.default_rng(0).uniform(-1, 1, (m, n))
+    tracemalloc.start()
+    try:
+        _signed_sup_mc(values, n_mc, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (3 * (ELEMENT_BUDGET + SLICE_FLOOR * n) + m * n + SIGN_CHUNK)
+
+
+_RSS_SCRIPT = """
+import sys
+from regenmc.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_bounds_peak_rss_independent_of_sign_draws(tmp_path):
+    # About 78,000 complete blocks at n = 262144: whole 2000-row sign chunks
+    # took 2.6 GB.  The child reports the peak RSS of its own address space
+    # (VmHWM, in kB).  Its ru_maxrss would not do: Linux carries the peak of
+    # the address space an exec replaces, here this test process's, and
+    # RUSAGE_CHILDREN keeps the largest of every earlier child.
+    cfg = {"experiment": "bounds", "seed": 1,
+           "model": {"kind": "doeblin_uniform", "delta": 0.3, "width": 0.25},
+           "class": {"kind": "halfline", "lo": 0.05, "hi": 0.95, "size": 10},
+           "n_grid": [4096, 16384, 262144], "replications": 1, "n_mc": 2000,
+           "mode": "em", "lambda": 0.178, "constants": {"M_const": 1.0}}
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(cfg))
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, "bounds", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code in (0, 2), proc.stderr[-2000:]
+    assert peak_kb / 1024 < 400
 
 
 def test_empty_inputs_rejected():
