@@ -9,6 +9,7 @@ a one-line summary.  Exit codes: 0 pass, 2 acceptance-threshold failure,
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -64,13 +65,14 @@ def build_target(spec):
     return TARGETS[kind](**params)
 
 
+PROPOSALS = {"uniform_step": uniform_step_proposal, "gaussian_step": gaussian_step_proposal}
+
+
 def build_proposal(spec, d=1):
     kind = spec.get("kind", "uniform_step")
-    if kind == "uniform_step":
-        return uniform_step_proposal(spec["a"], d)
-    if kind == "gaussian_step":
-        return gaussian_step_proposal(spec["s"], spec["eps"], d)
-    raise ValueError(f"unknown proposal kind {kind!r}")
+    if kind not in PROPOSALS:
+        raise ValueError(f"unknown proposal kind {kind!r}")
+    return PROPOSALS[kind](d=d, **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def build_class(spec):
@@ -175,6 +177,79 @@ def _class_errors(spec, model) -> list:
     return [f"class.kind must be one of ('halfline', 'table', 'kernel'), got {kind!r}"]
 
 
+def _params(factory) -> dict:
+    """Keyword parameters of a target or proposal factory, with their defaults."""
+    return {name: p.default for name, p in inspect.signature(factory).parameters.items()}
+
+
+def _target_errors(spec) -> list:
+    """Violations of an mh-credible target spec; coordinate and center need a valid one."""
+    if not isinstance(spec, dict):
+        return ["target spec is required"]
+    kind = spec.get("kind")
+    if kind not in TARGETS:
+        return [f"target.kind must be one of {tuple(TARGETS)}, got {kind!r}"]
+    if not _int_at_least(spec.get("d", 1), 1):
+        return [f"target.d must be an integer >= 1, got {spec.get('d')!r}"]
+    params = _params(TARGETS[kind])
+    errs = []
+    for key, value in spec.items():
+        if key in ("kind", "d"):
+            continue
+        if key not in params:
+            errs.append(f"target.{key} is not a parameter of a {kind!r} target, "
+                        f"which takes {tuple(params)}")
+        elif not _finite(value):
+            errs.append(f"target.{key} must be a finite number, got {value!r}")
+        elif key in ("sigma", "s1", "s2") and value <= 0:
+            errs.append(f"target.{key} must be a positive number, got {value!r}")
+        elif key == "w1" and not 0 <= value <= 1:
+            errs.append(f"target.w1 must lie in [0, 1], got {value!r}")
+    lo, hi = spec.get("lo", params["lo"]), spec.get("hi", params["hi"])
+    if _finite(lo) and _finite(hi) and lo >= hi:
+        errs.append(f"target.lo must be below target.hi, got {lo!r} >= {hi!r}")
+    return errs
+
+
+def _proposal_errors(spec) -> list:
+    """Violations of an mh-credible proposal spec."""
+    if not isinstance(spec, dict):
+        return [f"proposal must be an object, got {spec!r}"]
+    kind = spec.get("kind", "uniform_step")
+    if kind not in PROPOSALS:
+        return [f"proposal.kind must be one of {tuple(PROPOSALS)}, got {kind!r}"]
+    names = tuple(name for name in _params(PROPOSALS[kind]) if name != "d")
+    errs = [f"proposal.{key} is not a parameter of a {kind!r} proposal, which takes {names}"
+            for key in spec if key != "kind" and key not in names]
+    for name in names:
+        if name not in spec:
+            errs.append(f"proposal.{name} is required for a {kind!r} proposal")
+        elif not (_finite(spec[name]) and spec[name] > 0):
+            errs.append(f"proposal.{name} must be a finite positive number, got {spec[name]!r}")
+    return errs
+
+
+def _center_errors(center, target) -> list:
+    """Violations of the certificate center of a valid target: d finite numbers in its box.
+
+    A bare number stands for a one-element list when d = 1.
+    """
+    d = target.get("d", 1)
+    values = [center] if d == 1 and _finite(center) else center
+    if not isinstance(values, list) or len(values) != d:
+        return [f"center must list one number per coordinate of the {d}-d target, "
+                f"got {center!r}"]
+    params = _params(TARGETS[target["kind"]])
+    lo, hi = target.get("lo", params["lo"]), target.get("hi", params["hi"])
+    errs = []
+    for i, c in enumerate(values):
+        if not _finite(c):
+            errs.append(f"center[{i}] must be a finite number, got {c!r}")
+        elif not lo <= c <= hi:
+            errs.append(f"center[{i}] must lie in the support [{lo!r}, {hi!r}], got {c!r}")
+    return errs
+
+
 # Smallest value of each verify-lemmas instance limit: an instance needs two states.
 _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 1}
 
@@ -252,22 +327,28 @@ def validate(config) -> list:
         if not _int_at_least(n_mc, 100):
             errs.append(f"n_mc must be an integer >= 100, got {n_mc!r}")
         errs.extend(_class_errors(config.get("class"), config.get("model")))
+    if exp in ("kde-rate", "mh-credible"):
+        tol = config.get("slope_tolerance", 0.1)
+        if not (_finite(tol) and tol >= 0):
+            errs.append(f"slope_tolerance must be a finite number >= 0, got {tol!r}")
     if exp == "mh-credible":
         gamma = config.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:
             errs.append("gamma must lie in (0, 0.25)")
         target = config.get("target")
-        if not isinstance(target, dict):
-            errs.append("target spec is required")
-        elif target.get("kind") not in TARGETS:
-            errs.append(f"target.kind must be one of {tuple(TARGETS)}, got {target.get('kind')!r}")
-        elif not _int_at_least(target.get("d", 1), 1):
-            errs.append(f"target.d must be an integer >= 1, got {target.get('d')!r}")
-        else:
+        target_errs = _target_errors(target)
+        errs.extend(target_errs)
+        if not target_errs:
             k, dim = config.get("coordinate", 0), target.get("d", 1)
             if not (_int_at_least(k, 0) and k < dim):
                 errs.append(f"coordinate must be an integer in [0, {dim}) for a {dim}-d target, "
                             f"got {k!r}")
+            if config.get("center") is not None:
+                errs.extend(_center_errors(config["center"], target))
+        if "proposal" in config:
+            errs.extend(_proposal_errors(config["proposal"]))
+        if not _int_at_least(config.get("n_u", 17), 1):
+            errs.append(f"n_u must be an integer >= 1, got {config['n_u']!r}")
     if exp == "verify-lemmas":
         if not _int_at_least(config.get("trials"), 1):
             errs.append("trials must be a positive integer")

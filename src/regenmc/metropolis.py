@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .chains import REJECTION_CAP, ChainModel, SamplingError, Trajectory, _ConstantState
-from .parallel import fit_loglog_slope, mean_se, replicate, strict_json, write_csv
+from .parallel import (ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json,
+                       write_csv)
 from .regeneration import simulate_split_retrospective
 from .rng import stream
 
@@ -100,6 +101,8 @@ class TruncGaussCoord:
     sigma: float
 
     def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         z = ndtr((self.hi - self.mu) / self.sigma) - ndtr((self.lo - self.mu) / self.sigma)
         object.__setattr__(self, "_z", float(z))
 
@@ -136,6 +139,10 @@ class BimodalCoord:
     w1: float
 
     def __post_init__(self):
+        if not (self.s1 > 0 and self.s2 > 0):
+            raise ValueError(f"s1 and s2 must be positive, got {self.s1!r} and {self.s2!r}")
+        if not 0.0 <= self.w1 <= 1.0:
+            raise ValueError(f"w1 must lie in [0, 1], got {self.w1!r}")
         z1 = ndtr((self.hi - self.mu1) / self.s1) - ndtr((self.lo - self.mu1) / self.s1)
         z2 = ndtr((self.hi - self.mu2) / self.s2) - ndtr((self.lo - self.mu2) / self.s2)
         object.__setattr__(self, "_z", float(self.w1 * z1 + (1.0 - self.w1) * z2))
@@ -371,12 +378,19 @@ class MHKernel:
     proposal: RWProposal
 
     def sample_path(self, x0, n, rng):
-        """n states from x0: n - 1 increments, then n - 1 acceptance uniforms, then the walk."""
+        """n states from x0: n - 1 increments, then n - 1 acceptance uniforms, then the walk.
+
+        A one-dimensional chain walks on Python floats, which take the same
+        IEEE steps as the 1-element arrays, so its path is bit-identical.
+        """
         incs = self.proposal.sample_increments(rng, n - 1)
         u_acc = rng.random(n - 1)
-        pdf_point = self.target.pdf_point
         states = np.empty((n, self.target.dim))
         states[0] = x = np.asarray(x0, dtype=float)
+        if self.target.dim == 1:
+            _walk_floats(self.target.coords[0].pdf_scalar, states[:, 0], incs[:, 0], u_acc)
+            return states
+        pdf_point = self.target.pdf_point
         px = pdf_point(x)
         for i in range(n - 1):
             y = x + incs[i]
@@ -404,6 +418,26 @@ class MHKernel:
             rho = np.where(px > 0, np.minimum(1.0, py / px), 1.0)
         p = self.proposal.density.vec(z) * rho
         return np.where(np.all(xs == ys, axis=1), np.inf, p)
+
+
+def _walk_floats(pdf, path, incs, u_acc):
+    """Fill path[1:] with the accept/reject walk from path[0] on Python floats.
+
+    The draws are converted with ``tolist`` ELEMENT_BUDGET steps at a time,
+    so the float objects never outnumber one slice.
+    """
+    x = float(path[0])
+    px = pdf(x)
+    for lo in range(0, len(u_acc), ELEMENT_BUDGET):
+        hi = min(lo + ELEMENT_BUDGET, len(u_acc))
+        walked = []
+        for z, u in zip(incs[lo:hi].tolist(), u_acc[lo:hi].tolist()):
+            y = x + z
+            py = pdf(y)
+            if px == 0.0 or py >= px or u * px < py:
+                x, px = y, py
+            walked.append(x)
+        path[lo + 1:hi + 1] = walked
 
 
 def run_mh(target: Target, proposal: RWProposal, n: int, seed: int,

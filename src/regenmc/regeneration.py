@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import ChainModel, REJECTION_CAP, SamplingError, Trajectory, sample_path
-from .parallel import strict_json
+from .parallel import ELEMENT_BUDGET, strict_json
 from .rng import stream
 
 RATIO_TOL = 1e-9
@@ -243,15 +243,23 @@ def pitman_estimate(blocks: BlockSet, f) -> float:
 
 
 def block_bootstrap_se(blocks: BlockSet, f, n_boot: int = 200, seed: int = 0) -> float:
-    """Bootstrap standard error of the occupation ratio, resampling whole blocks."""
+    """Bootstrap standard error of the occupation ratio, resampling whole blocks.
+
+    The resample indices are drawn in row slices of about ELEMENT_BUDGET
+    elements from one generator, which yields the same rows as one
+    ``n_boot x m`` draw while holding a slice at a time.
+    """
     if blocks.n_complete == 0:
         raise ValueError("no regenerations observed")
     sums = blocks.block_values(f)
     lens = blocks.lengths.astype(float)
     m = len(sums)
     rng = stream(seed, 0)
-    idx = rng.integers(0, m, size=(n_boot, m))
-    est = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
+    est = np.empty(n_boot)
+    step = max(1, ELEMENT_BUDGET // m)
+    for lo in range(0, n_boot, step):
+        idx = rng.integers(0, m, size=(min(step, n_boot - lo), m))
+        est[lo:lo + len(idx)] = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
     return float(est.std(ddof=1))
 
 

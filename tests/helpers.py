@@ -174,3 +174,12 @@ def reference_exhaustive_signed_sup(values):
     m, n = values.shape
     signs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) * 2 - 1
     return float(np.abs(signs @ values.T).max(axis=1).mean())
+
+
+def reference_block_bootstrap_se(blocks, f, n_boot, seed):
+    """Reference block bootstrap: all n_boot x m resample indices drawn at once."""
+    sums = blocks.block_values(f)
+    lens = blocks.lengths.astype(float)
+    idx = stream(seed, 0).integers(0, len(sums), size=(n_boot, len(sums)))
+    est = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
+    return float(est.std(ddof=1))

@@ -110,6 +110,40 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
      "coordinate must be an integer in [0, 1) for a 1-d target, got -1"),
     ("mh_credible_tiny.json", "target", {"kind": "gauss"},
      "target.kind must be one of ('uniform', 'trunc_gauss', 'bimodal'), got 'gauss'"),
+    ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "nu": 3},
+     "target.nu is not a parameter of a 'trunc_gauss' target, "
+     "which takes ('lo', 'hi', 'mu', 'sigma', 'd')"),
+    ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "sigma": -0.1},
+     "target.sigma must be a positive number, got -0.1"),
+    ("mh_credible_tiny.json", "target", {"kind": "bimodal", "s1": 0},
+     "target.s1 must be a positive number, got 0"),
+    ("mh_credible_tiny.json", "target", {"kind": "bimodal", "w1": 1.5},
+     "target.w1 must lie in [0, 1], got 1.5"),
+    ("mh_credible_tiny.json", "target", {"kind": "uniform", "lo": "0"},
+     "target.lo must be a finite number, got '0'"),
+    ("mh_credible_tiny.json", "target", {"kind": "uniform", "lo": 1, "hi": 0},
+     "target.lo must be below target.hi, got 1 >= 0"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step"},
+     "proposal.a is required for a 'uniform_step' proposal"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "gaussian_step", "s": 0.2},
+     "proposal.eps is required for a 'gaussian_step' proposal"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "gaussian_step", "eps": 0.3},
+     "proposal.s is required for a 'gaussian_step' proposal"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "cauchy", "a": 0.25},
+     "proposal.kind must be one of ('uniform_step', 'gaussian_step'), got 'cauchy'"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0},
+     "proposal.a must be a finite positive number, got 0"),
+    ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0.25, "d": 2},
+     "proposal.d is not a parameter of a 'uniform_step' proposal, which takes ('a',)"),
+    ("mh_credible_tiny.json", "n_u", 0, "n_u must be an integer >= 1, got 0"),
+    ("mh_credible_tiny.json", "center", [0.5, 0.5],
+     "center must list one number per coordinate of the 1-d target, got [0.5, 0.5]"),
+    ("mh_credible_tiny.json", "center", [1.5],
+     "center[0] must lie in the support [0.0, 1.0], got 1.5"),
+    ("mh_credible_tiny.json", "slope_tolerance", "0.6",
+     "slope_tolerance must be a finite number >= 0, got '0.6'"),
+    ("kde_rate_tiny.json", "slope_tolerance", -0.1,
+     "slope_tolerance must be a finite number >= 0, got -0.1"),
     ("rademacher_tiny.json", "constants", {"M_const": 2.0},
      "constants is read only by bounds experiments, not by 'rademacher'"),
 ])
@@ -337,3 +371,11 @@ def test_validate_accepts_last_coordinate_of_a_2d_target():
     cfg = load("mh_credible_tiny.json")
     cfg.update(target={"kind": "uniform", "d": 2}, coordinate=1)
     assert validate(cfg) == []
+
+
+@pytest.mark.parametrize("center", [0.4, [0.4]])
+def test_validate_accepts_a_number_as_1d_center(center, tmp_path):
+    cfg = load("mh_credible_tiny.json")
+    cfg.update(center=center, n_u=1)
+    assert validate(cfg) == []
+    run(cfg, tmp_path)

@@ -23,6 +23,7 @@ from regenmc import (
     uniform_step_proposal,
     uniform_target,
 )
+from regenmc import metropolis
 from regenmc.chains import ChainModel, FiniteKernel, Minorization
 from regenmc.metropolis import TARGETS, empirical_quantiles
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_forward
@@ -98,6 +99,7 @@ def test_accepted_move_at_proposal_edge_keeps_positive_density():
        n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 @example(target="bimodal", gaussian=False, d=2, x0=5.0, n=300, seed=1)
+@example(target="trunc_gauss", gaussian=False, d=1, x0=5.0, n=300, seed=1)
 def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, seed):
     tgt = TARGETS[target](d=d)
     prop = gaussian_step_proposal(0.2, 0.3, d) if gaussian else uniform_step_proposal(0.25, d)
@@ -109,6 +111,23 @@ def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, s
                           reference_run_mh(tgt, prop, n, seed, start))
 
 
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_float_walk_slices_bit_identical_to_reference_loops(target, monkeypatch):
+    # Both samplers walk n steps; with 7-step slices n in {7, 8, 9, 15} ends on
+    # and next to a slice bound, and n in {1, 2} stays inside the first slice.
+    monkeypatch.setattr(metropolis, "ELEMENT_BUDGET", 7)
+    tgt = TARGETS[target]()
+    prop = uniform_step_proposal(0.25)
+    cert = build_minorization(tgt, prop)
+    for n in (1, 2, 7, 8, 9, 15, 300):
+        for seed, start in ((n, None), (n + 1, np.array([5.0]))):
+            traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
+            assert np.array_equal(traj.states,
+                                  reference_mh_regen_path(tgt, prop, cert, n, seed, start)), n
+            assert np.array_equal(run_mh(tgt, prop, n, seed, x0=start),
+                                  reference_run_mh(tgt, prop, n, seed, start)), n
+
+
 def test_out_of_support_proposals_rejected():
     states = run_mh(uniform_target(), uniform_step_proposal(0.8), 5000, seed=4)
     assert states.min() >= 0.0 and states.max() <= 1.0
@@ -117,6 +136,19 @@ def test_out_of_support_proposals_rejected():
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make,params,message", [
+    (truncated_gaussian_target, {"sigma": 0.0}, "sigma must be positive"),
+    (truncated_gaussian_target, {"sigma": float("nan")}, "sigma must be positive"),
+    (bimodal_target, {"s1": -0.1}, "s1 and s2 must be positive"),
+    (bimodal_target, {"s2": 0.0}, "s1 and s2 must be positive"),
+    (bimodal_target, {"w1": 1.5}, r"w1 must lie in \[0, 1\]"),
+    (bimodal_target, {"w1": -0.1}, r"w1 must lie in \[0, 1\]"),
+])
+def test_coordinate_constructors_reject_bad_scales_and_weights(make, params, message):
+    with pytest.raises(ValueError, match=message):
+        make(**params)
 
 
 def test_certified_sup_dominates_density_everywhere():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,12 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
+from regenmc import regeneration
 from regenmc.regeneration import RegenStats
+
+from .helpers import reference_block_bootstrap_se
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def indicator_of_one(states):
@@ -255,6 +264,52 @@ def test_pitman_two_state_stationary():
     est = pitman_estimate(blocks, indicator_of_one)
     se = block_bootstrap_se(blocks, indicator_of_one, seed=3)
     assert abs(est - 5 / 7) <= 3 * se
+
+
+@pytest.mark.parametrize("m", [3, 17, 1000, 4099])
+@pytest.mark.parametrize("budget", [1, 7, 4096])
+def test_bootstrap_slices_bit_identical_to_one_draw(m, budget, monkeypatch):
+    # Slices of max(1, budget // m) rows: one row at a time, a few rows with a
+    # short tail, or every resample in one draw.
+    monkeypatch.setattr(regeneration, "ELEMENT_BUDGET", budget)
+    rng = np.random.default_rng(m)
+    flags = np.zeros(20 * m, dtype=bool)
+    flags[rng.choice(len(flags), m + 1, replace=False)] = True
+    blocks = extract_blocks(Trajectory(states=rng.integers(0, 2, len(flags)), regen_flags=flags,
+                                       seed=0, model_id="fixture"))
+    assert blocks.n_complete == m
+    for n_boot in (2, 199, 200):
+        assert (block_bootstrap_se(blocks, indicator_of_one, n_boot=n_boot, seed=5)
+                == reference_block_bootstrap_se(blocks, indicator_of_one, n_boot, 5))
+
+
+_BOOTSTRAP_RSS_SCRIPT = """
+import numpy as np
+from regenmc import block_bootstrap_se, extract_blocks, simulate_split_retrospective, two_state_chain
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+blocks = extract_blocks(simulate_split_retrospective(two_state_chain(0.5, 0.2), 10**5, seed=101))
+before = peak_kb()
+block_bootstrap_se(blocks, lambda s: (np.asarray(s) == 1).astype(float), n_boot=2000, seed=102)
+print(blocks.n_complete, before, peak_kb())
+"""
+
+
+def test_bootstrap_peak_rss_independent_of_resample_count():
+    # About 28,500 complete blocks: one 2000 x m draw holds three 456 MB
+    # arrays (indices and both gathered copies); a slice holds about
+    # ELEMENT_BUDGET elements of each.  The child reports the peak RSS of its
+    # own address space (VmHWM, in kB) before and after the bootstrap; its
+    # ru_maxrss would carry this test process's peak across the exec.
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", _BOOTSTRAP_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    m, before_kb, after_kb = map(int, proc.stdout.split())
+    assert m > 20_000
+    assert (after_kb - before_kb) / 1024 < 64
 
 
 # ---------------------------------------------------------------------------
