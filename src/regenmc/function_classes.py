@@ -8,6 +8,7 @@ states of B; the induced measure on states weighs each point of a block by
 the block weight times the block length.
 """
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .parallel import ELEMENT_BUDGET
 from .regeneration import block_sums
 
 EXACT_COVER_CAP = 16
@@ -160,16 +162,29 @@ def _value_matrix(cls, measure):
 
 
 def _distance_matrix(values, weights):
-    diff = values[:, None, :] - values[None, :, :]
-    return np.sqrt(np.einsum("ijk,k->ij", diff * diff, weights))
+    """L2(weights) distances between the rows of ``values``.
+
+    The member differences are formed in row slices of at most
+    ``ELEMENT_BUDGET`` elements, or of one row when a row alone is larger.
+    Each slice keeps every column: einsum's sum over a slice then adds in the
+    same order as over the whole m x m x n array.
+    """
+    m, n = values.shape
+    rows = max(ELEMENT_BUDGET // (m * n), 1)
+    sq = np.empty((m, m))
+    for lo in range(0, m, rows):
+        diff = values[lo:lo + rows, None, :] - values[None, :, :]
+        sq[lo:lo + rows] = np.einsum("ijk,k->ij", diff * diff, weights)
+    return np.sqrt(sq)
 
 
-def _dedup(dist):
+def _dedup(rows) -> list:
+    """Indices of the members kept: each is at least DEDUP_TOL from every earlier one kept."""
     keep = []
-    for i in range(dist.shape[0]):
-        if all(dist[i, j] >= DEDUP_TOL for j in keep):
+    for i, row in enumerate(rows):
+        if all(row[j] >= DEDUP_TOL for j in keep):
             keep.append(i)
-    return np.asarray(keep, dtype=int)
+    return keep
 
 
 def _greedy_cover(dist, radius) -> int:
@@ -183,20 +198,9 @@ def _greedy_cover(dist, radius) -> int:
     return count
 
 
-def _exact_cover(dist, radius) -> int:
-    keep = _dedup(dist)
-    d = dist[np.ix_(keep, keep)]
-    m = d.shape[0]
-    if m > EXACT_COVER_CAP:
-        raise ValueError(
-            f"exact covering limited to {EXACT_COVER_CAP} distinct members (got {m}); use greedy mode")
-    masks = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if d[i, j] <= radius:
-                mask |= 1 << j
-        masks.append(mask)
+def _exact_cover(masks) -> int:
+    """Fewest balls covering all members; bit j of ``masks[i]`` is set if ball i holds member j."""
+    m = len(masks)
     full = (1 << m) - 1
     best = [m + 1] * (full + 1)
     best[0] = 0
@@ -211,24 +215,47 @@ def _exact_cover(dist, radius) -> int:
     return best[full]
 
 
-def covering_number(cls, measure, eps: float, method: str = "greedy") -> int:
-    """Size of an eps-cover of the class in L2(measure), centers at members.
+def covering_numbers(cls, measure, eps_grid, method: str) -> list:
+    """Sizes of eps-covers of the class in L2(measure), centers at members, per eps.
 
     ``greedy`` picks the first uncovered member as each new center, yielding a
     value G with exactN(eps) <= G <= exactN(eps/2).  ``exact`` solves minimum
-    set cover over deduplicated members (class size <= 16).
+    set cover over deduplicated members (class size <= 16).  One distance
+    matrix serves the whole grid.
     """
-    if eps <= 0:
+    if not all(eps > 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
-    values, weights = _value_matrix(cls, measure)
+    if method not in ("greedy", "exact"):
+        raise ValueError(f"unknown covering method {method!r}")
+    dist = _distance_matrix(*_value_matrix(cls, measure))
     # covering a ball of radius r allows ties at the boundary
-    radius = eps * (1.0 + 1e-12) + 1e-300
-    dist = _distance_matrix(values, weights)
-    if method == "exact":
-        return _exact_cover(dist, radius)
+    radii = [eps * (1.0 + 1e-12) + 1e-300 for eps in eps_grid]
     if method == "greedy":
-        return _greedy_cover(dist, radius)
-    raise ValueError(f"unknown covering method {method!r}")
+        return [_greedy_cover(dist, radius) for radius in radii]
+    rows = dist.tolist()
+    keep = _dedup(rows)
+    if len(keep) > EXACT_COVER_CAP:
+        raise ValueError(f"exact covering limited to {EXACT_COVER_CAP} distinct members "
+                         f"(got {len(keep)}); use greedy mode")
+    rows = [[rows[i][j] for j in keep] for i in keep]
+    # Which members each ball holds changes only where the radius passes a
+    # pairwise distance, so the cover is solved once per number of distinct
+    # distances within the radius.
+    levels = sorted({d for row in rows for d in row})
+    solved = {}
+    counts = []
+    for radius in radii:
+        level = bisect.bisect_right(levels, radius)
+        if level not in solved:
+            solved[level] = _exact_cover([sum(1 << j for j, d in enumerate(row) if d <= radius)
+                                          for row in rows])
+        counts.append(solved[level])
+    return counts
+
+
+def covering_number(cls, measure, eps: float, method: str = "greedy") -> int:
+    """Size of an eps-cover of the class in L2(measure); see ``covering_numbers``."""
+    return covering_numbers(cls, measure, [eps], method)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +318,50 @@ class CoveringCheck:
     note: str = ""
 
 
+def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
+                    trunc: Optional[float], method: str) -> list:
+    """Covering comparisons of the lift (``trunc`` None) or truncated lift, per eps.
+
+    The left side covers the lifted class under the block measure at radius
+    eps * ||ell||, or eps * trunc when truncated; the right side covers the
+    base class under the lifted state measure (restricted to surviving blocks)
+    at radius eps.  Each side is one ``covering_numbers`` pass over the grid.
+    Greedy mode upper-bounds the left side, so a greedy violation is only
+    reported as inconclusive.  If truncation kills every block the left class
+    is {0} and the bound holds trivially.
+    """
+    scale = block_measure.ell_norm() if trunc is None else trunc
+    lhs_radii = [eps * scale for eps in eps_grid]
+    if trunc is None:
+        lhs_eps = lhs_radii
+    elif np.any(block_measure.lengths <= trunc):
+        lhs_eps = [max(r, 1e-300) for r in lhs_radii]
+    else:
+        return [CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=eps,
+                              method=method, note="all blocks truncated; left class is {0}")
+                for eps, r in zip(eps_grid, lhs_radii)]
+    lhs = covering_numbers(LiftedClass(cls, trunc=trunc), block_measure, lhs_eps, method)
+    rhs = covering_numbers(cls, lift_measure(block_measure, trunc=trunc), eps_grid, method)
+    checks = []
+    for eps, r, left, right in zip(eps_grid, lhs_radii, lhs, rhs):
+        holds = left <= right
+        note = ""
+        if not holds and method == "greedy":
+            note = "inconclusive: greedy upper bound on the left side"
+        checks.append(CoveringCheck(holds=holds, lhs=left, rhs=right, lhs_radius=r,
+                                    rhs_radius=eps, method=method, note=note))
+    return checks
+
+
 def check_lifted_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure,
                                 eps: float, method: str = "exact") -> CoveringCheck:
     """Compare covers of the lifted class against covers of the base class.
 
     Checks that an (eps * ||ell||)-cover of the lifted class under the block
     measure never needs more balls than an eps-cover of the base class under
-    the lifted state measure.  Greedy mode upper-bounds the left side, so a
-    greedy violation is only reported as inconclusive.
+    the lifted state measure; see ``covering_checks``.
     """
-    ell = block_measure.ell_norm()
-    lhs_radius = eps * ell
-    lhs = covering_number(LiftedClass(cls), block_measure, lhs_radius, method=method)
-    rhs = covering_number(cls, lift_measure(block_measure), eps, method=method)
-    holds = lhs <= rhs
-    note = ""
-    if not holds and method == "greedy":
-        note = "inconclusive: greedy upper bound on the left side"
-    return CoveringCheck(holds=holds, lhs=lhs, rhs=rhs, lhs_radius=lhs_radius,
-                         rhs_radius=eps, method=method, note=note)
+    return covering_checks(cls, block_measure, [eps], None, method)[0]
 
 
 def check_truncated_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure,
@@ -317,29 +369,16 @@ def check_truncated_covering_bound(cls: EvaluableClass, block_measure: BlockMeas
                                    method: str = "exact") -> CoveringCheck:
     """Same comparison for the truncated lift f' 1{length <= trunc}.
 
-    The left radius is eps * trunc; the right side uses the lifted measure
-    restricted to surviving blocks.  If truncation kills every block the left
-    class is {0} and the bound holds trivially.
+    The left radius is eps * trunc; see ``covering_checks``.
     """
-    lifted = LiftedClass(cls, trunc=trunc)
-    if not np.any(block_measure.lengths <= trunc):
-        return CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=eps * trunc,
-                             rhs_radius=eps, method=method,
-                             note="all blocks truncated; left class is {0}")
-    lhs = covering_number(lifted, block_measure, max(eps * trunc, 1e-300), method=method)
-    rhs = covering_number(cls, lift_measure(block_measure, trunc=trunc), eps, method=method)
-    holds = lhs <= rhs
-    note = ""
-    if not holds and method == "greedy":
-        note = "inconclusive: greedy upper bound on the left side"
-    return CoveringCheck(holds=holds, lhs=lhs, rhs=rhs, lhs_radius=eps * trunc,
-                         rhs_radius=eps, method=method, note=note)
+    return covering_checks(cls, block_measure, [eps], trunc, method)[0]
 
 
 def covering_table(cls, measure, eps_grid, method: str = "greedy") -> dict:
     """Covering numbers over a radius grid, ready for JSON serialization."""
-    rows = [{"eps": float(e), "count": covering_number(cls, measure, float(e), method)}
-            for e in eps_grid]
+    grid = [float(e) for e in eps_grid]
+    counts = covering_numbers(cls, measure, grid, method)
+    rows = [{"eps": e, "count": n} for e, n in zip(grid, counts)]
     base = cls.base if isinstance(cls, LiftedClass) else cls
     return {"class": base.describe(), "method": method, "table": rows}
 

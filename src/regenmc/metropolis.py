@@ -105,6 +105,7 @@ class TruncGaussCoord:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         z = ndtr((self.hi - self.mu) / self.sigma) - ndtr((self.lo - self.mu) / self.sigma)
         object.__setattr__(self, "_z", float(z))
+        object.__setattr__(self, "_norm", self.sigma * _SQRT2PI * self._z)
 
     @property
     def sup(self) -> float:
@@ -113,7 +114,7 @@ class TruncGaussCoord:
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        raw = np.exp(-0.5 * ((t - self.mu) / self.sigma) ** 2) / (self.sigma * _SQRT2PI * self._z)
+        raw = np.exp(-0.5 * ((t - self.mu) / self.sigma) ** 2) / self._norm
         return np.where((t >= self.lo) & (t <= self.hi), raw, 0.0)
 
     def cdf(self, t):
@@ -125,7 +126,7 @@ class TruncGaussCoord:
         if not self.lo <= t <= self.hi:
             return 0.0
         u = (t - self.mu) / self.sigma
-        return math.exp(-0.5 * u * u) / (self.sigma * _SQRT2PI * self._z)
+        return math.exp(-0.5 * u * u) / self._norm
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,20 @@ class BimodalCoord:
             raise ValueError(f"w1 must lie in [0, 1], got {self.w1!r}")
         z1 = ndtr((self.hi - self.mu1) / self.s1) - ndtr((self.lo - self.mu1) / self.s1)
         z2 = ndtr((self.hi - self.mu2) / self.s2) - ndtr((self.lo - self.mu2) / self.s2)
-        object.__setattr__(self, "_z", float(self.w1 * z1 + (1.0 - self.w1) * z2))
+        object.__setattr__(self, "_w2", 1.0 - self.w1)
+        object.__setattr__(self, "_z", float(self.w1 * z1 + self._w2 * z2))
+        object.__setattr__(self, "_n1", self.s1 * _SQRT2PI)
+        object.__setattr__(self, "_n2", self.s2 * _SQRT2PI)
 
     @property
     def sup(self) -> float:
         # each component never exceeds its unconstrained mode, so this is certified
-        return (self.w1 / (self.s1 * _SQRT2PI) + (1.0 - self.w1) / (self.s2 * _SQRT2PI)) / self._z
+        return (self.w1 / self._n1 + self._w2 / self._n2) / self._z
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        raw = (self.w1 * np.exp(-0.5 * ((t - self.mu1) / self.s1) ** 2) / (self.s1 * _SQRT2PI)
-               + (1 - self.w1) * np.exp(-0.5 * ((t - self.mu2) / self.s2) ** 2) / (self.s2 * _SQRT2PI))
+        raw = (self.w1 * np.exp(-0.5 * ((t - self.mu1) / self.s1) ** 2) / self._n1
+               + self._w2 * np.exp(-0.5 * ((t - self.mu2) / self.s2) ** 2) / self._n2)
         return np.where((t >= self.lo) & (t <= self.hi), raw / self._z, 0.0)
 
     def cdf(self, t):
@@ -169,8 +173,8 @@ class BimodalCoord:
             return 0.0
         u1 = (t - self.mu1) / self.s1
         u2 = (t - self.mu2) / self.s2
-        return (self.w1 * math.exp(-0.5 * u1 * u1) / (self.s1 * _SQRT2PI)
-                + (1.0 - self.w1) * math.exp(-0.5 * u2 * u2) / (self.s2 * _SQRT2PI)) / self._z
+        return (self.w1 * math.exp(-0.5 * u1 * u1) / self._n1
+                + self._w2 * math.exp(-0.5 * u2 * u2) / self._n2) / self._z
 
 
 @dataclass(frozen=True)

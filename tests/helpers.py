@@ -1,10 +1,16 @@
 """Shared test utilities."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import kstwobign
 
+from regenmc.function_classes import (DEDUP_TOL, EXACT_COVER_CAP, BlockMeasure, LiftedClass,
+                                      lift_measure, table_class)
 from regenmc.rademacher import SIGN_CHUNK
 from regenmc.rng import stream
 
@@ -72,6 +78,35 @@ def lifted_class_values(lifted, measure):
     if lifted.trunc is not None:
         out = out * (measure.lengths <= lifted.trunc)
     return out
+
+
+_PEAK_RSS_SCRIPT = """
+import sys
+from regenmc.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def cli_peak_rss_mb(config, tmp_path):
+    """Run ``config`` through the CLI in a child process: (exit code, child peak RSS in MB).
+
+    The child reports the peak RSS of its own address space (VmHWM, in kB).
+    Its ru_maxrss would not do: Linux carries the peak of the address space an
+    exec replaces, here the test process's, and RUSAGE_CHILDREN keeps the
+    largest of every earlier child.
+    """
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, config["experiment"],
+                           "--config", str(path), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    return code, peak_kb / 1024
 
 
 def strict_loads(text):
@@ -183,3 +218,108 @@ def reference_block_bootstrap_se(blocks, f, n_boot, seed):
     idx = stream(seed, 0).integers(0, len(sums), size=(n_boot, len(sums)))
     est = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
     return float(est.std(ddof=1))
+
+
+def reference_distance_matrix(values, weights):
+    """Reference L2 distances: the whole m x m x n difference array at once."""
+    diff = values[:, None, :] - values[None, :, :]
+    return np.sqrt(np.einsum("ijk,k->ij", diff * diff, weights))
+
+
+def _reference_exact_cover(dist, radius):
+    keep = []
+    for i in range(dist.shape[0]):
+        if all(dist[i, j] >= DEDUP_TOL for j in keep):
+            keep.append(i)
+    d = dist[np.ix_(keep, keep)]
+    m = d.shape[0]
+    if m > EXACT_COVER_CAP:
+        raise ValueError(
+            f"exact covering limited to {EXACT_COVER_CAP} distinct members (got {m}); use greedy mode")
+    masks = []
+    for i in range(m):
+        mask = 0
+        for j in range(m):
+            if d[i, j] <= radius:
+                mask |= 1 << j
+        masks.append(mask)
+    full = (1 << m) - 1
+    best = [m + 1] * (full + 1)
+    best[0] = 0
+    for state in range(full + 1):
+        if best[state] > m:
+            continue
+        nxt = best[state] + 1
+        for mask in masks:
+            s2 = state | mask
+            if nxt < best[s2]:
+                best[s2] = nxt
+    return best[full]
+
+
+def _reference_greedy_cover(dist, radius):
+    uncovered = np.ones(dist.shape[0], dtype=bool)
+    count = 0
+    while uncovered.any():
+        c = int(np.flatnonzero(uncovered)[0])
+        uncovered &= dist[c] > radius
+        count += 1
+    return count
+
+
+def reference_covering_number(cls, measure, eps, method="greedy"):
+    """Reference covering number: value and distance matrices and the cover rebuilt per eps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if isinstance(cls, LiftedClass):
+        values = cls.evaluate(measure)
+    else:
+        values = cls.evaluate(measure.points)
+    radius = eps * (1.0 + 1e-12) + 1e-300
+    dist = reference_distance_matrix(values, measure.weights)
+    if method == "exact":
+        return _reference_exact_cover(dist, radius)
+    if method == "greedy":
+        return _reference_greedy_cover(dist, radius)
+    raise ValueError(f"unknown covering method {method!r}")
+
+
+def reference_covering_check(cls, block_measure, eps, trunc, method):
+    """Reference lifted (trunc None) or truncated covering comparison at one eps.
+
+    Returns (lhs, rhs, holds).
+    """
+    if trunc is None:
+        lhs = reference_covering_number(LiftedClass(cls), block_measure,
+                                        eps * block_measure.ell_norm(), method)
+        rhs = reference_covering_number(cls, lift_measure(block_measure), eps, method)
+        return lhs, rhs, lhs <= rhs
+    if not np.any(block_measure.lengths <= trunc):
+        return 1, None, True
+    lhs = reference_covering_number(LiftedClass(cls, trunc=trunc), block_measure,
+                                    max(eps * trunc, 1e-300), method)
+    rhs = reference_covering_number(cls, lift_measure(block_measure, trunc=trunc), eps, method)
+    return lhs, rhs, lhs <= rhs
+
+
+def reference_lemma_trial(limits, task):
+    """Reference verify-lemmas instance: both comparisons rebuilt for every eps."""
+    trial, trial_seed = task
+    rng = np.random.default_rng(trial_seed)
+    n_states = int(rng.integers(2, limits["max_states"] + 1))
+    n_members = int(rng.integers(1, limits["max_members"] + 1))
+    n_blocks = int(rng.integers(1, limits["max_blocks"] + 1))
+    tables = rng.uniform(-1, 1, (n_members, n_states))
+    blocks = tuple(rng.integers(0, n_states, int(rng.integers(1, limits["max_len"] + 1)))
+                   for _ in range(n_blocks))
+    weights = rng.dirichlet(np.ones(n_blocks))
+    bm = BlockMeasure(blocks=blocks, weights=weights)
+    cls = table_class(tables)
+    rows = []
+    for eps in limits["eps_grid"]:
+        c1 = reference_covering_check(cls, bm, eps, None, "exact")
+        trunc = int(rng.integers(1, limits["max_len"] + 1))
+        c2 = reference_covering_check(cls, bm, eps, trunc, "exact")
+        rows.append((trial, eps, "lift") + c1)
+        rows.append((trial, eps, f"trunc{trunc}") + c2)
+    return rows

@@ -146,6 +146,18 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
      "slope_tolerance must be a finite number >= 0, got -0.1"),
     ("rademacher_tiny.json", "constants", {"M_const": 2.0},
      "constants is read only by bounds experiments, not by 'rademacher'"),
+    ("bounds_tiny.json", "exponent_range", [0.5],
+     "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got [0.5]"),
+    ("bounds_tiny.json", "exponent_range", [0.6, 0.4],
+     "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got [0.6, 0.4]"),
+    ("bounds_tiny.json", "exponent_range", [0.3, "0.7"],
+     "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got [0.3, '0.7']"),
+    ("bounds_tiny.json", "exponent_range", 0.5,
+     "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got 0.5"),
+    ("bounds_tiny.json", "lambda", "x", "lambda must be a finite positive number, got 'x'"),
+    ("bounds_tiny.json", "lambda", 0, "lambda must be a finite positive number, got 0"),
+    ("bounds_tiny.json", "lambda", -0.3, "lambda must be a finite positive number, got -0.3"),
+    ("bounds_tiny.json", "lambda", True, "lambda must be a finite positive number, got True"),
 ])
 def test_validate_names_key_and_value(name, key, value, message, tmp_path):
     cfg = load(name)
@@ -153,6 +165,14 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
     assert validate(cfg) == [message]
     with pytest.raises(ValueError, match="invalid config"):
         run(cfg, tmp_path)
+
+
+def test_validate_accepts_bounds_without_lambda_or_exponent_range():
+    cfg = load("bounds_tiny.json")
+    del cfg["lambda"], cfg["exponent_range"]
+    assert validate(cfg) == []
+    cfg["exponent_range"] = [0.5, 0.5]
+    assert validate(cfg) == []
 
 
 def test_manifest_records_replication_seeds(tmp_path):

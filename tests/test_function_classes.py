@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from regenmc import (
     Trajectory,
     check_lifted_covering_bound,
     check_truncated_covering_bound,
+    covering_checks,
     covering_number,
+    covering_numbers,
+    covering_table,
     halfline_class,
     kernel_class,
     lift_measure,
@@ -18,9 +23,15 @@ from regenmc import (
     extract_blocks,
     table_class,
 )
+from regenmc.cli import _lemma_trial
+from regenmc.function_classes import _distance_matrix
 from regenmc.kde import box_kernel, epanechnikov_kernel
+from regenmc.parallel import ELEMENT_BUDGET
+from regenmc.rng import child_seed
 
-from .helpers import lifted_class_values, member_block_values, reference_lift_measure
+from .helpers import (cli_peak_rss_mb, lifted_class_values, member_block_values,
+                      reference_covering_check, reference_covering_number,
+                      reference_distance_matrix, reference_lemma_trial, reference_lift_measure)
 
 
 def random_instance(rng, max_states=4, max_members=6, max_blocks=5, max_len=4):
@@ -81,6 +92,138 @@ def test_covering_requires_positive_radius():
     cls = table_class(np.ones((2, 2)))
     with pytest.raises(ValueError):
         covering_number(cls, EmpiricalMeasure.uniform(np.array([0, 1])), 0.0)
+
+
+def test_distance_matrix_equals_whole_array_reference():
+    rng = np.random.default_rng(12)
+    # the last shapes take several row slices, or one row per slice
+    shapes = [(int(rng.integers(1, 17)), int(rng.integers(1, 3000))) for _ in range(300)]
+    shapes += [(16, 2 ** 15), (9, 40_000), (5, 2 ** 17 + 3), (3, ELEMENT_BUDGET + 5)]
+    for m, n in shapes:
+        values = rng.uniform(-1, 1, (m, n))
+        weights = rng.dirichlet(np.ones(n))
+        assert np.array_equal(_distance_matrix(values, weights),
+                              reference_distance_matrix(values, weights)), (m, n)
+
+
+def test_distance_matrix_memory_bounded_by_row_slices():
+    # A slice holds max(ELEMENT_BUDGET, m * n) differences here (one row of
+    # 2^20), and two slice-sized arrays live at once: the differences and
+    # their squares.  The whole m x m x n array needs 2 x 134 MB.
+    m, n = 16, 2 ** 16
+    rng = np.random.default_rng(0)
+    values = rng.uniform(-1, 1, (m, n))
+    weights = rng.dirichlet(np.ones(n))
+    tracemalloc.start()
+    try:
+        _distance_matrix(values, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 3 * max(ELEMENT_BUDGET, m * n)
+
+
+def _grid_with_ties(rng, dist):
+    """Random radii, every pairwise distance (closed-ball ties), repeats, unsorted."""
+    pairs = dist[np.triu_indices(len(dist), 1)]
+    grid = np.concatenate([rng.uniform(0.01, 2.0, 6), pairs, pairs[:2], [0.3, 0.3]])
+    return [float(e) for e in rng.permutation(grid[grid > 0])]
+
+
+def test_covering_numbers_equal_per_eps_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        n_states = int(rng.integers(2, 7))
+        tables = rng.uniform(-1, 1, (int(rng.integers(1, 13)), n_states))
+        # duplicate members exercise the exact cover's dedup
+        dups = int(rng.integers(0, 3))
+        tables[rng.integers(0, len(tables), dups)] = tables[0]
+        cls = table_class(tables)
+        measure = EmpiricalMeasure(points=np.arange(n_states),
+                                   weights=rng.dirichlet(np.ones(n_states)))
+        grid = _grid_with_ties(rng, reference_distance_matrix(cls.evaluate(measure.points),
+                                                              measure.weights))
+        for method in ("exact", "greedy"):
+            expected = [reference_covering_number(cls, measure, e, method) for e in grid]
+            assert covering_numbers(cls, measure, grid, method) == expected
+            assert [covering_number(cls, measure, e, method) for e in grid] == expected
+            assert [row["count"] for row in covering_table(cls, measure, grid, method)["table"]] \
+                == expected
+
+
+def test_covering_checks_equal_per_eps_reference():
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        cls, bm = random_instance(rng, max_members=8, max_blocks=6, max_len=5)
+        # zero-weight blocks drop out of the lifted measure
+        w = bm.weights.copy()
+        w[rng.integers(0, len(w), int(rng.integers(0, len(w))))] = 0.0
+        if w.sum() > 0:
+            bm = BlockMeasure(blocks=bm.blocks, weights=w / w.sum())
+        q = lift_measure(bm)
+        grid = _grid_with_ties(rng, reference_distance_matrix(cls.evaluate(q.points), q.weights))
+        # trunc 0 kills every block: the left class is {0} and rhs is None
+        for trunc in (None, 0, 1, 3):
+            for method in ("exact", "greedy"):
+                try:
+                    expected = [reference_covering_check(cls, bm, e, trunc, method) for e in grid]
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        covering_checks(cls, bm, grid, trunc, method)
+                    continue
+                got = covering_checks(cls, bm, grid, trunc, method)
+                assert [(c.lhs, c.rhs, c.holds) for c in got] == expected
+                assert [c.rhs_radius for c in got] == grid
+                scale = bm.ell_norm() if trunc is None else trunc
+                assert [c.lhs_radius for c in got] == [e * scale for e in grid]
+                if trunc is None:
+                    single = [check_lifted_covering_bound(cls, bm, e, method) for e in grid]
+                else:
+                    single = [check_truncated_covering_bound(cls, bm, e, trunc, method)
+                              for e in grid]
+                assert single == got
+
+
+def test_covering_numbers_exact_cap_error_matches_reference():
+    cls = table_class(np.eye(20))
+    measure = EmpiricalMeasure.uniform(np.arange(20))
+    with pytest.raises(ValueError) as ref:
+        reference_covering_number(cls, measure, 0.1, "exact")
+    with pytest.raises(ValueError) as got:
+        covering_numbers(cls, measure, [0.1, 0.5], "exact")
+    assert str(got.value) == str(ref.value)
+    assert covering_numbers(cls, measure, [0.1, 0.5], "greedy") == [
+        reference_covering_number(cls, measure, e, "greedy") for e in (0.1, 0.5)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_covering_numbers_rejects_a_nonpositive_eps_anywhere_in_the_grid(bad):
+    cls = table_class(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        covering_numbers(cls, EmpiricalMeasure.uniform(np.array([0, 1])), [0.5, bad], "exact")
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_states": 4, "max_members": 6, "max_blocks": 5, "max_len": 4,
+     "eps_grid": [round(0.1 * k, 10) for k in range(1, 21)]},
+    {"max_states": 6, "max_members": 10, "max_blocks": 8, "max_len": 7,
+     "eps_grid": [0.5, 0.05, 1.7, 0.5, 0.25, 3, 0.05]},
+], ids=["default", "wide"])
+def test_lemma_trial_rows_equal_per_eps_reference(limits):
+    for seed in range(60):
+        task = (seed, child_seed(seed, seed))
+        assert _lemma_trial(limits, task) == reference_lemma_trial(limits, task), seed
+
+
+def test_verify_lemmas_peak_rss_bounded_at_sixteen_members(tmp_path):
+    # Trial 1 of seed 5 draws 16 members and 91813 blocks.  The whole
+    # 16 x 16 x blocks difference array and its square peaked the process at
+    # 496 MB; row slices keep it near 200 MB.
+    cfg = {"experiment": "verify-lemmas", "seed": 5, "trials": 2, "max_members": 16,
+           "max_blocks": 100_000, "eps_grid": [0.5]}
+    code, peak_mb = cli_peak_rss_mb(cfg, tmp_path)
+    assert code == 0
+    assert peak_mb < 300
 
 
 # ---------------------------------------------------------------------------

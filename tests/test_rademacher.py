@@ -1,10 +1,5 @@
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +28,8 @@ from regenmc import (
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rademacher import SIGN_CHUNK, SLICE_FLOOR, _row_slices, _signed_sup_mc
 
-from .helpers import reference_exhaustive_signed_sup, reference_signed_sup_mc
-
-ROOT = Path(__file__).resolve().parent.parent
+from .helpers import (cli_peak_rss_mb, reference_exhaustive_signed_sup,
+                      reference_signed_sup_mc)
 
 
 def traj_with_flags(states, flags):
@@ -168,37 +162,17 @@ def test_sign_mc_memory_bounded_by_budget():
     assert peak < 8 * (3 * (ELEMENT_BUDGET + SLICE_FLOOR * n) + m * n + SIGN_CHUNK)
 
 
-_RSS_SCRIPT = """
-import sys
-from regenmc.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-"""
-
-
 def test_bounds_peak_rss_independent_of_sign_draws(tmp_path):
     # About 78,000 complete blocks at n = 262144: whole 2000-row sign chunks
-    # took 2.6 GB.  The child reports the peak RSS of its own address space
-    # (VmHWM, in kB).  Its ru_maxrss would not do: Linux carries the peak of
-    # the address space an exec replaces, here this test process's, and
-    # RUSAGE_CHILDREN keeps the largest of every earlier child.
+    # took 2.6 GB.
     cfg = {"experiment": "bounds", "seed": 1,
            "model": {"kind": "doeblin_uniform", "delta": 0.3, "width": 0.25},
            "class": {"kind": "halfline", "lo": 0.05, "hi": 0.95, "size": 10},
            "n_grid": [4096, 16384, 262144], "replications": 1, "n_mc": 2000,
            "mode": "em", "lambda": 0.178, "constants": {"M_const": 1.0}}
-    path = tmp_path / "bounds.json"
-    path.write_text(json.dumps(cfg))
-    env = {**os.environ,
-           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, "bounds", "--config", str(path),
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    code, peak_kb = map(int, proc.stdout.split()[-2:])
-    assert code in (0, 2), proc.stderr[-2000:]
-    assert peak_kb / 1024 < 400
+    code, peak_mb = cli_peak_rss_mb(cfg, tmp_path)
+    assert code in (0, 2)
+    assert peak_mb < 400
 
 
 def test_empty_inputs_rejected():
