@@ -4,11 +4,12 @@ Run with: python demos/03_block_rademacher_bounds.py
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from regenmc import (
-    BoundInputs,
+    block_rademacher_bound_em,
     block_variance_proxy,
     compare_bound_vs_empirical,
     empirical_block_rademacher,
@@ -46,18 +47,19 @@ print("toy enumeration:", exhaustive_signed_sup(np.array([[1.0, 2.0]])))
 # Bound formulas
 # ---------------------------------------------------------------------------
 # The pointwise bound needs the envelope, a variance proxy, the covering
-# characteristic (C, v), and a universal constant left as configuration.
-inputs = BoundInputs(u=1.0, sigma=0.5, c=25.0, v=2.0, n=4096.0)
-print("\npointwise bound:", iid_rademacher_bound(inputs))
+# characteristic (C, v), and a universal constant, always passed explicitly.
+print("\npointwise bound:",
+      iid_rademacher_bound(u=1.0, sigma=0.5, c=25.0, v=2.0, n=4096.0, m_const=1.0))
 
 # The block bound truncates at a block length L and pays a remainder for the
-# truncated tail; a grid optimizer picks L.
+# truncated tail; a grid optimizer picks L for the bound as a function of L.
 sig = math.sqrt(block_variance_proxy(cls, blocks))
 taus = blocks.lengths.astype(float)
 lam = 0.15
-em_inputs = BoundInputs(u=1.0, sigma=sig, c=25.0, v=2.0, n=float(blocks.n_complete),
-                        lam=lam, c_lambda=2 * np.exp(lam * taus).mean() / lam)
-best, best_l, _ = optimize_block_bound(em_inputs, "em")
+em_bound = partial(block_rademacher_bound_em, u=1.0, sigma=sig, c=25.0, v=2.0,
+                   n=float(blocks.n_complete), m_const=1.0, lam=lam,
+                   c_lambda=2 * np.exp(lam * taus).mean() / lam)
+best, best_l, _ = optimize_block_bound(em_bound)
 print(f"block bound minimized over L: {best:.1f} at L = {best_l:g} "
       f"(empirical {blk.mean:.1f})")
 
@@ -65,7 +67,7 @@ print(f"block bound minimized over L: {best:.1f} at L = {best_l:g} "
 # and reports the smallest universal constant that keeps the bound on top.
 report = compare_bound_vs_empirical(model, cls, [2**k for k in range(8, 13)],
                                     replications=3, seed=5, n_mc=1000,
-                                    mode="em", lam=0.3)
+                                    mode="em", lam=0.3, m_const=1.0)
 print(f"\ngrowth exponent of the measured complexity: {report.growth_exponent:.3f}")
 print(f"minimal constant for domination: {report.m_min:.4f}")
 for row in report.rows:

@@ -292,32 +292,41 @@ def validate(config) -> list:
         if not _int_at_least(config.get("replications"), 1):
             errs.append("replications must be a positive integer")
     if exp == "kde-rate":
+        model = config.get("model")
+        kind = model.get("kind") if isinstance(model, dict) else None
+        if "model" in config and kind != "doeblin_uniform":
+            # the smoothed-target oracle assumes the Uniform(0, 1) stationary law
+            errs.append(f"model.kind must be 'doeblin_uniform' for kde-rate, got {kind!r}")
         kernel = config.get("kernel", "epanechnikov")
-        if kernel not in KERNELS:
+        if not isinstance(kernel, str) or kernel not in KERNELS:
             errs.append(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
         scale = config.get("bandwidth_scale", 1.0)
-        if not _number_above(scale, 0):
-            errs.append(f"bandwidth_scale must be a positive number, got {scale!r}")
+        if not (_finite(scale) and scale > 0):
+            errs.append(f"bandwidth_scale must be a finite positive number, got {scale!r}")
         beta = config.get("beta")
+        if not (_finite(beta) and beta >= 0):
+            errs.append(f"beta must be a finite number >= 0, got {beta!r}")
         d = config.get("d", 1)
-        if not isinstance(beta, (int, float)) or beta < 0:
-            errs.append("beta must be a nonnegative number")
         if not _int_at_least(d, 1):
             errs.append(f"d must be an integer >= 1, got {d!r}")
         p = config.get("p")
         if p is not None and not (isinstance(p, (int, float)) and p > 1):
             errs.append(f"p must be a number > 1, got {p!r}")
-        elif p is not None and isinstance(beta, (int, float)) and _int_at_least(d, 1):
+        elif p is not None and _finite(beta) and _int_at_least(d, 1):
             # polynomial-moment regime couples beta, p and the dimension
             coupling = beta * p / (p - 1.0)
             if not 0 < coupling < 1.0 / d:
                 errs.append(
                     f"need 0 < beta*p/(p-1) < 1/d for the polynomial-moment rate; got {coupling:.6g}")
     if exp == "bounds":
-        sig = config.get("sigma_prime")
-        trunc = config.get("L")
-        u = config.get("U", 1.0)
-        if sig is not None and trunc is not None and sig > trunc * u:
+        # the block-bound hypothesis: sigma_prime and L may be absent or null, U defaults to 1
+        hyp = {"sigma_prime": config.get("sigma_prime"), "L": config.get("L"),
+               "U": config.get("U", 1.0)}
+        bad = [key for key, value in hyp.items()
+               if (value is not None or key == "U") and not (_finite(value) and value > 0)]
+        errs.extend(f"{key} must be a finite positive number, got {hyp[key]!r}" for key in bad)
+        sig, trunc, u = hyp.values()
+        if not bad and sig is not None and trunc is not None and sig > trunc * u:
             errs.append("sigma_prime must satisfy sigma' <= L*U (block-bound hypothesis)")
         if config.get("mode", "em") not in ("pm", "em"):
             errs.append("mode must be 'pm' or 'em'")
@@ -328,9 +337,10 @@ def validate(config) -> list:
                 and bounds[0] <= bounds[1]):
             errs.append(f"exponent_range must be two finite numbers [lo, hi] with lo <= hi, "
                         f"got {bounds!r}")
-        lam = config.get("lambda")
-        if lam is not None and not (_finite(lam) and lam > 0):
-            errs.append(f"lambda must be a finite positive number, got {lam!r}")
+        for key in ("p", "lambda"):
+            value = config.get(key)
+            if value is not None and not (_finite(value) and value > 0):
+                errs.append(f"{key} must be a finite positive number, got {value!r}")
     if exp in ("rademacher", "bounds"):
         n_mc = config.get("n_mc", 2000)
         if not _int_at_least(n_mc, 100):
@@ -447,8 +457,7 @@ def _run_bounds(config, out, jobs):
 def _run_kde_rate(config, out, jobs):
     model = build_model(config["model"])
     kernel = KERNELS[config.get("kernel", "epanechnikov")]()
-    cfg = KDEConfig(beta=config["beta"], scale=config.get("bandwidth_scale", 1.0),
-                    support=tuple(config.get("support", (0.0, 1.0))))
+    cfg = KDEConfig(beta=config["beta"], scale=config.get("bandwidth_scale", 1.0))
     report = rate_experiment(model, kernel, cfg, config["n_grid"],
                              config["replications"], config["seed"], jobs=jobs)
     report.to_csv(out / "kde_rate.csv")

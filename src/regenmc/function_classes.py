@@ -134,7 +134,7 @@ class BlockMeasure:
 
     @classmethod
     def from_blockset(cls, blockset, weights=None):
-        blocks = tuple(b.states for b in blockset.complete_blocks())
+        blocks = tuple(blockset.complete_blocks())
         if len(blocks) == 0:
             raise ValueError("no complete blocks to build a measure from")
         if weights is None:
@@ -314,7 +314,6 @@ class CoveringCheck:
     rhs: Optional[int]
     lhs_radius: float
     rhs_radius: float
-    method: str
     note: str = ""
 
 
@@ -338,7 +337,7 @@ def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
         lhs_eps = [max(r, 1e-300) for r in lhs_radii]
     else:
         return [CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=eps,
-                              method=method, note="all blocks truncated; left class is {0}")
+                              note="all blocks truncated; left class is {0}")
                 for eps, r in zip(eps_grid, lhs_radii)]
     lhs = covering_numbers(LiftedClass(cls, trunc=trunc), block_measure, lhs_eps, method)
     rhs = covering_numbers(cls, lift_measure(block_measure, trunc=trunc), eps_grid, method)
@@ -349,7 +348,7 @@ def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
         if not holds and method == "greedy":
             note = "inconclusive: greedy upper bound on the left side"
         checks.append(CoveringCheck(holds=holds, lhs=left, rhs=right, lhs_radius=r,
-                                    rhs_radius=eps, method=method, note=note))
+                                    rhs_radius=eps, note=note))
     return checks
 
 

@@ -236,22 +236,19 @@ def deviation_grid(h: float, lo: float = 0.0, hi: float = 1.0,
 
 @dataclass(frozen=True)
 class KDEConfig:
-    """Bandwidth rule h_n = scale * n^(-beta) on a uniform stationary law over ``support``."""
+    """Bandwidth rule h_n = scale * n^(-beta) on the Uniform(0, 1) stationary law."""
 
     beta: float
     scale: float = 1.0
-    support: tuple = (0.0, 1.0)
 
     def bandwidth(self, n: int) -> float:
         return self.scale * float(n) ** (-self.beta)
 
     def grid(self, h: float) -> np.ndarray:
-        lo, hi = self.support
-        return deviation_grid(h, lo, hi)
+        return deviation_grid(h)
 
     def smoothed_target(self, kernel: Kernel, h: float, grid) -> np.ndarray:
-        lo, hi = self.support
-        return uniform_smoothed_target(kernel, h, grid, lo, hi)
+        return uniform_smoothed_target(kernel, h, grid)
 
 
 @dataclass

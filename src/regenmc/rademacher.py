@@ -5,13 +5,14 @@ members of |sum_i eps_i f(x_i)| with i.i.d. random signs eps; the block
 variant replaces points by complete regeneration blocks and members by their
 block-sum lifts.  Neither quantity is normalized by n here.
 
-The bound calculators evaluate closed-form upper bounds whose universal
-multiplicative constants are configuration inputs (default 1); experiments
-report the minimal constant that makes the bound dominate what is measured.
+The bound calculators evaluate closed-form upper bounds; each takes exactly
+the inputs its formula reads, universal multiplicative constants included,
+as keyword arguments.  Experiments report the minimal constant that makes
+the bound dominate what is measured.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -37,7 +38,6 @@ TRUNC_GRID = 2.0 ** np.arange(0, 31)
 class RademacherEstimate:
     mean: float
     mc_std_error: float
-    n_sign_draws: int
     n_data: int
 
 
@@ -94,7 +94,7 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     mean = total / n_mc
     var = max(total_sq / n_mc - mean ** 2, 0.0)
     return RademacherEstimate(mean=float(mean), mc_std_error=float(np.sqrt(var / n_mc)),
-                              n_sign_draws=n_mc, n_data=n)
+                              n_data=n)
 
 
 def exhaustive_signed_sup(values: np.ndarray) -> float:
@@ -149,149 +149,103 @@ def block_variance_proxy(cls: EvaluableClass, blocks: BlockSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the bound formulas can consume; unused fields may stay None.
+_BLOCK_HYPOTHESIS = "0 < sigma' <= L * U"
 
-    ``sigma`` is the variance proxy (pointwise for the plain bound, blockwise
-    for the block bounds), ``trunc`` the block-length truncation level,
-    ``c_lambda`` = 2 E[exp(lam * tau)] / lam, and ``tau_param`` the tail
-    parameter of the concentration bound, always supplied explicitly.
+
+def _main_term(scale, sigma, c, v, n, hypothesis) -> float:
+    """v S log(C S / sigma) + sqrt(v n sigma^2 log(C S / sigma)) at the scale S.
+
+    The VC-type bound for i.i.d. data with envelope S and no constant; valid
+    for 0 < sigma <= S, the ``hypothesis`` its error names.
     """
-
-    u: float
-    sigma: float
-    c: float
-    v: float
-    n: float
-    trunc: Optional[float] = None
-    p: Optional[float] = None
-    tau_moment_p: Optional[float] = None
-    lam: Optional[float] = None
-    c_lambda: Optional[float] = None
-    m_const: float = 1.0
-    k_const: float = 1.0
-    tau_mean: Optional[float] = None
-    tau_sq_mean: Optional[float] = None
-    initial_tau_mean: Optional[float] = None
-    sup_mean: Optional[float] = None
-    tau_param: Optional[float] = None
-
-
-def _log_scale(c, u_eff, sigma):
-    val = math.log(c * u_eff / sigma)
-    if val <= 0:
+    if not 0 < sigma <= scale:
+        raise ValueError(f"hypothesis violated: need {hypothesis}")
+    log_term = math.log(c * scale / sigma)
+    if log_term <= 0:
         raise ValueError(
-            f"log(C U / sigma) = {val:.6g} is not positive; the covering scale C is too small "
-            "for this (U, sigma)")
-    return val
+            f"log(C U / sigma) = {log_term:.6g} is not positive; the covering scale C is too "
+            "small for this (U, sigma)")
+    return v * scale * log_term + math.sqrt(v * n * sigma ** 2 * log_term)
 
-def iid_rademacher_bound(inputs: BoundInputs) -> float:
+
+def iid_rademacher_bound(*, u, sigma, c, v, n, m_const) -> float:
     """Envelope/variance bound for the plain Rademacher complexity.
 
-    Valid for 0 < sigma <= U; the multiplicative constant is
-    ``inputs.m_const``.
+    The main term at scale U for the pointwise variance proxy ``sigma``,
+    valid for 0 < sigma <= U, times the constant ``m_const``.
     """
-    if not 0 < inputs.sigma <= inputs.u:
-        raise ValueError("hypothesis violated: need 0 < sigma <= U")
-    log_term = _log_scale(inputs.c, inputs.u, inputs.sigma)
-    return inputs.m_const * (inputs.v * inputs.u * log_term
-                             + math.sqrt(inputs.v * inputs.n * inputs.sigma ** 2 * log_term))
+    return m_const * _main_term(u, sigma, c, v, n, "0 < sigma <= U")
 
 
-def _block_main_term(inputs: BoundInputs) -> float:
-    if inputs.trunc is None:
-        raise ValueError("trunc (the block-length truncation level L) is required")
-    lu = inputs.trunc * inputs.u
-    if not 0 < inputs.sigma <= lu:
-        raise ValueError("hypothesis violated: need 0 < sigma' <= L * U")
-    log_term = _log_scale(inputs.c, lu, inputs.sigma)
-    return inputs.m_const * (inputs.v * lu * log_term
-                             + math.sqrt(inputs.v * inputs.n * inputs.sigma ** 2 * log_term))
-
-
-def block_rademacher_bound_pm(inputs: BoundInputs) -> float:
+def block_rademacher_bound_pm(trunc, *, u, sigma, c, v, n, m_const, p, tau_moment_p) -> float:
     """Block complexity bound under a polynomial moment on block lengths.
 
-    Main term at truncation level L plus the remainder
-    n E[tau^p] / L^(p-1).
+    The main term at scale L U for the blockwise proxy sigma' (valid for
+    0 < sigma' <= L U) plus the remainder n E[tau^p] / L^(p-1).
     """
-    if inputs.p is None or inputs.tau_moment_p is None:
-        raise ValueError("p and tau_moment_p are required for the polynomial-moment bound")
-    remainder = inputs.n * inputs.tau_moment_p / inputs.trunc ** (inputs.p - 1.0)
-    return _block_main_term(inputs) + remainder
+    remainder = n * tau_moment_p / trunc ** (p - 1.0)
+    return m_const * _main_term(trunc * u, sigma, c, v, n, _BLOCK_HYPOTHESIS) + remainder
 
 
-def block_rademacher_bound_em(inputs: BoundInputs) -> float:
+def block_rademacher_bound_em(trunc, *, u, sigma, c, v, n, m_const, lam, c_lambda) -> float:
     """Block complexity bound under an exponential moment on block lengths.
 
-    Main term at truncation level L plus the remainder
-    n U exp(-L lam / 2) C_lambda.
+    The main term at scale L U for the blockwise proxy sigma' (valid for
+    0 < sigma' <= L U) plus the remainder n U exp(-L lam / 2) C_lambda, with
+    C_lambda = 2 E[exp(lam tau)] / lam.
     """
-    if inputs.lam is None or inputs.c_lambda is None:
-        raise ValueError("lam and c_lambda are required for the exponential-moment bound")
-    remainder = inputs.n * inputs.u * math.exp(-inputs.trunc * inputs.lam / 2.0) * inputs.c_lambda
-    return _block_main_term(inputs) + remainder
+    remainder = n * u * math.exp(-trunc * lam / 2.0) * c_lambda
+    return m_const * _main_term(trunc * u, sigma, c, v, n, _BLOCK_HYPOTHESIS) + remainder
 
 
-def optimize_block_bound(inputs: BoundInputs, mode: str):
-    """Minimize the block bound over ``TRUNC_GRID``; returns (value, L, table).
+def optimize_block_bound(bound):
+    """Minimize ``bound(L)`` over ``TRUNC_GRID``; returns (value, L, table).
 
-    Grid entries violating sigma' <= L U are skipped; with no feasible entry a
-    ValueError is raised.
+    Levels at which ``bound`` raises ValueError, such as those violating
+    sigma' <= L U, are skipped; with no feasible level a ValueError is raised.
     """
-    fn = {"pm": block_rademacher_bound_pm, "em": block_rademacher_bound_em}[mode]
     table = []
     for L in TRUNC_GRID:
-        if inputs.sigma > L * inputs.u:
-            continue
         try:
-            val = fn(replace(inputs, trunc=float(L)))
+            table.append((float(L), float(bound(float(L)))))
         except ValueError:
             continue
-        table.append((float(L), float(val)))
     if not table:
         raise ValueError("no feasible truncation level on the grid (need sigma' <= L U)")
     best_l, best_val = min(table, key=lambda t: t[1])
     return best_val, best_l, table
 
 
-def expected_supremum_bound(inputs: BoundInputs, r_nb: float) -> float:
+def expected_supremum_bound(r_nb, *, u, n, sup_mean, tau_sq_mean, initial_tau_mean,
+                            tau_mean) -> float:
     """Expected supremum of the centered process from the block complexity.
 
     4 R_block + 4 sup_f |stationary mean| sqrt(n E[tau^2])
     + 2 U (E_initial[tau] + E_atom[tau]).
     """
-    for name in ("sup_mean", "tau_sq_mean", "initial_tau_mean", "tau_mean"):
-        if getattr(inputs, name) is None:
-            raise ValueError(f"{name} is required")
-    return (4.0 * r_nb
-            + 4.0 * inputs.sup_mean * math.sqrt(inputs.n * inputs.tau_sq_mean)
-            + 2.0 * inputs.u * (inputs.initial_tau_mean + inputs.tau_mean))
+    return (4.0 * r_nb + 4.0 * sup_mean * math.sqrt(n * tau_sq_mean)
+            + 2.0 * u * (initial_tau_mean + tau_mean))
 
 
-def excess_probability_bound(t: float, inputs: BoundInputs, r_n: float) -> float:
+def excess_probability_bound(t, r_n, *, u, sigma, n, tau_mean, tau_param, k_const) -> float:
     """Tail bound for the supremum exceeding t, given a centering level r_n.
 
     Defined for t >= 1 + K r_n; the value may exceed one and is reported
     as-is.  ``tau_param`` is the tail parameter and is never inferred.
     """
-    k = inputs.k_const
-    if inputs.tau_mean is None or inputs.tau_param is None:
-        raise ValueError("tau_mean and tau_param are required")
+    k = k_const
     if t < 1.0 + k * r_n:
         raise ValueError(f"t must satisfy t >= 1 + K * r_n = {1.0 + k * r_n:.6g}")
     gap = t - k * r_n
-    gauss = gap ** 2 / (inputs.n * inputs.sigma ** 2)
-    linear = gap / (inputs.tau_param ** 3 * inputs.u * math.log(inputs.n))
-    return k * math.exp(-(inputs.tau_mean / k) * min(gauss, linear))
+    gauss = gap ** 2 / (n * sigma ** 2)
+    linear = gap / (tau_param ** 3 * u * math.log(n))
+    return k * math.exp(-(tau_mean / k) * min(gauss, linear))
 
 
-def high_probability_level(delta: float, inputs: BoundInputs, r_n: float) -> float:
+def high_probability_level(delta, r_n, *, sigma, n, tau_mean, k_const) -> float:
     """The t at which the Gaussian branch of the tail bound equals delta."""
-    k = inputs.k_const
-    return k * r_n + math.sqrt(inputs.n * inputs.sigma ** 2
-                               * k * math.log(k / delta) / inputs.tau_mean)
+    k = k_const
+    return k * r_n + math.sqrt(n * sigma ** 2 * k * math.log(k / delta) / tau_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +290,22 @@ def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
 
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
-                               replications: int, seed: int, n_mc: int = 2000,
-                               mode: str = "em", m_const: float = 1.0,
-                               p: float = 2.0, lam: Optional[float] = None,
-                               jobs: int = 1) -> BoundReport:
+                               replications: int, seed: int, *, m_const: float,
+                               n_mc: int = 2000, mode: str = "em", p: float = 2.0,
+                               lam: Optional[float] = None, jobs: int = 1) -> BoundReport:
     """Measure block complexities on a chain and pit them against the bound.
 
     For each n: the empirical block complexity (mean over replications,
     each on stream (seed, i, r)), and the bound with plug-in moments from the
     pooled blocks (variance proxy inflated by 3 MC standard errors), minimized
     over the truncation grid; signs come from child_seed(seed, i, r, 1).
-    Reports the domination ratio per n, the fitted growth exponent of the
-    empirical complexity, and the minimal constant M_min that would make the
-    bound dominate everywhere.  jobs > 1 changes nothing but wall time.
+    The bound's constant is ``m_const``.  Reports the domination ratio per n,
+    the fitted growth exponent of the empirical complexity, and the minimal
+    constant M_min that would make the bound dominate everywhere.  jobs > 1
+    changes nothing but wall time.
     """
+    if mode not in ("pm", "em"):
+        raise ValueError(f"mode must be 'pm' or 'em', got {mode!r}")
     if mode == "em" and (lam is None or lam <= 0):
         raise ValueError("mode='em' requires lam > 0")
     rows = []
@@ -368,21 +324,24 @@ def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
         sig_sq = np.mean(sig_sqs, axis=0).max()
         _, sig_se = mean_se([s.max() for s in sig_sqs])
         sigma_plug = math.sqrt(sig_sq + 3.0 * sig_se)
-        inputs = BoundInputs(u=cls.envelope, sigma=sigma_plug, c=cls.vc_c, v=cls.vc_v,
-                             n=n_blocks, p=p, tau_moment_p=float(np.mean(tau_all ** p)),
-                             lam=lam, m_const=m_const)
+        moments = dict(u=cls.envelope, sigma=sigma_plug, c=cls.vc_c, v=cls.vc_v, n=n_blocks)
         if mode == "em":
             with np.errstate(over="ignore"):
                 mgf = float(np.mean(np.exp(lam * tau_all)))
             if not math.isfinite(mgf):
                 raise ValueError(f"E[exp(lam tau)] overflows at n={n}: lam={lam:g}, "
                                  f"longest block {int(tau_all.max())}")
-            inputs = replace(inputs, c_lambda=2.0 * mgf / lam)  # 2 E[exp(lam tau)] / lam
-        bound, trunc_opt, _ = optimize_block_bound(inputs, mode)
+            bound_at = partial(block_rademacher_bound_em, **moments, m_const=m_const, lam=lam,
+                               c_lambda=2.0 * mgf / lam)  # 2 E[exp(lam tau)] / lam
+        else:
+            bound_at = partial(block_rademacher_bound_pm, **moments, m_const=m_const, p=p,
+                               tau_moment_p=float(np.mean(tau_all ** p)))
+        bound, trunc_opt, _ = optimize_block_bound(bound_at)
+        main_term = _main_term(trunc_opt * cls.envelope, sigma_plug, cls.vc_c, cls.vc_v,
+                               n_blocks, _BLOCK_HYPOTHESIS)
         rows.append({"n": float(n), "empirical": emp, "mc_err": mc_err, "bound": bound,
                      "ratio": bound / emp if emp > 0 else float("inf"), "trunc_opt": trunc_opt,
-                     "main_term": _block_main_term(replace(inputs, trunc=trunc_opt, m_const=1.0)),
-                     "remainder": bound - _block_main_term(replace(inputs, trunc=trunc_opt))})
+                     "main_term": main_term, "remainder": bound - m_const * main_term})
         emp_means.append(emp)
     slope, slope_se = fit_loglog_slope([r["n"] for r in rows], emp_means)
     m_min = max(max((r["empirical"] - r["remainder"]) / r["main_term"] for r in rows), 0.0)

@@ -141,14 +141,6 @@ def block_sums(values, starts, ends) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Block:
-    """One path segment; index 0 is the initial block, the last is trailing."""
-
-    states: np.ndarray
-    index: int
-
-
-@dataclass(frozen=True)
 class BlockSet:
     """The partition of a flagged path into initial/complete/trailing blocks.
 
@@ -172,22 +164,25 @@ class BlockSet:
         return self.complete_bounds[:, 1] - self.complete_bounds[:, 0]
 
     @property
-    def initial(self) -> Optional[Block]:
+    def initial(self) -> Optional[np.ndarray]:
+        """States of the initial segment, before the first regeneration."""
         if self.initial_bounds is None:
             return None
         s, e = self.initial_bounds
-        return Block(self.states[s:e], 0)
+        return self.states[s:e]
 
     @property
-    def trailing(self) -> Optional[Block]:
+    def trailing(self) -> Optional[np.ndarray]:
+        """States of the trailing segment, after the last regeneration."""
         if self.trailing_bounds is None:
             return None
         s, e = self.trailing_bounds
-        return Block(self.states[s:e], self.l_n)
+        return self.states[s:e]
 
     def complete_blocks(self):
-        for k, (s, e) in enumerate(self.complete_bounds):
-            yield Block(self.states[s:e], k + 1)
+        """States of each complete block, in path order."""
+        for s, e in self.complete_bounds:
+            yield self.states[s:e]
 
     def block_values(self, f) -> np.ndarray:
         """Per-complete-block sums of f over states: the lifted values f'(B_k).

@@ -154,7 +154,7 @@ def test_criterion_06_block_bound_domination_and_growth():
     lam = 0.5 * (-math.log(0.7))
     report = compare_bound_vs_empirical(model, cls, [2**k for k in range(8, 15)],
                                         replications=5, seed=606, n_mc=2000,
-                                        mode="em", lam=lam)
+                                        mode="em", lam=lam, m_const=1.0)
     dominated = all(report.m_min * r["main_term"] + r["remainder"] >= r["empirical"] - 1e-9
                     for r in report.rows)
     ok = dominated and 0.45 <= report.growth_exponent <= 0.60

@@ -48,6 +48,17 @@ def test_validate_bounds_sigma_hypothesis():
     cfg = load("bounds_tiny.json")
     cfg.update(sigma_prime=5.0, L=2.0, U=1.0)
     assert any("sigma' <= L*U" in v for v in validate(cfg))
+    cfg.update(sigma_prime=2.0, L=None)        # L absent or null: nothing to couple
+    assert validate(cfg) == []
+    cfg.update(L=2.0, U="1")                   # a bad U is named once, not coupled
+    assert validate(cfg) == ["U must be a finite positive number, got '1'"]
+
+
+def test_validate_command_names_a_bad_hypothesis_value(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(load("bounds_tiny.json"), sigma_prime=0.5, L="2")))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == "L must be a finite positive number, got '2'\n"
 
 
 def test_validate_bounds_requires_explicit_constant():
@@ -101,7 +112,23 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
     ("verify_lemmas_tiny.json", "max_blocks", 0, "max_blocks must be an integer >= 1, got 0"),
     ("verify_lemmas_tiny.json", "max_len", 0, "max_len must be an integer >= 1, got 0"),
     ("kde_rate_tiny.json", "bandwidth_scale", -1,
-     "bandwidth_scale must be a positive number, got -1"),
+     "bandwidth_scale must be a finite positive number, got -1"),
+    ("kde_rate_tiny.json", "bandwidth_scale", float("inf"),
+     "bandwidth_scale must be a finite positive number, got inf"),
+    ("kde_rate_tiny.json", "beta", float("nan"), "beta must be a finite number >= 0, got nan"),
+    ("kde_rate_tiny.json", "beta", True, "beta must be a finite number >= 0, got True"),
+    ("kde_rate_tiny.json", "kernel", [],
+     "kernel must be one of ('box', 'epanechnikov'), got []"),
+    ("kde_rate_tiny.json", "model", {"kind": "two_state"},
+     "model.kind must be 'doeblin_uniform' for kde-rate, got 'two_state'"),
+    ("kde_rate_tiny.json", "model", "x",
+     "model.kind must be 'doeblin_uniform' for kde-rate, got None"),
+    ("bounds_tiny.json", "sigma_prime", "x",
+     "sigma_prime must be a finite positive number, got 'x'"),
+    ("bounds_tiny.json", "L", "2", "L must be a finite positive number, got '2'"),
+    ("bounds_tiny.json", "L", 0, "L must be a finite positive number, got 0"),
+    ("bounds_tiny.json", "U", None, "U must be a finite positive number, got None"),
+    ("bounds_tiny.json", "U", float("nan"), "U must be a finite positive number, got nan"),
     ("kde_rate_tiny.json", "kernel", "gauss",
      "kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
     ("mh_credible_tiny.json", "coordinate", 3,
@@ -155,6 +182,8 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
     ("bounds_tiny.json", "exponent_range", 0.5,
      "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got 0.5"),
     ("bounds_tiny.json", "lambda", "x", "lambda must be a finite positive number, got 'x'"),
+    ("bounds_pm_tiny.json", "p", "x", "p must be a finite positive number, got 'x'"),
+    ("bounds_pm_tiny.json", "p", float("inf"), "p must be a finite positive number, got inf"),
     ("bounds_tiny.json", "lambda", 0, "lambda must be a finite positive number, got 0"),
     ("bounds_tiny.json", "lambda", -0.3, "lambda must be a finite positive number, got -0.3"),
     ("bounds_tiny.json", "lambda", True, "lambda must be a finite positive number, got True"),
@@ -165,6 +194,26 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
     assert validate(cfg) == [message]
     with pytest.raises(ValueError, match="invalid config"):
         run(cfg, tmp_path)
+
+
+_ODD_VALUES = ["x", None, float("nan"), float("inf"), [], {}, True]
+_TINY = sorted(path.name for path in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("value", _ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("name", _TINY)
+def test_validate_never_raises_on_an_odd_top_level_value(name, value):
+    cfg = load(name)
+    for key in cfg:
+        assert isinstance(validate(dict(cfg, **{key: value})), list), key
+
+
+@pytest.mark.parametrize("value", _ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("key", ["sigma_prime", "L", "U"])
+def test_validate_never_raises_on_an_odd_hypothesis_value(key, value):
+    cfg = dict(load("bounds_tiny.json"), sigma_prime=0.5, L=2.0, U=1.0)
+    cfg[key] = value
+    assert isinstance(validate(cfg), list)
 
 
 def test_validate_accepts_bounds_without_lambda_or_exponent_range():
@@ -230,8 +279,8 @@ def test_seed_override_changes_digests(tmp_path):
 def test_every_experiment_kind_matches_golden_digests(tmp_path):
     golden = json.loads((GOLDEN / "digests.json").read_text())
     for name in ("simulate_tiny.json", "blocks_tiny.json", "rademacher_tiny.json",
-                 "bounds_tiny.json", "kde_rate_tiny.json", "mh_credible_tiny.json",
-                 "verify_lemmas_tiny.json"):
+                 "bounds_tiny.json", "bounds_pm_tiny.json", "kde_rate_tiny.json",
+                 "mh_credible_tiny.json", "verify_lemmas_tiny.json"):
         manifest, passed = run(load(name), tmp_path / name.replace(".json", ""))
         assert manifest["outputs"] == golden[name], name
         assert passed in (True, None), name

@@ -84,7 +84,7 @@ def _credible(monkeypatch):
 def _bounds(monkeypatch):
     monkeypatch.setattr(rademacher, "simulate_split_retrospective", _boom)
     compare_bound_vs_empirical(wrapped_doeblin_chain(0.5, 0.25), halfline_class([0.5]),
-                               [64, 128, 256], 2, SEED, mode="pm")
+                               [64, 128, 256], 2, SEED, mode="pm", m_const=1.0)
 
 
 def _growth(monkeypatch):

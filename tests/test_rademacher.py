@@ -1,11 +1,11 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from regenmc import (
-    BoundInputs,
     Trajectory,
     block_rademacher_bound_em,
     block_rademacher_bound_pm,
@@ -224,14 +224,13 @@ def test_variance_proxy_geometric_second_moment():
 
 
 def test_iid_bound_hand_value():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=math.e, v=1.0, n=100.0)
-    assert iid_rademacher_bound(inputs) == pytest.approx(11.0)
+    assert iid_rademacher_bound(u=1.0, sigma=1.0, c=math.e, v=1.0, n=100.0,
+                                m_const=1.0) == pytest.approx(11.0)
 
 
 def test_iid_bound_scaling_in_n():
-    base = BoundInputs(u=1.0, sigma=0.5, c=30.0, v=2.0, n=400.0)
-    b1 = iid_rademacher_bound(base)
-    b2 = iid_rademacher_bound(BoundInputs(u=1.0, sigma=0.5, c=30.0, v=2.0, n=800.0))
+    b1 = iid_rademacher_bound(u=1.0, sigma=0.5, c=30.0, v=2.0, n=400.0, m_const=1.0)
+    b2 = iid_rademacher_bound(u=1.0, sigma=0.5, c=30.0, v=2.0, n=800.0, m_const=1.0)
     log_term = math.log(30.0 * 1.0 / 0.5)
     fixed = 2.0 * log_term
     assert (b2 - fixed) == pytest.approx(math.sqrt(2) * (b1 - fixed))
@@ -239,90 +238,121 @@ def test_iid_bound_scaling_in_n():
 
 def test_iid_bound_hypothesis_error():
     with pytest.raises(ValueError, match="sigma <= U"):
-        iid_rademacher_bound(BoundInputs(u=1.0, sigma=2.0, c=30.0, v=1.0, n=10.0))
+        iid_rademacher_bound(u=1.0, sigma=2.0, c=30.0, v=1.0, n=10.0, m_const=1.0)
 
 
 def test_iid_bound_blows_up_as_sigma_vanishes():
     # below the turning point the log term dominates and the bound diverges
-    vals = [iid_rademacher_bound(BoundInputs(u=1.0, sigma=s, c=30.0, v=1.0, n=10.0))
+    vals = [iid_rademacher_bound(u=1.0, sigma=s, c=30.0, v=1.0, n=10.0, m_const=1.0)
             for s in (0.1, 0.03, 0.01, 1e-3, 1e-6)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 2 * vals[0]
 
 
 def test_pm_bound_remainder_arithmetic():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0, trunc=10.0,
-                         p=2.0, tau_moment_p=4.0, m_const=0.0)
-    assert block_rademacher_bound_pm(inputs) == pytest.approx(40.0)
+    assert block_rademacher_bound_pm(10.0, u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0,
+                                     m_const=0.0, p=2.0, tau_moment_p=4.0) == pytest.approx(40.0)
 
 
 def test_em_bound_remainder_arithmetic():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=10.0, trunc=2.0,
-                         lam=2.0, c_lambda=math.e ** 2, m_const=0.0)
-    assert block_rademacher_bound_em(inputs) == pytest.approx(10.0)
+    assert block_rademacher_bound_em(2.0, u=1.0, sigma=1.0, c=30.0, v=1.0, n=10.0, m_const=0.0,
+                                     lam=2.0, c_lambda=math.e ** 2) == pytest.approx(10.0)
+
+
+def test_block_bound_main_term_is_iid_bound_at_scale_l_u():
+    # the block main term is the i.i.d. formula with the envelope U replaced by L U
+    for trunc, m_const in ((1.0, 1.0), (4.0, 0.37), (64.0, 2.5)):
+        iid = iid_rademacher_bound(u=trunc * 0.5, sigma=0.4, c=30.0, v=2.0, n=300.0,
+                                   m_const=m_const)
+        pm = block_rademacher_bound_pm(trunc, u=0.5, sigma=0.4, c=30.0, v=2.0, n=300.0,
+                                       m_const=m_const, p=2.0, tau_moment_p=0.0)
+        em = block_rademacher_bound_em(trunc, u=0.5, sigma=0.4, c=30.0, v=2.0, n=300.0,
+                                       m_const=m_const, lam=1.0, c_lambda=0.0)
+        assert pm == em == iid
 
 
 def test_block_bound_hypothesis_error():
-    inputs = BoundInputs(u=1.0, sigma=3.0, c=30.0, v=1.0, n=10.0, trunc=2.0,
-                         p=2.0, tau_moment_p=4.0)
     with pytest.raises(ValueError, match="L \\* U"):
-        block_rademacher_bound_pm(inputs)
+        block_rademacher_bound_pm(2.0, u=1.0, sigma=3.0, c=30.0, v=1.0, n=10.0, m_const=1.0,
+                                  p=2.0, tau_moment_p=4.0)
+    with pytest.raises(ValueError, match="L \\* U"):
+        block_rademacher_bound_em(2.0, u=1.0, sigma=3.0, c=30.0, v=1.0, n=10.0, m_const=1.0,
+                                  lam=1.0, c_lambda=1.0)
+
+
+def test_bound_calculators_take_only_required_keywords():
+    # no bound formula may fall back on a default input or accept a stray one
+    with pytest.raises(TypeError):
+        iid_rademacher_bound(u=1.0, sigma=0.5, c=30.0, v=1.0, n=10.0)
+    with pytest.raises(TypeError):
+        block_rademacher_bound_pm(2.0, u=1.0, sigma=0.5, c=30.0, v=1.0, n=10.0, m_const=1.0,
+                                  p=2.0, tau_moment_p=1.0, lam=1.0)
+    with pytest.raises(TypeError):
+        excess_probability_bound(2.0, 0.0, u=1.0, sigma=1.0, n=10.0, tau_mean=1.0,
+                                 tau_param=1.0)
 
 
 def test_optimizer_finds_interior_truncation():
-    inputs = BoundInputs(u=1.0, sigma=2.0, c=30.0, v=1.0, n=10_000.0,
-                         p=2.0, tau_moment_p=4.0)
-    best, best_l, table = optimize_block_bound(inputs, "pm")
+    bound = partial(block_rademacher_bound_pm, u=1.0, sigma=2.0, c=30.0, v=1.0, n=10_000.0,
+                    m_const=1.0, p=2.0, tau_moment_p=4.0)
+    best, best_l, table = optimize_block_bound(bound)
     values = dict(table)
     grid = sorted(values)
     assert values[grid[0]] > best and values[grid[-1]] > best
     assert 1.0 < best_l < grid[-1]
+    # L = 1 violates sigma' <= L U and is skipped
+    assert grid[0] == 2.0
+
+
+def test_optimizer_without_feasible_level():
+    bound = partial(block_rademacher_bound_em, u=1.0, sigma=2.0 ** 40, c=30.0, v=1.0, n=10.0,
+                    m_const=1.0, lam=1.0, c_lambda=1.0)
+    with pytest.raises(ValueError, match="no feasible truncation level"):
+        optimize_block_bound(bound)
 
 
 def test_expected_supremum_bound_values():
-    centered = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=50.0, sup_mean=0.0,
-                           tau_sq_mean=1.0, initial_tau_mean=1.0, tau_mean=1.0)
-    assert expected_supremum_bound(centered, 2.5) == pytest.approx(4 * 2.5 + 4.0)
-    shifted = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=4.0, sup_mean=1.0,
-                          tau_sq_mean=1.0, initial_tau_mean=1.5, tau_mean=0.5)
-    assert expected_supremum_bound(shifted, 0.0) == pytest.approx(8.0 + 2 * 2.0)
+    assert expected_supremum_bound(2.5, u=1.0, n=50.0, sup_mean=0.0, tau_sq_mean=1.0,
+                                   initial_tau_mean=1.0, tau_mean=1.0) == pytest.approx(
+        4 * 2.5 + 4.0)
+    assert expected_supremum_bound(0.0, u=1.0, n=4.0, sup_mean=1.0, tau_sq_mean=1.0,
+                                   initial_tau_mean=1.5, tau_mean=0.5) == pytest.approx(
+        8.0 + 2 * 2.0)
 
 
 def test_expected_supremum_bound_zero_class():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0, sup_mean=0.0,
-                         tau_sq_mean=2.0, initial_tau_mean=1.0, tau_mean=2.0)
-    assert expected_supremum_bound(inputs, 0.0) == pytest.approx(2 * (1.0 + 2.0))
+    assert expected_supremum_bound(0.0, u=1.0, n=100.0, sup_mean=0.0, tau_sq_mean=2.0,
+                                   initial_tau_mean=1.0, tau_mean=2.0) == pytest.approx(
+        2 * (1.0 + 2.0))
 
 
 def test_tail_bound_hand_value():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=math.e, tau_mean=1.0,
-                         tau_param=1.0, k_const=1.0)
-    assert excess_probability_bound(1.0, inputs, 0.0) == pytest.approx(math.exp(-1 / math.e))
+    assert excess_probability_bound(1.0, 0.0, u=1.0, sigma=1.0, n=math.e, tau_mean=1.0,
+                                    tau_param=1.0, k_const=1.0) == pytest.approx(
+        math.exp(-1 / math.e))
 
 
 def test_tail_bound_threshold_error():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0, tau_mean=1.0,
-                         tau_param=1.0, k_const=2.0)
     with pytest.raises(ValueError, match="1 \\+ K"):
-        excess_probability_bound(0.5, inputs, 1.0)
+        excess_probability_bound(0.5, 1.0, u=1.0, sigma=1.0, n=100.0, tau_mean=1.0,
+                                 tau_param=1.0, k_const=2.0)
 
 
 def test_tail_bound_inverts_to_delta_on_gaussian_branch():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=1000.0, tau_mean=2.0,
-                         tau_param=1.0, k_const=1.5)
+    tail = dict(sigma=1.0, n=1000.0, tau_mean=2.0, k_const=1.5)
     for delta in (0.5, 0.1, 0.01):
-        t = high_probability_level(delta, inputs, r_n=3.0)
-        assert excess_probability_bound(t, inputs, 3.0) == pytest.approx(delta)
+        t = high_probability_level(delta, 3.0, **tail)
+        assert excess_probability_bound(t, 3.0, u=1.0, tau_param=1.0,
+                                        **tail) == pytest.approx(delta)
 
 
 def test_tail_bound_linear_branch_for_large_t():
-    inputs = BoundInputs(u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0, tau_mean=1.0,
-                         tau_param=1.0, k_const=1.0)
     # once t - K R_n exceeds n sigma^2 / (tau^3 U log n), the linear branch rules
     t = 1.0 + 100.0 / math.log(100.0) + 5.0
     gap = t - 1.0 * 0.0 - 0.0
     expected = math.exp(-min(gap ** 2 / 100.0, gap / math.log(100.0)))
-    assert excess_probability_bound(t, inputs, 0.0) == pytest.approx(expected)
+    assert excess_probability_bound(t, 0.0, u=1.0, sigma=1.0, n=100.0, tau_mean=1.0,
+                                    tau_param=1.0, k_const=1.0) == pytest.approx(expected)
     assert gap / math.log(100.0) < gap ** 2 / 100.0
 
 
@@ -333,14 +363,14 @@ def test_bounds_nonnegative_and_monotone_on_grids():
             for n in (1e4, 1e6):
                 vals = []
                 for sigma_rel in np.linspace(0.2, 1.0, 9):
-                    b = iid_rademacher_bound(BoundInputs(u=u, sigma=sigma_rel * u,
-                                                         c=30.0 ** v, v=v, n=n))
+                    b = iid_rademacher_bound(u=u, sigma=sigma_rel * u, c=30.0 ** v, v=v, n=n,
+                                             m_const=1.0)
                     assert b >= 0
                     vals.append(b)
                 assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
     for n_grid_val in (10.0, 100.0, 1e4, 1e6):
         prev = None
-        b = iid_rademacher_bound(BoundInputs(u=1.0, sigma=0.5, c=30.0, v=1.0, n=n_grid_val))
+        b = iid_rademacher_bound(u=1.0, sigma=0.5, c=30.0, v=1.0, n=n_grid_val, m_const=1.0)
         if prev is not None:
             assert b >= prev
         prev = b
@@ -369,7 +399,8 @@ def test_compare_bound_vs_empirical_report():
     model = wrapped_doeblin_chain(0.5, 0.25)
     cls = halfline_class(np.linspace(0.05, 0.95, 10))
     report = compare_bound_vs_empirical(model, cls, [2 ** k for k in range(8, 13)],
-                                        3, seed=19, n_mc=500, mode="em", lam=0.3)
+                                        3, seed=19, n_mc=500, mode="em", lam=0.3,
+                                        m_const=1.0)
     assert 0.4 <= report.growth_exponent <= 0.65
     assert report.m_min > 0
     for row in report.rows:
@@ -384,4 +415,4 @@ def test_em_bound_rejects_overflowing_mgf():
     cls = halfline_class(np.linspace(0.05, 0.95, 10))
     with pytest.raises(ValueError, match=r"overflows at n=512: lam=10, longest block \d+"):
         compare_bound_vs_empirical(model, cls, [256, 512, 1024], 2, seed=0, n_mc=200,
-                                   mode="em", lam=10.0)
+                                   mode="em", lam=10.0, m_const=1.0)

@@ -207,10 +207,10 @@ def test_block_reconstruction(flags):
     blocks = extract_blocks(_traj_from_flags(flags))
     pieces = []
     if blocks.initial_bounds:
-        pieces.append(blocks.initial.states)
-    pieces.extend(b.states for b in blocks.complete_blocks())
+        pieces.append(blocks.initial)
+    pieces.extend(blocks.complete_blocks())
     if blocks.trailing_bounds:
-        pieces.append(blocks.trailing.states)
+        pieces.append(blocks.trailing)
     assert np.array_equal(np.concatenate(pieces), blocks.states)
 
 
