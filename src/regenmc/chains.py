@@ -411,7 +411,7 @@ def finite_doeblin_chain(delta: float, matrix, psi) -> ChainModel:
                       model_id=f"finite_doeblin(delta={delta:g})")
 
 
-def wrapped_doeblin_chain(delta: float, width: float) -> ChainModel:
+def wrapped_doeblin_chain(delta: float, width: float = 0.25) -> ChainModel:
     """Wrapped-increment mixture chain on [0, 1) with uniform stationary law.
 
     The canonical uniformly ergodic test chain: the whole space is small with

@@ -35,8 +35,35 @@ from .rademacher import (compare_bound_vs_empirical, empirical_block_rademacher,
 from .regeneration import extract_blocks, regen_stats, simulate_split_retrospective
 from .rng import child_seed
 
-EXPERIMENTS = ("simulate", "blocks", "rademacher", "bounds", "kde-rate",
-               "mh-credible", "verify-lemmas")
+# Marks a key that has no default, as a signature marks a parameter without one.
+REQUIRED = inspect.Parameter.empty
+
+_GRID = {"n_grid": REQUIRED, "replications": REQUIRED}
+
+# The top-level keys each experiment reads besides ``experiment`` and ``seed``,
+# with their defaults.  ``settings`` fills these in; any other key is an error.
+KEYS = {
+    "simulate": {"model": REQUIRED, "n": REQUIRED},
+    "blocks": {"model": REQUIRED, "n": REQUIRED, "min_blocks": 30},
+    "rademacher": {"model": REQUIRED, "class": REQUIRED, "n": REQUIRED, "n_mc": 2000},
+    "bounds": {"model": REQUIRED, "class": REQUIRED, **_GRID, "n_mc": 2000, "mode": "em",
+               "p": 2.0, "lambda": None, "exponent_range": [0.45, 0.60],
+               "constants": REQUIRED},
+    "kde-rate": {"model": REQUIRED, **_GRID, "beta": REQUIRED, "kernel": "epanechnikov",
+                 "bandwidth_scale": 1.0, "slope_tolerance": 0.1},
+    "mh-credible": {"target": REQUIRED, "proposal": {"kind": "uniform_step", "a": 0.25},
+                    **_GRID, "gamma": REQUIRED, "coordinate": 0, "center": None, "n_u": 17,
+                    "slope_tolerance": 0.15},
+    "verify-lemmas": {"trials": REQUIRED, "max_states": 4, "max_members": 6, "max_blocks": 5,
+                      "max_len": 4, "eps_grid": [round(0.1 * k, 10) for k in range(1, 21)]},
+}
+EXPERIMENTS = tuple(KEYS)
+
+
+def settings(config) -> dict:
+    """``config`` with the defaults of the keys its experiment reads filled in."""
+    keys = KEYS[config["experiment"]]
+    return {**{key: value for key, value in keys.items() if value is not REQUIRED}, **config}
 
 
 # ---------------------------------------------------------------------------
@@ -44,56 +71,31 @@ EXPERIMENTS = ("simulate", "blocks", "rademacher", "bounds", "kde-rate",
 # ---------------------------------------------------------------------------
 
 
-def build_model(spec):
-    kind = spec.get("kind")
-    if kind == "two_state":
-        return two_state_chain(spec.get("p01", 0.5), spec.get("p10", 0.2))
-    if kind == "finite_atom":
-        return finite_atom_chain(np.asarray(spec["matrix"], dtype=float), spec.get("atom", 0))
-    if kind == "finite_doeblin":
-        return finite_doeblin_chain(spec["delta"], np.asarray(spec["matrix"], dtype=float),
-                                    np.asarray(spec["psi"], dtype=float))
-    if kind == "doeblin_uniform":
-        return wrapped_doeblin_chain(spec["delta"], spec.get("width", 0.25))
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def build_target(spec):
-    kind = spec.get("kind")
-    if kind not in TARGETS:
-        raise ValueError(f"unknown target kind {kind!r}")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return TARGETS[kind](**params)
-
-
+MODELS = {"two_state": two_state_chain, "finite_atom": finite_atom_chain,
+          "finite_doeblin": finite_doeblin_chain, "doeblin_uniform": wrapped_doeblin_chain}
 PROPOSALS = {"uniform_step": uniform_step_proposal, "gaussian_step": gaussian_step_proposal}
 
 
-def build_proposal(spec, d=1):
-    kind = spec.get("kind", "uniform_step")
-    if kind not in PROPOSALS:
-        raise ValueError(f"unknown proposal kind {kind!r}")
-    return PROPOSALS[kind](d=d, **{k: v for k, v in spec.items() if k != "kind"})
+def build(factories, spec, **supplied):
+    """The object a tagged model, target or proposal spec describes."""
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    return factories[spec["kind"]](**params, **supplied)
 
 
 def build_class(spec):
-    kind = spec.get("kind")
+    kind = spec["kind"]
+    vc = {name.lower(): spec[name] for name in ("vc_C", "vc_v") if name in spec}
     if kind == "halfline":
         if "thresholds" in spec:
             thresholds = np.asarray(spec["thresholds"], dtype=float)
         else:
             thresholds = np.linspace(spec.get("lo", 0.0), spec.get("hi", 1.0),
                                      int(spec.get("size", 21)))
-        return halfline_class(thresholds, spec.get("coordinate", 0))
+        return halfline_class(thresholds)
     if kind == "table":
-        return table_class(np.asarray(spec["tables"], dtype=float),
-                           vc_c=spec.get("vc_C"), vc_v=spec.get("vc_v", 2.0))
-    if kind == "kernel":
-        kernel = KERNELS[spec.get("kernel", "epanechnikov")]()
-        centers = np.asarray(spec["centers"], dtype=float)
-        return kernel_class(kernel, spec["h"], centers, vc_c=spec.get("vc_C"),
-                            vc_v=spec.get("vc_v", 2.0))
-    raise ValueError(f"unknown class kind {kind!r}")
+        return table_class(np.asarray(spec["tables"], dtype=float), **vc)
+    kernel = KERNELS[spec.get("kernel", "epanechnikov")]()
+    return kernel_class(kernel, spec["h"], np.asarray(spec["centers"], dtype=float), **vc)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,39 @@ def _finite_list_errors(key: str, values) -> list:
             for i, v in enumerate(values) if not _finite(v)]
 
 
+def _signatures(factories, *supplied) -> dict:
+    """The keys of each kind's spec: its factory's parameters, with their defaults."""
+    return {kind: {name: p.default for name, p in inspect.signature(factory).parameters.items()
+                   if name not in supplied}
+            for kind, factory in factories.items()}
+
+
+_MODEL_KEYS = _signatures(MODELS)
+_TARGET_KEYS = _signatures(TARGETS)
+_PROPOSAL_KEYS = _signatures(PROPOSALS, "d")
+# A class spec's keys are optional here; _class_errors checks the values each kind needs.
+_CLASS_KEYS = {"halfline": dict.fromkeys(("thresholds", "lo", "hi", "size")),
+               "table": dict.fromkeys(("tables", "vc_C", "vc_v")),
+               "kernel": dict.fromkeys(("kernel", "h", "centers", "vc_C", "vc_v"))}
+
+
+def _spec(name: str, spec, kinds: dict):
+    """Violations of a tagged spec's kind and keys, and the keys (with their defaults)
+    its kind reads, or None when the spec names no known kind."""
+    if not isinstance(spec, dict):
+        return [f"{name} spec is required" if spec is None
+                else f"{name} must be an object, got {spec!r}"], None
+    kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        return [f"{name}.kind must be one of {tuple(kinds)}, got {kind!r}"], None
+    keys = kinds[kind]
+    errs = [f"{name}.{key} is not read by a {kind!r} {name}, which takes {tuple(keys)}"
+            for key in spec if key != "kind" and key not in keys]
+    errs += [f"{name}.{key} is required for a {kind!r} {name}"
+             for key, default in keys.items() if default is REQUIRED and key not in spec]
+    return errs, keys
+
+
 def _model_states(model):
     """Number of states of a model spec: 0 for the continuous model, None when unknown."""
     if not isinstance(model, dict):
@@ -135,99 +170,77 @@ def _model_states(model):
 
 def _class_errors(spec, model) -> list:
     """Violations of a class spec that build_class or the run would otherwise hit late."""
-    if not isinstance(spec, dict):
-        return ["class spec is required"]
-    kind = spec.get("kind")
+    errs, keys = _spec("class", spec, _CLASS_KEYS)
+    if keys is None:
+        return errs
+    kind = spec["kind"]
     if kind == "halfline":
-        errs = [f"class.{name} is not read by a halfline class, whose (C, v) is (2, 2)"
-                for name in ("vc_C", "vc_v") if name in spec]
         if "thresholds" in spec:
+            errs += [f"class.{name} is not read by a 'halfline' class with thresholds"
+                     for name in ("lo", "hi", "size") if name in spec]
             return errs + _finite_list_errors("class.thresholds", spec["thresholds"])
         errs += [f"class.{name} must be a finite number, got {spec[name]!r}"
                  for name in ("lo", "hi") if name in spec and not _finite(spec[name])]
-        if not _int_at_least(spec.get("size", 21), 1):
+        if "size" in spec and not _int_at_least(spec["size"], 1):
             errs.append(f"class.size must be an integer >= 1, got {spec['size']!r}")
         return errs
     if kind == "kernel":
-        errs = []
-        kernel = spec.get("kernel", "epanechnikov")
-        if not isinstance(kernel, str) or kernel not in KERNELS:
-            errs.append(f"class.kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+        if "kernel" in spec and spec["kernel"] not in tuple(KERNELS):
+            errs.append(f"class.kernel must be one of {tuple(KERNELS)}, got {spec['kernel']!r}")
         if not (_finite(spec.get("h")) and spec["h"] > 0):
             errs.append(f"class.h must be a finite positive number, got {spec.get('h')!r}")
         return errs + _finite_list_errors("class.centers", spec.get("centers"))
-    if kind == "table":
-        tables = spec.get("tables")
-        if not isinstance(tables, list) or not tables:
-            return [f"class.tables must be a non-empty list, got {tables!r}"]
-        errs = [e for i, row in enumerate(tables)
-                for e in _finite_list_errors(f"class.tables[{i}]", row)]
-        widths = [len(row) for row in tables if isinstance(row, list)]
-        states = _model_states(model)
-        if len(set(widths)) > 1:
-            errs.append(f"class.tables rows must have equal lengths, got {widths}")
-        if states == 0:
-            errs.append(f"class.kind 'table' needs a finite-state model, "
-                        f"got model.kind {model.get('kind')!r}")
-        elif states is not None:
-            errs.extend(f"class.tables[{i}] must cover the model's {states} states, "
-                        f"got {len(row)} entries"
-                        for i, row in enumerate(tables) if isinstance(row, list) and row
-                        and len(row) < states)
-        return errs
-    return [f"class.kind must be one of ('halfline', 'table', 'kernel'), got {kind!r}"]
+    tables = spec.get("tables")
+    if not isinstance(tables, list) or not tables:
+        return errs + [f"class.tables must be a non-empty list, got {tables!r}"]
+    errs += [e for i, row in enumerate(tables)
+             for e in _finite_list_errors(f"class.tables[{i}]", row)]
+    widths = [len(row) for row in tables if isinstance(row, list)]
+    states = _model_states(model)
+    if len(set(widths)) > 1:
+        errs.append(f"class.tables rows must have equal lengths, got {widths}")
+    if states == 0:
+        errs.append(f"class.kind 'table' needs a finite-state model, "
+                    f"got model.kind {model.get('kind')!r}")
+    elif states is not None:
+        errs.extend(f"class.tables[{i}] must cover the model's {states} states, "
+                    f"got {len(row)} entries"
+                    for i, row in enumerate(tables) if isinstance(row, list) and row
+                    and len(row) < states)
+    return errs
 
 
-def _params(factory) -> dict:
-    """Keyword parameters of a target or proposal factory, with their defaults."""
-    return {name: p.default for name, p in inspect.signature(factory).parameters.items()}
-
-
-def _target_errors(spec) -> list:
-    """Violations of an mh-credible target spec; coordinate and center need a valid one."""
-    if not isinstance(spec, dict):
-        return ["target spec is required"]
-    kind = spec.get("kind")
-    if kind not in TARGETS:
-        return [f"target.kind must be one of {tuple(TARGETS)}, got {kind!r}"]
-    if not _int_at_least(spec.get("d", 1), 1):
-        return [f"target.d must be an integer >= 1, got {spec.get('d')!r}"]
-    params = _params(TARGETS[kind])
-    errs = []
+def _target(spec):
+    """Violations of an mh-credible target spec, and the spec with its defaults filled in."""
+    errs, keys = _spec("target", spec, _TARGET_KEYS)
+    if keys is None:
+        return errs, None
+    target = {**keys, **spec}
+    if not _int_at_least(target["d"], 1):
+        return errs + [f"target.d must be an integer >= 1, got {target['d']!r}"], target
     for key, value in spec.items():
-        if key in ("kind", "d"):
+        if key in ("kind", "d") or key not in keys:
             continue
-        if key not in params:
-            errs.append(f"target.{key} is not a parameter of a {kind!r} target, "
-                        f"which takes {tuple(params)}")
-        elif not _finite(value):
+        if not _finite(value):
             errs.append(f"target.{key} must be a finite number, got {value!r}")
         elif key in ("sigma", "s1", "s2") and value <= 0:
             errs.append(f"target.{key} must be a positive number, got {value!r}")
         elif key == "w1" and not 0 <= value <= 1:
             errs.append(f"target.w1 must lie in [0, 1], got {value!r}")
-    lo, hi = spec.get("lo", params["lo"]), spec.get("hi", params["hi"])
+    lo, hi = target["lo"], target["hi"]
     if _finite(lo) and _finite(hi) and lo >= hi:
         errs.append(f"target.lo must be below target.hi, got {lo!r} >= {hi!r}")
-    return errs
+    return errs, target
 
 
 def _proposal_errors(spec) -> list:
     """Violations of an mh-credible proposal spec."""
-    if not isinstance(spec, dict):
-        return [f"proposal must be an object, got {spec!r}"]
-    kind = spec.get("kind", "uniform_step")
-    if kind not in PROPOSALS:
-        return [f"proposal.kind must be one of {tuple(PROPOSALS)}, got {kind!r}"]
-    names = tuple(name for name in _params(PROPOSALS[kind]) if name != "d")
-    errs = [f"proposal.{key} is not a parameter of a {kind!r} proposal, which takes {names}"
-            for key in spec if key != "kind" and key not in names]
-    for name in names:
-        if name not in spec:
-            errs.append(f"proposal.{name} is required for a {kind!r} proposal")
-        elif not (_finite(spec[name]) and spec[name] > 0):
-            errs.append(f"proposal.{name} must be a finite positive number, got {spec[name]!r}")
-    return errs
+    errs, keys = _spec("proposal", spec, _PROPOSAL_KEYS)
+    if keys is None:
+        return errs
+    return errs + [f"proposal.{key} must be a finite positive number, got {value!r}"
+                   for key, value in spec.items()
+                   if key in keys and not (_finite(value) and value > 0)]
 
 
 def _center_errors(center, target) -> list:
@@ -235,13 +248,11 @@ def _center_errors(center, target) -> list:
 
     A bare number stands for a one-element list when d = 1.
     """
-    d = target.get("d", 1)
+    d, lo, hi = target["d"], target["lo"], target["hi"]
     values = [center] if d == 1 and _finite(center) else center
     if not isinstance(values, list) or len(values) != d:
         return [f"center must list one number per coordinate of the {d}-d target, "
                 f"got {center!r}"]
-    params = _params(TARGETS[target["kind"]])
-    lo, hi = target.get("lo", params["lo"]), target.get("hi", params["hi"])
     errs = []
     for i, c in enumerate(values):
         if not _finite(c):
@@ -258,128 +269,113 @@ _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 
 def validate(config) -> list:
     """All violations that would prevent a run; empty means runnable."""
     errs = []
-    exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        errs.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
     if not _int_at_least(config.get("seed"), 0):
         errs.append(f"seed is mandatory and must be an integer >= 0, got {config.get('seed')!r}")
-    consts = config.get("constants", {})
-    if not isinstance(consts, dict):
-        errs.append(f"constants must be an object, got {consts!r}")
-        consts = {}
-    for name in consts:
-        if name in ("vc_C", "vc_v"):
-            errs.append(f"constants.{name} is not read by any experiment; "
-                        f"set {name} in the class spec")
-        elif name != "M_const":
-            errs.append(f"constants.{name} is not read by any experiment; "
-                        f"constants takes only M_const")
-    if "M_const" in consts and not _number_above(consts["M_const"], 0):
-        errs.append(f"constants.M_const must be a positive number, got {consts['M_const']!r}")
-    if consts and exp != "bounds":
-        errs.append(f"constants is read only by bounds experiments, not by {exp!r}")
-    if exp in ("simulate", "blocks", "rademacher") and not _int_at_least(config.get("n"), 1):
+    exp = config.get("experiment")
+    if exp not in EXPERIMENTS:
+        return errs + [f"experiment must be one of {EXPERIMENTS}, got {exp!r}"]
+    reads = KEYS[exp]
+    errs += [f"{key} is not read by a {exp!r} experiment"
+             for key in config if key not in reads and key not in ("experiment", "seed")]
+    cfg = settings(config)
+    if "n" in reads and not _int_at_least(cfg.get("n"), 1):
         errs.append("n must be a positive integer")
-    if exp in ("simulate", "blocks", "rademacher", "bounds", "kde-rate") and "model" not in config:
-        errs.append("model spec is required")
-    if exp in ("bounds", "kde-rate", "mh-credible"):
-        grid = config.get("n_grid")
-        if not isinstance(grid, list) or len(grid) < 3:
-            errs.append("n_grid must be a list with at least 3 sizes")
-        for i, n in enumerate(grid if isinstance(grid, list) else []):
-            if not _int_at_least(n, 1):
-                errs.append(f"n_grid[{i}] must be an integer >= 1, got {n!r}")
-        if not _int_at_least(config.get("replications"), 1):
-            errs.append("replications must be a positive integer")
-    if exp == "kde-rate":
-        model = config.get("model")
+    if "min_blocks" in reads and not _int_at_least(cfg["min_blocks"], 0):
+        errs.append(f"min_blocks must be an integer >= 0, got {cfg['min_blocks']!r}")
+    if "model" in reads:
+        model = cfg.get("model")
         kind = model.get("kind") if isinstance(model, dict) else None
-        if "model" in config and kind != "doeblin_uniform":
+        if exp == "kde-rate" and "model" in cfg and kind != "doeblin_uniform":
             # the smoothed-target oracle assumes the Uniform(0, 1) stationary law
             errs.append(f"model.kind must be 'doeblin_uniform' for kde-rate, got {kind!r}")
-        kernel = config.get("kernel", "epanechnikov")
-        if not isinstance(kernel, str) or kernel not in KERNELS:
-            errs.append(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
-        scale = config.get("bandwidth_scale", 1.0)
+        else:
+            errs += _spec("model", model, _MODEL_KEYS)[0]
+    if "n_grid" in reads:
+        grid = cfg.get("n_grid")
+        sizes = grid if isinstance(grid, list) else []
+        if len(sizes) < 3:
+            errs.append("n_grid must be a list with at least 3 sizes")
+        bad = [f"n_grid[{i}] must be an integer >= 1, got {n!r}"
+               for i, n in enumerate(sizes) if not _int_at_least(n, 1)]
+        errs += bad
+        falls = [] if bad else [i for i in range(1, len(sizes)) if sizes[i] <= sizes[i - 1]]
+        if falls:
+            errs.append(f"n_grid must be strictly increasing, got n_grid[{falls[0]}] = "
+                        f"{sizes[falls[0]]!r} after {sizes[falls[0] - 1]!r}")
+        if not _int_at_least(cfg.get("replications"), 1):
+            errs.append("replications must be a positive integer")
+    if exp == "kde-rate":
+        if cfg["kernel"] not in tuple(KERNELS):
+            errs.append(f"kernel must be one of {tuple(KERNELS)}, got {cfg['kernel']!r}")
+        scale = cfg["bandwidth_scale"]
         if not (_finite(scale) and scale > 0):
             errs.append(f"bandwidth_scale must be a finite positive number, got {scale!r}")
-        beta = config.get("beta")
+        beta = cfg.get("beta")
         if not (_finite(beta) and beta >= 0):
             errs.append(f"beta must be a finite number >= 0, got {beta!r}")
-        d = config.get("d", 1)
-        if not _int_at_least(d, 1):
-            errs.append(f"d must be an integer >= 1, got {d!r}")
-        p = config.get("p")
-        if p is not None and not (isinstance(p, (int, float)) and p > 1):
-            errs.append(f"p must be a number > 1, got {p!r}")
-        elif p is not None and _finite(beta) and _int_at_least(d, 1):
-            # polynomial-moment regime couples beta, p and the dimension
-            coupling = beta * p / (p - 1.0)
-            if not 0 < coupling < 1.0 / d:
-                errs.append(
-                    f"need 0 < beta*p/(p-1) < 1/d for the polynomial-moment rate; got {coupling:.6g}")
     if exp == "bounds":
-        # the block-bound hypothesis: sigma_prime and L may be absent or null, U defaults to 1
-        hyp = {"sigma_prime": config.get("sigma_prime"), "L": config.get("L"),
-               "U": config.get("U", 1.0)}
-        bad = [key for key, value in hyp.items()
-               if (value is not None or key == "U") and not (_finite(value) and value > 0)]
-        errs.extend(f"{key} must be a finite positive number, got {hyp[key]!r}" for key in bad)
-        sig, trunc, u = hyp.values()
-        if not bad and sig is not None and trunc is not None and sig > trunc * u:
-            errs.append("sigma_prime must satisfy sigma' <= L*U (block-bound hypothesis)")
-        if config.get("mode", "em") not in ("pm", "em"):
+        if cfg["mode"] not in ("pm", "em"):
             errs.append("mode must be 'pm' or 'em'")
-        if "M_const" not in consts:
-            errs.append("constants.M_const must be explicit for bound experiments")
-        bounds = config.get("exponent_range", [0.45, 0.60])
-        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_finite, bounds))
-                and bounds[0] <= bounds[1]):
-            errs.append(f"exponent_range must be two finite numbers [lo, hi] with lo <= hi, "
-                        f"got {bounds!r}")
-        for key in ("p", "lambda"):
-            value = config.get(key)
+        lam = cfg["lambda"]
+        if lam is None and cfg["mode"] == "em":
+            errs.append("lambda is required when mode is 'em'")
+        # the pm bound reads only p, the em bound only lambda
+        errs += [f"{key} is not read by a 'bounds' experiment in {mode!r} mode"
+                 for key, mode in (("p", "em"), ("lambda", "pm"))
+                 if key in config and cfg["mode"] == mode]
+        for key, value in (("p", cfg["p"]), ("lambda", lam)):
             if value is not None and not (_finite(value) and value > 0):
                 errs.append(f"{key} must be a finite positive number, got {value!r}")
-    if exp in ("rademacher", "bounds"):
-        n_mc = config.get("n_mc", 2000)
-        if not _int_at_least(n_mc, 100):
-            errs.append(f"n_mc must be an integer >= 100, got {n_mc!r}")
-        errs.extend(_class_errors(config.get("class"), config.get("model")))
-    if exp in ("kde-rate", "mh-credible"):
-        tol = config.get("slope_tolerance", 0.1)
+        lo_hi = cfg["exponent_range"]
+        if not (isinstance(lo_hi, list) and len(lo_hi) == 2 and all(map(_finite, lo_hi))
+                and lo_hi[0] <= lo_hi[1]):
+            errs.append(f"exponent_range must be two finite numbers [lo, hi] with lo <= hi, "
+                        f"got {lo_hi!r}")
+        consts = cfg.get("constants")
+        if "constants" in cfg and not isinstance(consts, dict):
+            errs.append(f"constants must be an object, got {consts!r}")
+        consts = consts if isinstance(consts, dict) else {}
+        errs += [f"constants.{name} is not read by any experiment; constants takes only M_const"
+                 for name in consts if name != "M_const"]
+        if "M_const" not in consts:
+            errs.append("constants.M_const must be explicit for bound experiments")
+        elif not _number_above(consts["M_const"], 0):
+            errs.append(f"constants.M_const must be a positive number, got {consts['M_const']!r}")
+    if "n_mc" in reads and not _int_at_least(cfg["n_mc"], 100):
+        errs.append(f"n_mc must be an integer >= 100, got {cfg['n_mc']!r}")
+    if "class" in reads:
+        errs.extend(_class_errors(cfg.get("class"), cfg.get("model")))
+    if "slope_tolerance" in reads:
+        tol = cfg["slope_tolerance"]
         if not (_finite(tol) and tol >= 0):
             errs.append(f"slope_tolerance must be a finite number >= 0, got {tol!r}")
     if exp == "mh-credible":
-        gamma = config.get("gamma")
+        gamma = cfg.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:
             errs.append("gamma must lie in (0, 0.25)")
-        target = config.get("target")
-        target_errs = _target_errors(target)
+        target_errs, target = _target(cfg.get("target"))
         errs.extend(target_errs)
         if not target_errs:
-            k, dim = config.get("coordinate", 0), target.get("d", 1)
+            k, dim = cfg["coordinate"], target["d"]
             if not (_int_at_least(k, 0) and k < dim):
                 errs.append(f"coordinate must be an integer in [0, {dim}) for a {dim}-d target, "
                             f"got {k!r}")
-            if config.get("center") is not None:
-                errs.extend(_center_errors(config["center"], target))
-        if "proposal" in config:
-            errs.extend(_proposal_errors(config["proposal"]))
-        if not _int_at_least(config.get("n_u", 17), 1):
-            errs.append(f"n_u must be an integer >= 1, got {config['n_u']!r}")
+            if cfg["center"] is not None:
+                errs.extend(_center_errors(cfg["center"], target))
+        errs.extend(_proposal_errors(cfg["proposal"]))
+        if not _int_at_least(cfg["n_u"], 1):
+            errs.append(f"n_u must be an integer >= 1, got {cfg['n_u']!r}")
     if exp == "verify-lemmas":
-        if not _int_at_least(config.get("trials"), 1):
+        if not _int_at_least(cfg.get("trials"), 1):
             errs.append("trials must be a positive integer")
         for name, least in _LEMMA_LIMITS.items():
-            value = config.get(name, least)
-            if not _int_at_least(value, least):
-                errs.append(f"{name} must be an integer >= {least}, got {value!r}")
-        members = config.get("max_members", 1)
+            if not _int_at_least(cfg[name], least):
+                errs.append(f"{name} must be an integer >= {least}, got {cfg[name]!r}")
+        members = cfg["max_members"]
         if _int_at_least(members, 1) and members > EXACT_COVER_CAP:
             errs.append(f"max_members must be at most {EXACT_COVER_CAP} for exact covers, "
                         f"got {members!r}")
-        eps_grid = config.get("eps_grid", [1.0])
+        eps_grid = cfg["eps_grid"]
         if not isinstance(eps_grid, list) or not eps_grid:
             errs.append(f"eps_grid must be a non-empty list, got {eps_grid!r}")
         for i, eps in enumerate(eps_grid if isinstance(eps_grid, list) else []):
@@ -394,7 +390,7 @@ def validate(config) -> list:
 
 
 def _run_simulate(config, out, jobs):
-    model = build_model(config["model"])
+    model = build(MODELS, config["model"])
     traj = simulate(model, config["n"], config["seed"])
     path = out / "trajectory.csv"
     traj.to_csv(path)
@@ -402,13 +398,13 @@ def _run_simulate(config, out, jobs):
 
 
 def _run_blocks(config, out, jobs):
-    model = build_model(config["model"])
+    model = build(MODELS, config["model"])
     traj = simulate_split_retrospective(model, config["n"], config["seed"])
     blocks = extract_blocks(traj)
     (out / "blocks.json").write_text(blocks.to_json())
     outputs = {"blocks.json": out / "blocks.json"}
     if blocks.n_complete > 0:
-        stats = regen_stats(blocks, min_blocks=config.get("min_blocks", 30))
+        stats = regen_stats(blocks, min_blocks=config["min_blocks"])
         (out / "regen_stats.json").write_text(stats.to_json())
         outputs["regen_stats.json"] = out / "regen_stats.json"
     traj.to_csv(out / "trajectory.csv")
@@ -417,9 +413,9 @@ def _run_blocks(config, out, jobs):
 
 
 def _run_rademacher(config, out, jobs):
-    model = build_model(config["model"])
+    model = build(MODELS, config["model"])
     cls = build_class(config["class"])
-    n_mc = config.get("n_mc", 2000)
+    n_mc = config["n_mc"]
     traj = simulate_split_retrospective(model, config["n"], config["seed"])
     blocks = extract_blocks(traj)
     iid = empirical_rademacher_iid(cls, traj.states, n_mc, child_seed(config["seed"], 1))
@@ -436,17 +432,15 @@ def _run_rademacher(config, out, jobs):
 
 
 def _run_bounds(config, out, jobs):
-    model = build_model(config["model"])
+    model = build(MODELS, config["model"])
     cls = build_class(config["class"])
-    consts = config.get("constants", {})
     report = compare_bound_vs_empirical(
         model, cls, config["n_grid"], config["replications"], config["seed"],
-        n_mc=config.get("n_mc", 2000), mode=config.get("mode", "em"),
-        m_const=consts["M_const"], p=config.get("p", 2.0),
-        lam=config.get("lambda"), jobs=jobs)
+        n_mc=config["n_mc"], mode=config["mode"], m_const=config["constants"]["M_const"],
+        p=config["p"], lam=config["lambda"], jobs=jobs)
     report.to_csv(out / "bound_report.csv")
     (out / "bound_report.json").write_text(report.to_json())
-    lo, hi = config.get("exponent_range", [0.45, 0.60])
+    lo, hi = config["exponent_range"]
     passed = lo <= report.growth_exponent <= hi
     return (f"growth exponent {report.growth_exponent:.3f} "
             f"(target [{lo}, {hi}]), M_min={report.m_min:.4g}"), passed, \
@@ -455,13 +449,13 @@ def _run_bounds(config, out, jobs):
 
 
 def _run_kde_rate(config, out, jobs):
-    model = build_model(config["model"])
-    kernel = KERNELS[config.get("kernel", "epanechnikov")]()
-    cfg = KDEConfig(beta=config["beta"], scale=config.get("bandwidth_scale", 1.0))
+    model = build(MODELS, config["model"])
+    kernel = KERNELS[config["kernel"]]()
+    cfg = KDEConfig(beta=config["beta"], scale=config["bandwidth_scale"])
     report = rate_experiment(model, kernel, cfg, config["n_grid"],
                              config["replications"], config["seed"], jobs=jobs)
     report.to_csv(out / "kde_rate.csv")
-    tol = config.get("slope_tolerance", 0.1)
+    tol = config["slope_tolerance"]
     passed = report.slope_within(tol)
     payload = json.loads(report.to_json())
     payload["pass"] = passed
@@ -472,18 +466,17 @@ def _run_kde_rate(config, out, jobs):
 
 
 def _run_mh_credible(config, out, jobs):
-    target = build_target(config["target"])
-    proposal = build_proposal(config.get("proposal", {"kind": "uniform_step", "a": 0.25}),
-                              target.dim)
-    cert = build_minorization(target, proposal, center=config.get("center"))
+    target = build(TARGETS, config["target"])
+    proposal = build(PROPOSALS, config["proposal"], d=target.dim)
+    cert = build_minorization(target, proposal, center=config["center"])
     (out / "certificate.json").write_text(cert.to_json())
     series = credible_interval_experiment(
-        target, proposal, cert, config.get("coordinate", 0), config["gamma"],
+        target, proposal, cert, config["coordinate"], config["gamma"],
         config["n_grid"], config["replications"], config["seed"],
-        n_u=config.get("n_u", 17), jobs=jobs)
+        n_u=config["n_u"], jobs=jobs)
     series.to_csv(out / "quantile_report.csv")
     (out / "quantile_report.json").write_text(series.to_json())
-    tol = config.get("slope_tolerance", 0.15)
+    tol = config["slope_tolerance"]
     monotone = all(r.monotone for r in series.reports)
     passed = bool(series.rate_checked and abs(series.slope + 0.5) <= tol and monotone)
     return (f"slope {series.slope:.3f} vs -0.5 (tol {tol}), monotone={monotone}"), passed, \
@@ -492,21 +485,21 @@ def _run_mh_credible(config, out, jobs):
          "quantile_report.json": out / "quantile_report.json"}
 
 
-def _lemma_trial(limits, task):
+def _lemma_trial(config, task):
     trial, trial_seed = task
     rng = np.random.default_rng(trial_seed)
-    n_states = int(rng.integers(2, limits["max_states"] + 1))
-    n_members = int(rng.integers(1, limits["max_members"] + 1))
-    n_blocks = int(rng.integers(1, limits["max_blocks"] + 1))
+    n_states = int(rng.integers(2, config["max_states"] + 1))
+    n_members = int(rng.integers(1, config["max_members"] + 1))
+    n_blocks = int(rng.integers(1, config["max_blocks"] + 1))
     tables = rng.uniform(-1, 1, (n_members, n_states))
-    blocks = tuple(rng.integers(0, n_states, int(rng.integers(1, limits["max_len"] + 1)))
+    blocks = tuple(rng.integers(0, n_states, int(rng.integers(1, config["max_len"] + 1)))
                    for _ in range(n_blocks))
     weights = rng.dirichlet(np.ones(n_blocks))
     bm = BlockMeasure(blocks=blocks, weights=weights)
     cls = table_class(tables)
-    eps_grid = limits["eps_grid"]
+    eps_grid = config["eps_grid"]
     # one truncation level per eps, drawn in grid order
-    truncs = [int(rng.integers(1, limits["max_len"] + 1)) for _ in eps_grid]
+    truncs = [int(rng.integers(1, config["max_len"] + 1)) for _ in eps_grid]
     # each distinct level is checked once, over the eps values that drew it
     truncated = {}
     for t in set(truncs):
@@ -522,15 +515,8 @@ def _lemma_trial(limits, task):
 
 
 def _run_verify_lemmas(config, out, jobs):
-    limits = {
-        "max_states": config.get("max_states", 4),
-        "max_members": config.get("max_members", 6),
-        "max_blocks": config.get("max_blocks", 5),
-        "max_len": config.get("max_len", 4),
-        "eps_grid": config.get("eps_grid", [round(0.1 * k, 10) for k in range(1, 21)]),
-    }
     tasks = [(t, child_seed(config["seed"], t)) for t in range(config["trials"])]
-    all_rows = pool_map(partial(_lemma_trial, limits), tasks, jobs)
+    all_rows = pool_map(partial(_lemma_trial, config), tasks, jobs)
     n_checks = 0
     n_holds = 0
     with open(out / "lemma_checks.csv", "w") as fh:
@@ -578,7 +564,7 @@ def run(config: dict, out_dir, jobs: int = 1):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    summary, passed, outputs = _RUNNERS[config["experiment"]](config, out, jobs)
+    summary, passed, outputs = _RUNNERS[config["experiment"]](settings(config), out, jobs)
     manifest = {
         "artifact_version": __version__,
         "config_hash": hashlib.sha256(
@@ -628,6 +614,9 @@ def main(argv=None) -> int:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 1
+    if not isinstance(config, dict):
+        print(f"error: config must be a JSON object, got {config!r}", file=sys.stderr)
         return 1
 
     if args.command == "validate":

@@ -409,12 +409,13 @@ class TableFunction:
 
 @dataclass(frozen=True)
 class HalfLineIndicator:
+    """x -> 1{x <= threshold} on coordinate 0."""
+
     threshold: float
-    coordinate: int = 0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        vals = x if x.ndim == 1 else x[:, self.coordinate]
+        vals = x if x.ndim == 1 else x[:, 0]
         return (vals <= self.threshold).astype(float)
 
 
@@ -444,13 +445,13 @@ def table_class(tables, envelope=None, vc_c=None, vc_v=2.0) -> EvaluableClass:
     return EvaluableClass(members=members, envelope=envelope, vc_c=vc_c, vc_v=vc_v)
 
 
-def halfline_class(thresholds, coordinate: int = 0) -> EvaluableClass:
-    """Half-line indicators 1{x_k <= t} on a threshold grid; characteristic (2, 2).
+def halfline_class(thresholds) -> EvaluableClass:
+    """Half-line indicators 1{x_0 <= t} on a threshold grid; characteristic (2, 2).
 
     The (2, 2) characteristic is the sharp covering bound for this family and
     deliberately sits below the generic admissibility floor.
     """
-    members = tuple(HalfLineIndicator(float(t), coordinate) for t in np.asarray(thresholds, dtype=float))
+    members = tuple(HalfLineIndicator(float(t)) for t in np.asarray(thresholds, dtype=float))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return EvaluableClass(members=members, envelope=1.0, vc_c=2.0, vc_v=2.0)

@@ -290,8 +290,8 @@ def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
 
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
-                               replications: int, seed: int, *, m_const: float,
-                               n_mc: int = 2000, mode: str = "em", p: float = 2.0,
+                               replications: int, seed: int, *, m_const: float, mode: str,
+                               n_mc: int = 2000, p: float = 2.0,
                                lam: Optional[float] = None, jobs: int = 1) -> BoundReport:
     """Measure block complexities on a chain and pit them against the bound.
 

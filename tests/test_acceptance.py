@@ -34,8 +34,7 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc.chains import Trajectory
-from regenmc.function_classes import (BlockMeasure, check_lifted_covering_bound,
-                                      check_truncated_covering_bound)
+from regenmc.function_classes import BlockMeasure, covering_checks
 from regenmc.rng import child_seed
 
 from .helpers import discrete_ks_pvalue
@@ -109,10 +108,11 @@ def test_criterion_04_covering_comparisons():
         bm = BlockMeasure(blocks=blocks, weights=rng.dirichlet(np.ones(len(blocks))))
         cls = table_class(tables)
         trunc = int(rng.integers(1, 5))
-        for eps in eps_grid:
-            holds_lift += check_lifted_covering_bound(cls, bm, eps, "exact").holds
-            holds_trunc += check_truncated_covering_bound(cls, bm, eps, trunc, "exact").holds
-            total += 1
+        # one pass per side over the whole grid; test_function_classes pins it to
+        # the single-eps checks
+        holds_lift += sum(c.holds for c in covering_checks(cls, bm, eps_grid, None, "exact"))
+        holds_trunc += sum(c.holds for c in covering_checks(cls, bm, eps_grid, trunc, "exact"))
+        total += len(eps_grid)
     elapsed = time.monotonic() - t0
     ok = holds_lift == total and holds_trunc == total and elapsed < 120.0
     record(4, ok, f"covering comparison holds in {holds_lift}/{total} (lift) and "

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from regenmc import cli
 from regenmc.cli import main, run, validate
 
 CONFIGS = Path(__file__).parent / "configs"
@@ -32,33 +33,89 @@ def test_validate_missing_seed():
         assert f"seed is mandatory and must be an integer >= 0, got {bad!r}" in validate(cfg)
 
 
-def test_validate_kde_moment_coupling():
-    cfg = load("kde_rate_tiny.json")
-    cfg.update(beta=0.5, p=3, d=1)
-    assert validate(cfg) == []          # 0.5 * 3/2 = 0.75 < 1 passes
-    cfg["beta"] = 0.8                   # 0.8 * 3/2 = 1.2 >= 1 fails
-    assert any("beta*p/(p-1)" in v for v in validate(cfg))
-    cfg.update(beta=0.5, p=1)           # beta*p/(p-1) divides by zero
-    assert validate(cfg) == ["p must be a number > 1, got 1"]
-    cfg.update(p=3, d=0)                # 1/d divides by zero
-    assert validate(cfg) == ["d must be an integer >= 1, got 0"]
+# The keys a paper hypothesis names but no run reads: the block bound takes sigma'
+# from the data, optimises L and uses the class envelope as U, and kde-rate has
+# no moment exponent p or dimension d.
+_UNREAD = [
+    ("kde_rate_tiny.json", ("d",), 3, "d is not read by a 'kde-rate' experiment"),
+    ("kde_rate_tiny.json", ("p",), 1.5, "p is not read by a 'kde-rate' experiment"),
+    ("bounds_tiny.json", ("sigma_prime",), 0.5,
+     "sigma_prime is not read by a 'bounds' experiment"),
+    ("bounds_tiny.json", ("L",), 2.0, "L is not read by a 'bounds' experiment"),
+    ("bounds_tiny.json", ("U",), 1.0, "U is not read by a 'bounds' experiment"),
+    ("bounds_tiny.json", ("p",), 2.0, "p is not read by a 'bounds' experiment in 'em' mode"),
+    ("bounds_pm_tiny.json", ("lambda",), 0.3,
+     "lambda is not read by a 'bounds' experiment in 'pm' mode"),
+    ("kde_rate_tiny.json", ("slope_tolerence",), 0.0,
+     "slope_tolerence is not read by a 'kde-rate' experiment"),
+    ("mh_credible_tiny.json", ("slope_tolerence",), 0.0,
+     "slope_tolerence is not read by a 'mh-credible' experiment"),
+    ("rademacher_tiny.json", ("constants",), {"M_const": 2.0},
+     "constants is not read by a 'rademacher' experiment"),
+    ("blocks_tiny.json", ("model", "widht"), 0.3,
+     "model.widht is not read by a 'doeblin_uniform' model, which takes ('delta', 'width')"),
+    ("kde_rate_tiny.json", ("model", "widht"), 0.3,
+     "model.widht is not read by a 'doeblin_uniform' model, which takes ('delta', 'width')"),
+    ("rademacher_tiny.json", ("class", "sise"), 5,
+     "class.sise is not read by a 'halfline' class, which takes "
+     "('thresholds', 'lo', 'hi', 'size')"),
+    ("bounds_tiny.json", ("class", "coordinate"), 0,
+     "class.coordinate is not read by a 'halfline' class, which takes "
+     "('thresholds', 'lo', 'hi', 'size')"),
+    ("mh_credible_tiny.json", ("target", "sigm"), 0.2,
+     "target.sigm is not read by a 'uniform' target, which takes ('lo', 'hi', 'd')"),
+]
 
 
-def test_validate_bounds_sigma_hypothesis():
-    cfg = load("bounds_tiny.json")
-    cfg.update(sigma_prime=5.0, L=2.0, U=1.0)
-    assert any("sigma' <= L*U" in v for v in validate(cfg))
-    cfg.update(sigma_prime=2.0, L=None)        # L absent or null: nothing to couple
-    assert validate(cfg) == []
-    cfg.update(L=2.0, U="1")                   # a bad U is named once, not coupled
-    assert validate(cfg) == ["U must be a finite positive number, got '1'"]
+@pytest.mark.parametrize("name,path,value,message", _UNREAD)
+def test_validate_names_a_key_no_run_reads(name, path, value, message, tmp_path):
+    cfg = load(name)
+    spec = cfg
+    for key in path[:-1]:
+        spec = spec[key]
+    spec[path[-1]] = value
+    assert validate(cfg) == [message]
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
 
 
-def test_validate_command_names_a_bad_hypothesis_value(tmp_path, capsys):
+def test_validate_command_names_an_unread_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(load("bounds_tiny.json"), sigma_prime=0.5, L="2")))
+    path.write_text(json.dumps(dict(load("bounds_tiny.json"), sigma_prime=0.5)))
     assert main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().out == "L must be a finite positive number, got '2'\n"
+    assert capsys.readouterr().out == "sigma_prime is not read by a 'bounds' experiment\n"
+
+
+class _ReadRecorder(dict):
+    """A config that adds every key read from it to ``read``."""
+
+    def __init__(self, config, read):
+        super().__init__(config)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*_tiny.json")))
+def test_each_runner_reads_exactly_the_keys_of_its_table(name, tmp_path, monkeypatch):
+    cfg = load(name)
+    exp = cfg["experiment"]
+    read = set()
+    runner = cli._RUNNERS[exp]
+    monkeypatch.setitem(cli._RUNNERS, exp,
+                        lambda config, out, jobs: runner(_ReadRecorder(config, read), out, jobs))
+    run(cfg, tmp_path)
+    assert set(cli.KEYS[exp]) <= read <= set(cli.KEYS[exp]) | {"experiment", "seed"}
 
 
 def test_validate_bounds_requires_explicit_constant():
@@ -86,17 +143,13 @@ def test_validate_names_bad_n_mc(name, bad, tmp_path):
         run(cfg, tmp_path)
 
 
-@pytest.mark.parametrize("name,value,message", [
-    ("vc_C", 1e9, "constants.vc_C is not read by any experiment; set vc_C in the class spec"),
-    ("vc_v", 2.0, "constants.vc_v is not read by any experiment; set vc_v in the class spec"),
-    ("K_const", 3, "constants.K_const is not read by any experiment; constants takes only M_const"),
-    ("tau_param", 1.0,
-     "constants.tau_param is not read by any experiment; constants takes only M_const"),
-])
-def test_validate_rejects_constants_no_experiment_reads(name, value, message, tmp_path):
+@pytest.mark.parametrize("name,value", [("vc_C", 1e9), ("vc_v", 2.0), ("K_const", 3),
+                                        ("tau_param", 1.0)])
+def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     cfg = load("bounds_tiny.json")
     cfg["constants"][name] = value
-    assert validate(cfg) == [message]
+    assert validate(cfg) == [
+        f"constants.{name} is not read by any experiment; constants takes only M_const"]
     with pytest.raises(ValueError, match="invalid config"):
         run(cfg, tmp_path)
 
@@ -123,12 +176,6 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
      "model.kind must be 'doeblin_uniform' for kde-rate, got 'two_state'"),
     ("kde_rate_tiny.json", "model", "x",
      "model.kind must be 'doeblin_uniform' for kde-rate, got None"),
-    ("bounds_tiny.json", "sigma_prime", "x",
-     "sigma_prime must be a finite positive number, got 'x'"),
-    ("bounds_tiny.json", "L", "2", "L must be a finite positive number, got '2'"),
-    ("bounds_tiny.json", "L", 0, "L must be a finite positive number, got 0"),
-    ("bounds_tiny.json", "U", None, "U must be a finite positive number, got None"),
-    ("bounds_tiny.json", "U", float("nan"), "U must be a finite positive number, got nan"),
     ("kde_rate_tiny.json", "kernel", "gauss",
      "kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
     ("mh_credible_tiny.json", "coordinate", 3,
@@ -138,8 +185,10 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
     ("mh_credible_tiny.json", "target", {"kind": "gauss"},
      "target.kind must be one of ('uniform', 'trunc_gauss', 'bimodal'), got 'gauss'"),
     ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "nu": 3},
-     "target.nu is not a parameter of a 'trunc_gauss' target, "
+     "target.nu is not read by a 'trunc_gauss' target, "
      "which takes ('lo', 'hi', 'mu', 'sigma', 'd')"),
+    ("mh_credible_tiny.json", "target", {"kind": []},
+     "target.kind must be one of ('uniform', 'trunc_gauss', 'bimodal'), got []"),
     ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "sigma": -0.1},
      "target.sigma must be a positive number, got -0.1"),
     ("mh_credible_tiny.json", "target", {"kind": "bimodal", "s1": 0},
@@ -161,7 +210,9 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0},
      "proposal.a must be a finite positive number, got 0"),
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0.25, "d": 2},
-     "proposal.d is not a parameter of a 'uniform_step' proposal, which takes ('a',)"),
+     "proposal.d is not read by a 'uniform_step' proposal, which takes ('a',)"),
+    ("mh_credible_tiny.json", "proposal", {"a": 0.25},
+     "proposal.kind must be one of ('uniform_step', 'gaussian_step'), got None"),
     ("mh_credible_tiny.json", "n_u", 0, "n_u must be an integer >= 1, got 0"),
     ("mh_credible_tiny.json", "center", [0.5, 0.5],
      "center must list one number per coordinate of the 1-d target, got [0.5, 0.5]"),
@@ -171,8 +222,21 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, message, tm
      "slope_tolerance must be a finite number >= 0, got '0.6'"),
     ("kde_rate_tiny.json", "slope_tolerance", -0.1,
      "slope_tolerance must be a finite number >= 0, got -0.1"),
-    ("rademacher_tiny.json", "constants", {"M_const": 2.0},
-     "constants is read only by bounds experiments, not by 'rademacher'"),
+    ("blocks_tiny.json", "min_blocks", "x", "min_blocks must be an integer >= 0, got 'x'"),
+    ("blocks_tiny.json", "min_blocks", -1, "min_blocks must be an integer >= 0, got -1"),
+    ("blocks_tiny.json", "min_blocks", 2.5, "min_blocks must be an integer >= 0, got 2.5"),
+    ("simulate_tiny.json", "model", {"kind": "finite_atom"},
+     "model.matrix is required for a 'finite_atom' model"),
+    ("simulate_tiny.json", "model", None, "model spec is required"),
+    ("simulate_tiny.json", "model", {"kind": "doeblin"},
+     "model.kind must be one of ('two_state', 'finite_atom', 'finite_doeblin', "
+     "'doeblin_uniform'), got 'doeblin'"),
+    ("kde_rate_tiny.json", "n_grid", [512, 512, 512],
+     "n_grid must be strictly increasing, got n_grid[1] = 512 after 512"),
+    ("mh_credible_tiny.json", "n_grid", [128, 512, 256],
+     "n_grid must be strictly increasing, got n_grid[2] = 256 after 512"),
+    ("bounds_tiny.json", "n_grid", [256, 512, 512, 1024],
+     "n_grid must be strictly increasing, got n_grid[2] = 512 after 512"),
     ("bounds_tiny.json", "exponent_range", [0.5],
      "exponent_range must be two finite numbers [lo, hi] with lo <= hi, got [0.5]"),
     ("bounds_tiny.json", "exponent_range", [0.6, 0.4],
@@ -209,16 +273,22 @@ def test_validate_never_raises_on_an_odd_top_level_value(name, value):
 
 
 @pytest.mark.parametrize("value", _ODD_VALUES, ids=repr)
-@pytest.mark.parametrize("key", ["sigma_prime", "L", "U"])
-def test_validate_never_raises_on_an_odd_hypothesis_value(key, value):
-    cfg = dict(load("bounds_tiny.json"), sigma_prime=0.5, L=2.0, U=1.0)
-    cfg[key] = value
-    assert isinstance(validate(cfg), list)
+@pytest.mark.parametrize("name", _TINY)
+def test_validate_never_raises_on_an_odd_spec_value(name, value):
+    cfg = load(name)
+    for spec in ("model", "class", "target", "proposal"):
+        for key in cfg.get(spec, {}):
+            odd = dict(cfg, **{spec: dict(cfg[spec], **{key: value})})
+            assert isinstance(validate(odd), list), (spec, key)
 
 
-def test_validate_accepts_bounds_without_lambda_or_exponent_range():
+def test_validate_requires_lambda_in_em_mode_but_not_exponent_range():
     cfg = load("bounds_tiny.json")
     del cfg["lambda"], cfg["exponent_range"]
+    assert validate(cfg) == ["lambda is required when mode is 'em'"]
+    del cfg["mode"]                     # em is the default mode
+    assert validate(cfg) == ["lambda is required when mode is 'em'"]
+    cfg["lambda"] = 0.3
     assert validate(cfg) == []
     cfg["exponent_range"] = [0.5, 0.5]
     assert validate(cfg) == []
@@ -339,6 +409,14 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_main_rejects_a_config_that_is_not_an_object(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object, got [1]\n"
+
+
 def test_main_seed_override(tmp_path):
     code = main(["simulate", "--config", str(CONFIGS / "simulate_tiny.json"),
                  "--seed", "99", "--out", str(tmp_path)])
@@ -356,8 +434,9 @@ def test_main_validate_subcommand(capsys):
 def test_validate_rejects_covering_constants_of_a_halfline_class(name):
     cfg = load(name)
     cfg["class"].update(vc_C=1e9, vc_v=3.0)
-    assert validate(cfg) == ["class.vc_C is not read by a halfline class, whose (C, v) is (2, 2)",
-                             "class.vc_v is not read by a halfline class, whose (C, v) is (2, 2)"]
+    takes = "which takes ('thresholds', 'lo', 'hi', 'size')"
+    assert validate(cfg) == [f"class.vc_C is not read by a 'halfline' class, {takes}",
+                             f"class.vc_v is not read by a 'halfline' class, {takes}"]
 
 
 _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
@@ -376,6 +455,10 @@ _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 
     (None, {"kind": "halfline", "lo": float("-inf")},
      "class.lo must be a finite number, got -inf"),
     (None, {"kind": "halfline", "size": 0}, "class.size must be an integer >= 1, got 0"),
+    (None, {"kind": "halfline", "thresholds": [0.5], "size": 5},
+     "class.size is not read by a 'halfline' class with thresholds"),
+    (None, {"kind": ["halfline"]},
+     "class.kind must be one of ('halfline', 'table', 'kernel'), got ['halfline']"),
     (None, {"kind": "kernel", "h": 0.1, "centers": [0.5, float("inf")]},
      "class.centers[1] must be a finite number, got inf"),
     (None, {"kind": "kernel", "h": 0.1, "centers": []},
