@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from numpy.typing import ArrayLike
 
 from .rng import stream
 
@@ -46,9 +45,12 @@ class FiniteKernel:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if np.any(m < 0):
-            raise ValueError("transition matrix has negative entries")
+            raise ValueError(f"transition matrix must be square, got shape {m.shape}")
+        bad = np.argwhere(~np.isfinite(m) | (m < 0))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"transition matrix entry ({i}, {j}) must be a finite number >= 0, "
+                             f"got {float(m[i, j])!r}")
         err = np.max(np.abs(m.sum(axis=1) - 1.0))
         if err > ROW_SUM_TOL:
             raise ValueError(f"matrix rows must sum to 1 within {ROW_SUM_TOL} (max error {err:.3e})")
@@ -99,9 +101,9 @@ class WrappedMixtureKernel:
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not 0.0 < self.width <= 0.5:
-            raise ValueError("width must lie in (0, 0.5]")
+            raise ValueError(f"width must lie in (0, 0.5], got {self.width!r}")
 
     def density(self, x, y):
         x = np.ravel(np.asarray(x, dtype=float))
@@ -153,7 +155,7 @@ class Minorization:
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
-            raise ValueError("minorization constant delta must lie in (0, 1]")
+            raise ValueError(f"minorization constant delta must lie in (0, 1], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +268,9 @@ def simulate(model: ChainModel, n: int, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _graph_period(adj: np.ndarray) -> int:
-    """Period of a strongly connected directed graph (gcd of cycle lengths)."""
-    k = adj.shape[0]
-    dist = np.full(k, -1)
+def _depths(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of each node from node 0 along ``adj``; -1 where unreached."""
+    dist = np.full(adj.shape[0], -1)
     dist[0] = 0
     frontier = [0]
     while frontier:
@@ -280,11 +281,7 @@ def _graph_period(adj: np.ndarray) -> int:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    g = 0
-    for u in range(k):
-        for v in np.flatnonzero(adj[u]):
-            g = np.gcd(g, dist[u] + 1 - dist[v])
-    return int(abs(g))
+    return dist
 
 
 def exact_stationary(kernel) -> np.ndarray:
@@ -297,10 +294,13 @@ def exact_stationary(kernel) -> np.ndarray:
     m = kernel.matrix if isinstance(kernel, FiniteKernel) else FiniteKernel(np.asarray(kernel)).matrix
     k = m.shape[0]
     adj = m > 0
-    n_comp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    if n_comp > 1:
+    dist = _depths(adj)
+    # strongly connected: every state reaches state 0 and is reached from it
+    if np.any(dist < 0) or np.any(_depths(adj.T) < 0):
         raise ValueError("matrix is reducible: no unique stationary law")
-    period = _graph_period(adj)
+    # the period (gcd of cycle lengths) divides depth[u] + 1 - depth[v] on every edge u -> v
+    u, v = np.nonzero(adj)
+    period = int(np.gcd.reduce(dist[u] + 1 - dist[v]))
     if period != 1:
         raise ValueError(f"matrix is periodic with period {period}")
     a = np.vstack([m.T - np.eye(k), np.ones(k)])
@@ -384,7 +384,7 @@ class _WrappedResidualSampler:
         return np.array([(x + rng.uniform(-self.width, self.width)) % 1.0])
 
 
-def finite_doeblin_chain(delta: float, matrix, psi) -> ChainModel:
+def finite_doeblin_chain(delta: float, matrix: ArrayLike, psi: ArrayLike) -> ChainModel:
     """Finite chain certified with the whole space small: matrix >= delta * psi.
 
     Regeneration times of the split chain are then exactly geometric(delta).
@@ -392,10 +392,11 @@ def finite_doeblin_chain(delta: float, matrix, psi) -> ChainModel:
     """
     kernel = FiniteKernel(matrix)
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (kernel.n_states,) or abs(psi.sum() - 1.0) > 1e-12 or np.any(psi < 0):
-        raise ValueError("psi must be a probability vector over the states")
+    if psi.shape != (kernel.n_states,) or not abs(psi.sum() - 1.0) <= 1e-12 or np.any(psi < 0):
+        raise ValueError(f"psi must be a probability vector over the {kernel.n_states} states, "
+                         f"got {psi.tolist()}")
     if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     gap = kernel.matrix - delta * psi[None, :]
     if np.min(gap) < -1e-12:
         x, y = np.unravel_index(np.argmin(gap), gap.shape)
@@ -426,13 +427,15 @@ def wrapped_doeblin_chain(delta: float, width: float = 0.25) -> ChainModel:
                       model_id=f"wrapped_doeblin(delta={delta:g},width={width:g})")
 
 
-def finite_atom_chain(matrix, atom: int = 0) -> ChainModel:
+def finite_atom_chain(matrix: ArrayLike, atom: int = 0) -> ChainModel:
     """Finite chain with a genuine single-state atom: every visit regenerates.
 
     The minorization on S = {atom} is exact with delta = 1 and Psi the atom's
     transition row, so the split-chain flags are deterministic.
     """
     kernel = FiniteKernel(matrix)
+    if not 0 <= atom < kernel.n_states:
+        raise ValueError(f"atom must be a state in [0, {kernel.n_states}), got {atom!r}")
     row = kernel.matrix[atom]
     cert = Minorization(delta=1.0, psi_sample=_PmfSampler(tuple(np.cumsum(row))),
                         psi_density=_PmfDensity(row), small_set=_LabelEquals(atom))
@@ -442,6 +445,9 @@ def finite_atom_chain(matrix, atom: int = 0) -> ChainModel:
 
 def two_state_chain(p01: float = 0.5, p10: float = 0.2) -> ChainModel:
     """The 2-state workhorse with atom {0}; stationary law (p10, p01)/(p01+p10)."""
+    for name, p in (("p01", p01), ("p10", p10)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     matrix = np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
     model = finite_atom_chain(matrix, atom=0)
     return ChainModel(kernel=model.kernel, initial_sample=model.initial_sample,

@@ -18,6 +18,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import __version__
 from .chains import (finite_atom_chain, finite_doeblin_chain, simulate, two_state_chain,
@@ -76,26 +77,37 @@ MODELS = {"two_state": two_state_chain, "finite_atom": finite_atom_chain,
 PROPOSALS = {"uniform_step": uniform_step_proposal, "gaussian_step": gaussian_step_proposal}
 
 
+def _halfline(thresholds: ArrayLike = None, lo=0.0, hi=1.0, size: int = 21):
+    """Half-line indicators at ``thresholds``, or at ``size`` points spread over [lo, hi]."""
+    if thresholds is None:
+        if size < 1:
+            raise ValueError(f"size must be an integer >= 1, got {size!r}")
+        thresholds = np.linspace(lo, hi, size)
+    elif (lo, hi, size) != _halfline.__defaults__[1:]:   # a grid the thresholds would ignore
+        raise ValueError(f"lo, hi and size are not read next to thresholds, got lo={lo!r}, "
+                         f"hi={hi!r}, size={size!r}")
+    return halfline_class(thresholds)
+
+
+def _table(tables: ArrayLike, vc_C=None, vc_v=2.0):
+    """Lookup tables over the states of a finite model, one member per row."""
+    return table_class(tables, vc_c=vc_C, vc_v=vc_v)
+
+
+def _kernel(h, centers: ArrayLike, kernel: str = "epanechnikov", vc_C=None, vc_v=2.0):
+    """Translates of the base kernel named ``kernel`` at bandwidth ``h`` over ``centers``."""
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {tuple(KERNELS)}, got {kernel!r}")
+    return kernel_class(KERNELS[kernel](), h, centers, vc_c=vc_C, vc_v=vc_v)
+
+
+CLASSES = {"halfline": _halfline, "table": _table, "kernel": _kernel}
+
+
 def build(factories, spec, **supplied):
-    """The object a tagged model, target or proposal spec describes."""
+    """The object a tagged model, target, proposal or class spec describes."""
     params = {key: value for key, value in spec.items() if key != "kind"}
     return factories[spec["kind"]](**params, **supplied)
-
-
-def build_class(spec):
-    kind = spec["kind"]
-    vc = {name.lower(): spec[name] for name in ("vc_C", "vc_v") if name in spec}
-    if kind == "halfline":
-        if "thresholds" in spec:
-            thresholds = np.asarray(spec["thresholds"], dtype=float)
-        else:
-            thresholds = np.linspace(spec.get("lo", 0.0), spec.get("hi", 1.0),
-                                     int(spec.get("size", 21)))
-        return halfline_class(thresholds)
-    if kind == "table":
-        return table_class(np.asarray(spec["tables"], dtype=float), **vc)
-    kernel = KERNELS[spec.get("kernel", "epanechnikov")]()
-    return kernel_class(kernel, spec["h"], np.asarray(spec["centers"], dtype=float), **vc)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +115,7 @@ def build_class(spec):
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(value, least: int) -> bool:
+def _int_at_least(value, least) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
@@ -115,146 +127,62 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _finite_list_errors(key: str, values) -> list:
-    """Violations of a non-empty list of finite numbers at ``key``."""
-    if not isinstance(values, list) or not values:
-        return [f"{key} must be a non-empty list, got {values!r}"]
-    return [f"{key}[{i}] must be a finite number, got {v!r}"
-            for i, v in enumerate(values) if not _finite(v)]
+def _type_errors(path: str, value, annotation) -> list:
+    """Violations of the type rule for one spec value, by its factory parameter's annotation:
+    an integer for ``int``, a string for ``str``, a non-empty list of finite numbers at any
+    depth for ``ArrayLike``, and a finite number otherwise."""
+    if annotation is ArrayLike and isinstance(value, list) and value:
+        return [e for i, v in enumerate(value)
+                for e in _type_errors(f"{path}[{i}]", v, ArrayLike if isinstance(v, list) else None)]
+    rules = {int: ("an integer", _int_at_least(value, -math.inf)),
+             str: ("a string", isinstance(value, str)),
+             ArrayLike: ("a non-empty list", False)}
+    want, ok = rules.get(annotation, ("a finite number", _finite(value)))
+    return [] if ok else [f"{path} must be {want}, got {value!r}"]
 
 
-def _signatures(factories, *supplied) -> dict:
-    """The keys of each kind's spec: its factory's parameters, with their defaults."""
-    return {kind: {name: p.default for name, p in inspect.signature(factory).parameters.items()
-                   if name not in supplied}
-            for kind, factory in factories.items()}
+def _spec(name: str, spec, factories: dict, **supplied):
+    """Violations of a tagged spec, and the object it builds, or None on a violation.
 
-
-_MODEL_KEYS = _signatures(MODELS)
-_TARGET_KEYS = _signatures(TARGETS)
-_PROPOSAL_KEYS = _signatures(PROPOSALS, "d")
-# A class spec's keys are optional here; _class_errors checks the values each kind needs.
-_CLASS_KEYS = {"halfline": dict.fromkeys(("thresholds", "lo", "hi", "size")),
-               "table": dict.fromkeys(("tables", "vc_C", "vc_v")),
-               "kernel": dict.fromkeys(("kernel", "h", "centers", "vc_C", "vc_v"))}
-
-
-def _spec(name: str, spec, kinds: dict):
-    """Violations of a tagged spec's kind and keys, and the keys (with their defaults)
-    its kind reads, or None when the spec names no known kind."""
+    The spec's keys are the parameters of its kind's factory, less ``supplied``.  The kind
+    and keys are checked first, then each value's type, and then the spec is built with the
+    run's own factory, whose value rules report as ``"<name>: <message>"``.
+    """
     if not isinstance(spec, dict):
         return [f"{name} spec is required" if spec is None
                 else f"{name} must be an object, got {spec!r}"], None
     kind = spec.get("kind")
-    if not (isinstance(kind, str) and kind in kinds):
-        return [f"{name}.kind must be one of {tuple(kinds)}, got {kind!r}"], None
-    keys = kinds[kind]
+    if not (isinstance(kind, str) and kind in factories):
+        return [f"{name}.kind must be one of {tuple(factories)}, got {kind!r}"], None
+    keys = {key: p for key, p in inspect.signature(factories[kind]).parameters.items()
+            if key not in supplied}
     errs = [f"{name}.{key} is not read by a {kind!r} {name}, which takes {tuple(keys)}"
             for key in spec if key != "kind" and key not in keys]
     errs += [f"{name}.{key} is required for a {kind!r} {name}"
-             for key, default in keys.items() if default is REQUIRED and key not in spec]
-    return errs, keys
-
-
-def _model_states(model):
-    """Number of states of a model spec: 0 for the continuous model, None when unknown."""
-    if not isinstance(model, dict):
-        return None
-    if model.get("kind") == "doeblin_uniform":
-        return 0
-    if model.get("kind") == "two_state":
-        return 2
-    matrix = model.get("matrix")
-    return len(matrix) if isinstance(matrix, list) else None
-
-
-def _class_errors(spec, model) -> list:
-    """Violations of a class spec that build_class or the run would otherwise hit late."""
-    errs, keys = _spec("class", spec, _CLASS_KEYS)
-    if keys is None:
-        return errs
-    kind = spec["kind"]
-    if kind == "halfline":
-        if "thresholds" in spec:
-            errs += [f"class.{name} is not read by a 'halfline' class with thresholds"
-                     for name in ("lo", "hi", "size") if name in spec]
-            return errs + _finite_list_errors("class.thresholds", spec["thresholds"])
-        errs += [f"class.{name} must be a finite number, got {spec[name]!r}"
-                 for name in ("lo", "hi") if name in spec and not _finite(spec[name])]
-        if "size" in spec and not _int_at_least(spec["size"], 1):
-            errs.append(f"class.size must be an integer >= 1, got {spec['size']!r}")
-        return errs
-    if kind == "kernel":
-        if "kernel" in spec and spec["kernel"] not in tuple(KERNELS):
-            errs.append(f"class.kernel must be one of {tuple(KERNELS)}, got {spec['kernel']!r}")
-        if not (_finite(spec.get("h")) and spec["h"] > 0):
-            errs.append(f"class.h must be a finite positive number, got {spec.get('h')!r}")
-        return errs + _finite_list_errors("class.centers", spec.get("centers"))
-    tables = spec.get("tables")
-    if not isinstance(tables, list) or not tables:
-        return errs + [f"class.tables must be a non-empty list, got {tables!r}"]
-    errs += [e for i, row in enumerate(tables)
-             for e in _finite_list_errors(f"class.tables[{i}]", row)]
-    widths = [len(row) for row in tables if isinstance(row, list)]
-    states = _model_states(model)
-    if len(set(widths)) > 1:
-        errs.append(f"class.tables rows must have equal lengths, got {widths}")
-    if states == 0:
-        errs.append(f"class.kind 'table' needs a finite-state model, "
-                    f"got model.kind {model.get('kind')!r}")
-    elif states is not None:
-        errs.extend(f"class.tables[{i}] must cover the model's {states} states, "
-                    f"got {len(row)} entries"
-                    for i, row in enumerate(tables) if isinstance(row, list) and row
-                    and len(row) < states)
-    return errs
-
-
-def _target(spec):
-    """Violations of an mh-credible target spec, and the spec with its defaults filled in."""
-    errs, keys = _spec("target", spec, _TARGET_KEYS)
-    if keys is None:
+             for key, p in keys.items() if p.default is REQUIRED and key not in spec]
+    errs = errs or [e for key, value in spec.items() if key != "kind"
+                    for e in _type_errors(f"{name}.{key}", value, keys[key].annotation)]
+    if errs:
         return errs, None
-    target = {**keys, **spec}
-    if not _int_at_least(target["d"], 1):
-        return errs + [f"target.d must be an integer >= 1, got {target['d']!r}"], target
-    for key, value in spec.items():
-        if key in ("kind", "d") or key not in keys:
-            continue
-        if not _finite(value):
-            errs.append(f"target.{key} must be a finite number, got {value!r}")
-        elif key in ("sigma", "s1", "s2") and value <= 0:
-            errs.append(f"target.{key} must be a positive number, got {value!r}")
-        elif key == "w1" and not 0 <= value <= 1:
-            errs.append(f"target.w1 must lie in [0, 1], got {value!r}")
-    lo, hi = target["lo"], target["hi"]
-    if _finite(lo) and _finite(hi) and lo >= hi:
-        errs.append(f"target.lo must be below target.hi, got {lo!r} >= {hi!r}")
-    return errs, target
-
-
-def _proposal_errors(spec) -> list:
-    """Violations of an mh-credible proposal spec."""
-    errs, keys = _spec("proposal", spec, _PROPOSAL_KEYS)
-    if keys is None:
-        return errs
-    return errs + [f"proposal.{key} must be a finite positive number, got {value!r}"
-                   for key, value in spec.items()
-                   if key in keys and not (_finite(value) and value > 0)]
+    try:
+        return [], build(factories, spec, **supplied)
+    except ValueError as exc:
+        return [f"{name}: {exc}"], None
 
 
 def _center_errors(center, target) -> list:
-    """Violations of the certificate center of a valid target: d finite numbers in its box.
+    """Violations of the certificate center of a built target: d finite numbers in its box.
 
     A bare number stands for a one-element list when d = 1.
     """
-    d, lo, hi = target["d"], target["lo"], target["hi"]
+    d = target.dim
     values = [center] if d == 1 and _finite(center) else center
     if not isinstance(values, list) or len(values) != d:
         return [f"center must list one number per coordinate of the {d}-d target, "
                 f"got {center!r}"]
     errs = []
-    for i, c in enumerate(values):
+    for i, (c, lo, hi) in enumerate(zip(values, target.support.lo.tolist(),
+                                        target.support.hi.tolist())):
         if not _finite(c):
             errs.append(f"center[{i}] must be a finite number, got {c!r}")
         elif not lo <= c <= hi:
@@ -282,14 +210,16 @@ def validate(config) -> list:
         errs.append("n must be a positive integer")
     if "min_blocks" in reads and not _int_at_least(cfg["min_blocks"], 0):
         errs.append(f"min_blocks must be an integer >= 0, got {cfg['min_blocks']!r}")
+    model = None
     if "model" in reads:
-        model = cfg.get("model")
-        kind = model.get("kind") if isinstance(model, dict) else None
+        spec = cfg.get("model")
+        kind = spec.get("kind") if isinstance(spec, dict) else None
         if exp == "kde-rate" and "model" in cfg and kind != "doeblin_uniform":
             # the smoothed-target oracle assumes the Uniform(0, 1) stationary law
             errs.append(f"model.kind must be 'doeblin_uniform' for kde-rate, got {kind!r}")
         else:
-            errs += _spec("model", model, _MODEL_KEYS)[0]
+            model_errs, model = _spec("model", spec, MODELS)
+            errs += model_errs
     if "n_grid" in reads:
         grid = cfg.get("n_grid")
         sizes = grid if isinstance(grid, list) else []
@@ -344,7 +274,16 @@ def validate(config) -> list:
     if "n_mc" in reads and not _int_at_least(cfg["n_mc"], 100):
         errs.append(f"n_mc must be an integer >= 100, got {cfg['n_mc']!r}")
     if "class" in reads:
-        errs.extend(_class_errors(cfg.get("class"), cfg.get("model")))
+        class_errs, cls = _spec("class", cfg.get("class"), CLASSES)
+        errs += class_errs
+        if cls is not None and model is not None and cfg["class"]["kind"] == "table":
+            width = len(cls.members[0].table)
+            if not model.finite:
+                errs.append(f"class.kind 'table' needs a finite-state model, "
+                            f"got model.kind {cfg['model']['kind']!r}")
+            elif width < model.kernel.n_states:
+                errs.append(f"class.tables rows must cover the model's "
+                            f"{model.kernel.n_states} states, got {width} entries")
     if "slope_tolerance" in reads:
         tol = cfg["slope_tolerance"]
         if not (_finite(tol) and tol >= 0):
@@ -353,16 +292,17 @@ def validate(config) -> list:
         gamma = cfg.get("gamma")
         if not isinstance(gamma, (int, float)) or not 0 < gamma < 0.25:
             errs.append("gamma must lie in (0, 0.25)")
-        target_errs, target = _target(cfg.get("target"))
+        target_errs, target = _spec("target", cfg.get("target"), TARGETS)
         errs.extend(target_errs)
-        if not target_errs:
-            k, dim = cfg["coordinate"], target["d"]
+        if target is not None:
+            k, dim = cfg["coordinate"], target.dim
             if not (_int_at_least(k, 0) and k < dim):
                 errs.append(f"coordinate must be an integer in [0, {dim}) for a {dim}-d target, "
                             f"got {k!r}")
             if cfg["center"] is not None:
                 errs.extend(_center_errors(cfg["center"], target))
-        errs.extend(_proposal_errors(cfg["proposal"]))
+        # the run supplies the target's dimension; d = 1 stands in when the target is invalid
+        errs += _spec("proposal", cfg["proposal"], PROPOSALS, d=getattr(target, "dim", 1))[0]
         if not _int_at_least(cfg["n_u"], 1):
             errs.append(f"n_u must be an integer >= 1, got {cfg['n_u']!r}")
     if exp == "verify-lemmas":
@@ -414,7 +354,7 @@ def _run_blocks(config, out, jobs):
 
 def _run_rademacher(config, out, jobs):
     model = build(MODELS, config["model"])
-    cls = build_class(config["class"])
+    cls = build(CLASSES, config["class"])
     n_mc = config["n_mc"]
     traj = simulate_split_retrospective(model, config["n"], config["seed"])
     blocks = extract_blocks(traj)
@@ -433,7 +373,7 @@ def _run_rademacher(config, out, jobs):
 
 def _run_bounds(config, out, jobs):
     model = build(MODELS, config["model"])
-    cls = build_class(config["class"])
+    cls = build(CLASSES, config["class"])
     report = compare_bound_vs_empirical(
         model, cls, config["n_grid"], config["replications"], config["seed"],
         n_mc=config["n_mc"], mode=config["mode"], m_const=config["constants"]["M_const"],

@@ -28,6 +28,14 @@ DEDUP_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+def _admissible_scale(vc_v) -> float:
+    """The generic floor (3 sqrt(e))^v of the covering scale C."""
+    try:
+        return (3.0 * math.sqrt(math.e)) ** vc_v
+    except OverflowError:
+        raise ValueError(f"covering exponent vc_v is too large, got {vc_v!r}") from None
+
+
 @dataclass(frozen=True)
 class EvaluableClass:
     """A finite class of vectorized functions with envelope and (C, v)."""
@@ -40,11 +48,13 @@ class EvaluableClass:
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("class must have at least one member")
-        if self.envelope <= 0:
-            raise ValueError("envelope must be positive")
-        if self.vc_v < 1:
-            raise ValueError("covering exponent v must be >= 1")
-        admissible = (3.0 * math.sqrt(math.e)) ** self.vc_v
+        if not self.envelope > 0:
+            raise ValueError(f"envelope must be positive, got {self.envelope!r}")
+        if not self.vc_v >= 1:
+            raise ValueError(f"covering exponent vc_v must be >= 1, got {self.vc_v!r}")
+        if not self.vc_c > 0:
+            raise ValueError(f"covering scale vc_C must be positive, got {self.vc_c!r}")
+        admissible = _admissible_scale(self.vc_v)
         if self.vc_c < admissible:
             warnings.warn(
                 f"covering scale C={self.vc_c:g} is below the admissible floor "
@@ -434,13 +444,18 @@ class KernelTranslate:
 
 
 def table_class(tables, envelope=None, vc_c=None, vc_v=2.0) -> EvaluableClass:
-    """Class of lookup-table functions on a finite label space."""
+    """Class of lookup-table functions on a finite label space, one per row of ``tables``."""
+    widths = [np.size(row) for row in tables]
+    if len(set(widths)) > 1:
+        raise ValueError(f"tables rows must have equal lengths, got {widths}")
     tables = np.asarray(tables, dtype=float)
+    if tables.ndim != 2:
+        raise ValueError(f"tables must be a list of rows, got shape {tables.shape}")
     if envelope is None:
         envelope = float(np.max(np.abs(tables)))
         envelope = envelope if envelope > 0 else 1.0
     if vc_c is None:
-        vc_c = (3.0 * math.sqrt(math.e)) ** vc_v
+        vc_c = _admissible_scale(vc_v)
     members = tuple(TableFunction(t) for t in tables)
     return EvaluableClass(members=members, envelope=envelope, vc_c=vc_c, vc_v=vc_v)
 
@@ -451,7 +466,10 @@ def halfline_class(thresholds) -> EvaluableClass:
     The (2, 2) characteristic is the sharp covering bound for this family and
     deliberately sits below the generic admissibility floor.
     """
-    members = tuple(HalfLineIndicator(float(t)) for t in np.asarray(thresholds, dtype=float))
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.ndim != 1:
+        raise ValueError(f"thresholds must be a list of numbers, got shape {thresholds.shape}")
+    members = tuple(HalfLineIndicator(float(t)) for t in thresholds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return EvaluableClass(members=members, envelope=1.0, vc_c=2.0, vc_v=2.0)
@@ -464,9 +482,12 @@ def kernel_class(kernel, h: float, centers, vc_c=None, vc_v: float = 2.0) -> Eva
     from the data; it is configuration, defaulting to the admissibility floor
     at v = 2.
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
+    if not h > 0:
+        raise ValueError(f"bandwidth h must be positive, got {h!r}")
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 1:
+        raise ValueError(f"centers must be a list of numbers, got shape {centers.shape}")
     if vc_c is None:
-        vc_c = (3.0 * math.sqrt(math.e)) ** vc_v
-    members = tuple(KernelTranslate(kernel, float(c), h) for c in np.asarray(centers, dtype=float))
+        vc_c = _admissible_scale(vc_v)
+    members = tuple(KernelTranslate(kernel, float(c), h) for c in centers)
     return EvaluableClass(members=members, envelope=kernel.k0_sup, vc_c=vc_c, vc_v=vc_v)

@@ -104,6 +104,9 @@ class TruncGaussCoord:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         z = ndtr((self.hi - self.mu) / self.sigma) - ndtr((self.lo - self.mu) / self.sigma)
+        if not z > 0:
+            raise ValueError(f"mu={self.mu!r}, sigma={self.sigma!r} put no mass on "
+                             f"[{self.lo!r}, {self.hi!r}]")
         object.__setattr__(self, "_z", float(z))
         object.__setattr__(self, "_norm", self.sigma * _SQRT2PI * self._z)
 
@@ -148,6 +151,8 @@ class BimodalCoord:
         z2 = ndtr((self.hi - self.mu2) / self.s2) - ndtr((self.lo - self.mu2) / self.s2)
         object.__setattr__(self, "_w2", 1.0 - self.w1)
         object.__setattr__(self, "_z", float(self.w1 * z1 + self._w2 * z2))
+        if not self._z > 0:
+            raise ValueError(f"the mixture puts no mass on [{self.lo!r}, {self.hi!r}]")
         object.__setattr__(self, "_n1", self.s1 * _SQRT2PI)
         object.__setattr__(self, "_n2", self.s2 * _SQRT2PI)
 
@@ -246,13 +251,22 @@ class Target:
         return float(np.sum(self.pdf(grid[inside])) * cell)
 
 
+def _cube(lo, hi, d: int) -> Box:
+    """The support [lo, hi]^d of a built-in target."""
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d!r}")
+    if not lo < hi:
+        raise ValueError(f"lo must be below hi, got {lo!r} >= {hi!r}")
+    return Box(np.full(d, float(lo)), np.full(d, float(hi)))
+
+
 def uniform_target(lo=0.0, hi=1.0, d: int = 1) -> Target:
-    support = Box(np.full(d, float(lo)), np.full(d, float(hi)))
+    support = _cube(lo, hi, d)
     return Target("uniform", support, tuple(UniformCoord(float(lo), float(hi)) for _ in range(d)))
 
 
 def truncated_gaussian_target(lo=0.0, hi=1.0, mu=0.5, sigma=0.25, d: int = 1) -> Target:
-    support = Box(np.full(d, float(lo)), np.full(d, float(hi)))
+    support = _cube(lo, hi, d)
     return Target("trunc_gauss", support,
                   tuple(TruncGaussCoord(float(lo), float(hi), float(mu), float(sigma))
                         for _ in range(d)))
@@ -260,7 +274,7 @@ def truncated_gaussian_target(lo=0.0, hi=1.0, mu=0.5, sigma=0.25, d: int = 1) ->
 
 def bimodal_target(lo=0.0, hi=1.0, mu1=0.3, s1=0.1, mu2=0.75, s2=0.08, w1=0.5,
                    d: int = 1) -> Target:
-    support = Box(np.full(d, float(lo)), np.full(d, float(hi)))
+    support = _cube(lo, hi, d)
     return Target("bimodal", support,
                   tuple(BimodalCoord(float(lo), float(hi), mu1, s1, mu2, s2, w1)
                         for _ in range(d)))
@@ -325,13 +339,24 @@ class _UniformIncrementDensity:
         return np.where(inside, (2.0 * self.a) ** (-self.d), 0.0)
 
 
+def _density_floor(floor, params: str, d: int) -> float:
+    """The value of ``floor()``, a proposal's density floor, which must be positive and finite."""
+    try:
+        b = floor()
+    except ArithmeticError:             # an overflow, or a variance that underflows to 0
+        b = math.nan
+    if not 0 < b < math.inf:
+        raise ValueError(f"{params} gives no positive finite density floor in {d} dimensions")
+    return b
+
+
 def uniform_step_proposal(a: float, d: int = 1) -> RWProposal:
     """Uniform increments on [-a, a]^d; floor (2a)^-d on the inscribed ball."""
-    if a <= 0:
-        raise ValueError("step half-width a must be positive")
+    if not a > 0:
+        raise ValueError(f"step half-width a must be positive, got {a!r}")
+    b = _density_floor(lambda: (2.0 * a) ** (-d), f"a={a!r}", d)
     return RWProposal(name=f"uniform_step(a={a:g})", increments=_UniformIncrements(a, d),
-                      density=_UniformIncrementDensity(a, d),
-                      floor_b=(2.0 * a) ** (-d), floor_eps=a, dim=d)
+                      density=_UniformIncrementDensity(a, d), floor_b=b, floor_eps=a, dim=d)
 
 
 @dataclass(frozen=True)
@@ -356,9 +381,13 @@ class _GaussIncrementDensity:
 
 def gaussian_step_proposal(s: float, eps: float, d: int = 1) -> RWProposal:
     """Gaussian increments N(0, s^2 I); floor is the density at radius eps."""
-    if s <= 0 or eps <= 0:
-        raise ValueError("s and eps must be positive")
-    b = math.exp(-0.5 * eps ** 2 / s ** 2) / (2 * math.pi * s ** 2) ** (d / 2)
+    if not s > 0:
+        raise ValueError(f"step scale s must be positive, got {s!r}")
+    if not eps > 0:
+        raise ValueError(f"floor radius eps must be positive, got {eps!r}")
+    b = _density_floor(
+        lambda: math.exp(-0.5 * eps ** 2 / s ** 2) / (2 * math.pi * s ** 2) ** (d / 2),
+        f"s={s!r}, eps={eps!r}", d)
     return RWProposal(name=f"gaussian_step(s={s:g})", increments=_GaussIncrements(s, d),
                       density=_GaussIncrementDensity(s, d), floor_b=b, floor_eps=eps, dim=d)
 

@@ -76,6 +76,10 @@ def test_exact_stationary_rejects_periodic():
 def test_exact_stationary_rejects_reducible():
     with pytest.raises(ValueError, match="reducible"):
         exact_stationary(np.eye(2))
+    # one state reaches the other but not back, in each direction
+    for matrix in ([[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="reducible"):
+            exact_stationary(np.array(matrix))
 
 
 def test_finite_kernel_validates_rows():
@@ -83,6 +87,29 @@ def test_finite_kernel_validates_rows():
         FiniteKernel(np.array([[0.5, 0.4], [0.2, 0.8]]))
     with pytest.raises(ValueError):
         FiniteKernel(np.array([[1.2, -0.2], [0.2, 0.8]]))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: FiniteKernel(np.array([[np.nan, 0.5], [0.2, 0.8]])),
+     r"entry \(0, 0\) must be a finite number >= 0, got nan"),
+    (lambda: FiniteKernel(np.array([[0.5, 0.5], [0.2, np.inf]])),
+     r"entry \(1, 1\) must be a finite number >= 0, got inf"),
+    (lambda: FiniteKernel(np.array([[1.2, -0.2], [np.nan, 0.8]])),
+     r"entry \(0, 1\) must be a finite number >= 0, got -0.2"),
+    (lambda: finite_atom_chain([[0.5, 0.5], [np.nan, 0.8]]),
+     r"entry \(1, 0\) must be a finite number >= 0, got nan"),
+    (lambda: two_state_chain(p01=np.nan), r"p01 must lie in \[0, 1\], got nan"),
+    (lambda: two_state_chain(p10=1.5), r"p10 must lie in \[0, 1\], got 1.5"),
+])
+def test_finite_kernel_names_first_entry_that_is_not_a_probability(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("atom", [5, 2, -1])
+def test_finite_atom_chain_rejects_an_atom_outside_the_states(atom):
+    with pytest.raises(ValueError, match=rf"atom must be a state in \[0, 2\), got {atom}"):
+        finite_atom_chain([[0.5, 0.5], [0.2, 0.8]], atom=atom)
 
 
 def test_doeblin_domination_checked_exactly():

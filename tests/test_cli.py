@@ -190,15 +190,15 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     ("mh_credible_tiny.json", "target", {"kind": []},
      "target.kind must be one of ('uniform', 'trunc_gauss', 'bimodal'), got []"),
     ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "sigma": -0.1},
-     "target.sigma must be a positive number, got -0.1"),
+     "target: sigma must be positive, got -0.1"),
     ("mh_credible_tiny.json", "target", {"kind": "bimodal", "s1": 0},
-     "target.s1 must be a positive number, got 0"),
+     "target: s1 and s2 must be positive, got 0 and 0.08"),
     ("mh_credible_tiny.json", "target", {"kind": "bimodal", "w1": 1.5},
-     "target.w1 must lie in [0, 1], got 1.5"),
+     "target: w1 must lie in [0, 1], got 1.5"),
     ("mh_credible_tiny.json", "target", {"kind": "uniform", "lo": "0"},
      "target.lo must be a finite number, got '0'"),
     ("mh_credible_tiny.json", "target", {"kind": "uniform", "lo": 1, "hi": 0},
-     "target.lo must be below target.hi, got 1 >= 0"),
+     "target: lo must be below hi, got 1 >= 0"),
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step"},
      "proposal.a is required for a 'uniform_step' proposal"),
     ("mh_credible_tiny.json", "proposal", {"kind": "gaussian_step", "s": 0.2},
@@ -208,7 +208,7 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     ("mh_credible_tiny.json", "proposal", {"kind": "cauchy", "a": 0.25},
      "proposal.kind must be one of ('uniform_step', 'gaussian_step'), got 'cauchy'"),
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0},
-     "proposal.a must be a finite positive number, got 0"),
+     "proposal: step half-width a must be positive, got 0"),
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step", "a": 0.25, "d": 2},
      "proposal.d is not read by a 'uniform_step' proposal, which takes ('a',)"),
     ("mh_credible_tiny.json", "proposal", {"a": 0.25},
@@ -228,6 +228,27 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     ("simulate_tiny.json", "model", {"kind": "finite_atom"},
      "model.matrix is required for a 'finite_atom' model"),
     ("simulate_tiny.json", "model", None, "model spec is required"),
+    ("blocks_tiny.json", "model", {"kind": "doeblin_uniform", "delta": 2.0},
+     "model: delta must lie in (0, 1], got 2.0"),
+    ("blocks_tiny.json", "model", {"kind": "doeblin_uniform", "delta": "x"},
+     "model.delta must be a finite number, got 'x'"),
+    ("blocks_tiny.json", "model", {"kind": "doeblin_uniform", "delta": 0.4, "width": 0.9},
+     "model: width must lie in (0, 0.5], got 0.9"),
+    ("simulate_tiny.json", "model",
+     {"kind": "finite_doeblin", "delta": 0.2, "matrix": [[0.5, 0.5], [0.2, 0.8]],
+      "psi": [0.5, 0.6]},
+     "model: psi must be a probability vector over the 2 states, got [0.5, 0.6]"),
+    ("simulate_tiny.json", "model", {"kind": "two_state", "p01": 1.5},
+     "model: p01 must lie in [0, 1], got 1.5"),
+    ("blocks_tiny.json", "model",
+     {"kind": "finite_atom", "matrix": [[float("nan"), 0.5], [0.2, 0.8]]},
+     "model.matrix[0][0] must be a finite number, got nan"),
+    ("blocks_tiny.json", "model", {"kind": "finite_atom", "matrix": [[0.5, 0.5], [0.2, 0.8]],
+                                   "atom": 5},
+     "model: atom must be a state in [0, 2), got 5"),
+    ("blocks_tiny.json", "model", {"kind": "finite_atom", "matrix": [[0.5, 0.5], [0.2, 0.8]],
+                                   "atom": -1},
+     "model: atom must be a state in [0, 2), got -1"),
     ("simulate_tiny.json", "model", {"kind": "doeblin"},
      "model.kind must be one of ('two_state', 'finite_atom', 'finite_doeblin', "
      "'doeblin_uniform'), got 'doeblin'"),
@@ -441,6 +462,7 @@ def test_validate_rejects_covering_constants_of_a_halfline_class(name):
 
 _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
                                                     [0.4, 0.0, 0.6]]}
+_FINITE_ATOM_2 = {"kind": "finite_atom", "matrix": [[0.5, 0.5], [0.2, 0.8]]}
 
 
 @pytest.mark.parametrize("name", ["bounds_tiny.json", "rademacher_tiny.json"])
@@ -454,9 +476,9 @@ _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 
      "class.thresholds must be a non-empty list, got []"),
     (None, {"kind": "halfline", "lo": float("-inf")},
      "class.lo must be a finite number, got -inf"),
-    (None, {"kind": "halfline", "size": 0}, "class.size must be an integer >= 1, got 0"),
+    (None, {"kind": "halfline", "size": 0}, "class: size must be an integer >= 1, got 0"),
     (None, {"kind": "halfline", "thresholds": [0.5], "size": 5},
-     "class.size is not read by a 'halfline' class with thresholds"),
+     "class: lo, hi and size are not read next to thresholds, got lo=0.0, hi=1.0, size=5"),
     (None, {"kind": ["halfline"]},
      "class.kind must be one of ('halfline', 'table', 'kernel'), got ['halfline']"),
     (None, {"kind": "kernel", "h": 0.1, "centers": [0.5, float("inf")]},
@@ -464,12 +486,12 @@ _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 
     (None, {"kind": "kernel", "h": 0.1, "centers": []},
      "class.centers must be a non-empty list, got []"),
     (None, {"kind": "kernel", "h": -0.1, "centers": [0.5]},
-     "class.h must be a finite positive number, got -0.1"),
+     "class: bandwidth h must be positive, got -0.1"),
     (None, {"kind": "kernel", "h": float("nan"), "centers": [0.5]},
-     "class.h must be a finite positive number, got nan"),
-    (None, {"kind": "kernel", "centers": [0.5]}, "class.h must be a finite positive number, got None"),
+     "class.h must be a finite number, got nan"),
+    (None, {"kind": "kernel", "centers": [0.5]}, "class.h is required for a 'kernel' class"),
     (None, {"kind": "kernel", "kernel": "gauss", "h": 0.1, "centers": [0.5]},
-     "class.kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
+     "class: kernel must be one of ('box', 'epanechnikov'), got 'gauss'"),
     (None, {"kind": "table", "tables": [[0.0, 1.0, 0.5, 0.2]]},
      "class.kind 'table' needs a finite-state model, got model.kind 'doeblin_uniform'"),
     (_FINITE_ATOM_3, {"kind": "table", "tables": []},
@@ -477,9 +499,15 @@ _FINITE_ATOM_3 = {"kind": "finite_atom", "matrix": [[0.5, 0.5, 0.0], [0.2, 0.3, 
     (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0, float("nan")]]},
      "class.tables[0][2] must be a finite number, got nan"),
     (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5, 0.2]]},
-     "class.tables rows must have equal lengths, got [3, 4]"),
+     "class: tables rows must have equal lengths, got [3, 4]"),
     (_FINITE_ATOM_3, {"kind": "table", "tables": [[0.0, 1.0]]},
-     "class.tables[0] must cover the model's 3 states, got 2 entries"),
+     "class.tables rows must cover the model's 3 states, got 2 entries"),
+    (_FINITE_ATOM_2, {"kind": "table", "tables": [[0.0, 1.0]], "vc_v": "x"},
+     "class.vc_v must be a finite number, got 'x'"),
+    (_FINITE_ATOM_2, {"kind": "table", "tables": [[0.0, 1.0]], "vc_v": 0.5},
+     "class: covering exponent vc_v must be >= 1, got 0.5"),
+    (None, {"kind": "kernel", "h": 0.1, "centers": [0.5], "vc_C": "x"},
+     "class.vc_C must be a finite number, got 'x'"),
 ])
 def test_validate_names_bad_class_spec(name, model, spec, message, tmp_path):
     cfg = load(name)

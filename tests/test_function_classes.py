@@ -418,6 +418,23 @@ def test_vc_floor_warning():
         table_class(np.array([[1.0, 0.0]]), vc_c=1.0, vc_v=2.0)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: table_class([[0.0, 1.0], [0.0, 1.0, 0.5]]),
+     r"tables rows must have equal lengths, got \[2, 3\]"),
+    (lambda: table_class([0.0, 1.0]), r"tables must be a list of rows, got shape \(2,\)"),
+    (lambda: halfline_class([[0.1, 0.2]]), r"thresholds must be a list of numbers"),
+    (lambda: kernel_class(box_kernel(), 0.1, [[0.5]]), r"centers must be a list of numbers"),
+    (lambda: kernel_class(box_kernel(), float("nan"), [0.5]),
+     r"bandwidth h must be positive, got nan"),
+    (lambda: table_class([[0.0, 1.0]], vc_v=0.5), r"vc_v must be >= 1, got 0.5"),
+    (lambda: table_class([[0.0, 1.0]], vc_v=1e6), r"vc_v is too large, got 1000000.0"),
+    (lambda: table_class([[0.0, 1.0]], vc_c=-1.0), r"vc_C must be positive, got -1.0"),
+])
+def test_class_constructors_name_the_bad_value(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_empirical_measure_weight_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(points=np.array([0, 1]), weights=np.array([0.6, 0.6]))

@@ -145,6 +145,12 @@ def test_out_of_support_proposals_rejected():
     (bimodal_target, {"s2": 0.0}, "s1 and s2 must be positive"),
     (bimodal_target, {"w1": 1.5}, r"w1 must lie in \[0, 1\]"),
     (bimodal_target, {"w1": -0.1}, r"w1 must lie in \[0, 1\]"),
+    (uniform_target, {"d": 0}, "dimension d must be >= 1, got 0"),
+    (uniform_target, {"lo": 1.0, "hi": 0.0}, "lo must be below hi, got 1.0 >= 0.0"),
+    (truncated_gaussian_target, {"mu": 50.0, "sigma": 0.01}, "put no mass on"),
+    (bimodal_target, {"mu1": 50.0, "s1": 0.01, "w1": 1.0}, "no mass on"),
+    (uniform_step_proposal, {"a": 0.0}, "a must be positive, got 0.0"),
+    (gaussian_step_proposal, {"s": 0.2, "eps": -1.0}, "eps must be positive, got -1.0"),
 ])
 def test_coordinate_constructors_reject_bad_scales_and_weights(make, params, message):
     with pytest.raises(ValueError, match=message):
