@@ -21,7 +21,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chains import ChainModel, _ConstantState, simulate
 from .parallel import ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json, write_csv
@@ -34,6 +33,8 @@ QUAD_TOL = 1e-8
 _WINDOW_MARGIN = 2.0 ** -30
 # Points just outside [-1, 1] where a base profile must be exactly zero.
 _OUTSIDE_SUPPORT = np.array([1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.1, 1.5, 2.0, 10.0])
+# Gauss-Legendre rule on [-1, 1], exact for polynomials of degree below 64.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _box_k0(t):
@@ -56,15 +57,22 @@ def _epanechnikov_k0_cdf(t):
     return 0.25 * (2.0 + 3.0 * t - t ** 3)
 
 
+def _profile_mass(k0: Callable) -> float:
+    """Integral of the base profile ``k0`` over [-1, 1] by the Gauss-Legendre rule."""
+    return float(np.asarray(k0(_GL_NODES), dtype=float) @ _GL_WEIGHTS)
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A compactly supported kernel built from a base profile on [-1, 1].
 
     ``form`` is "product" (K(x) = prod_k k0(x_k)) or "radial" (K(x) =
     k0(|x|)); ``k0_sup`` and ``k0_l2sq`` are sup|k0| and the integral of
-    k0^2.  The base profile must integrate to one (checked by quadrature)
-    and vanish outside [-1, 1] (checked at points just outside), because
-    ``kde_evaluate`` only evaluates samples inside that support.
+    k0^2.  The base profile must integrate to one (checked by Gauss-Legendre
+    quadrature, exact for polynomial profiles such as the box and
+    Epanechnikov ones) and vanish outside [-1, 1] (checked at points just
+    outside), because ``kde_evaluate`` only evaluates samples inside that
+    support.
     """
 
     name: str
@@ -77,7 +85,7 @@ class Kernel:
     def __post_init__(self):
         if self.form not in ("product", "radial"):
             raise ValueError("form must be 'product' or 'radial'")
-        mass, _ = quad(lambda t: float(self.k0(t)), -1.0, 1.0, epsabs=QUAD_TOL / 10)
+        mass = _profile_mass(self.k0)
         if abs(mass - 1.0) > QUAD_TOL:
             raise ValueError(f"base profile integrates to {mass:.10g}, not 1")
         ts = np.concatenate((-_OUTSIDE_SUPPORT, _OUTSIDE_SUPPORT))
@@ -195,22 +203,6 @@ def uniform_smoothed_target(kernel: Kernel, h: float, grid, lo: float = 0.0,
         raise ValueError("kernel has no closed-form profile CDF")
     grid = np.asarray(grid, dtype=float)
     return (kernel.k0_cdf((grid - lo) / h) - kernel.k0_cdf((grid - hi) / h)) / (hi - lo)
-
-
-def smoothed_target_quadrature(kernel: Kernel, h: float, grid, density: Callable,
-                               support: tuple) -> np.ndarray:
-    """E_pi[K_h(x - Y)] by adaptive quadrature against a 1-d stationary density."""
-    lo, hi = support
-    out = np.empty(len(grid))
-    for i, x in enumerate(np.asarray(grid, dtype=float)):
-        a, b = max(lo, x - h), min(hi, x + h)
-        if a >= b:
-            out[i] = 0.0
-            continue
-        val, _ = quad(lambda y: float(kernel.evaluate(np.array([[(x - y) / h]]))[0]) * density(y),
-                      a, b, epsabs=QUAD_TOL)
-        out[i] = val / h
-    return out
 
 
 def uniform_deviation(sample, kernel: Kernel, h: float, grid, target_values) -> float:

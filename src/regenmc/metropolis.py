@@ -45,8 +45,13 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("box needs lo < hi componentwise")
+        if lo.shape != hi.shape:
+            raise ValueError(f"box bounds differ in shape: lo {lo.shape}, hi {hi.shape}")
+        bad = np.flatnonzero(~(lo < hi))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"box needs lo < hi componentwise; coordinate {i} has "
+                             f"(lo, hi) = ({float(lo.flat[i])!r}, {float(hi.flat[i])!r})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

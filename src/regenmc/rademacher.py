@@ -68,14 +68,44 @@ def _signed_sups(values: np.ndarray, total: int, sign_rows) -> np.ndarray:
     return sups
 
 
+def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
+    """``sign_rows`` for ``_signed_sups`` read off ``bitgen``'s raw 64-bit words.
+
+    Successive calls give the float signs that successive
+    ``Generator.integers(0, 2, size=(hi - lo, n)) * 2 - 1`` calls on the same
+    fresh generator give.  numpy takes each such value from the top bit of
+    one 32-bit half of a raw word, the low half first, by Lemire's method,
+    which never rejects at a range of two.  When a slice has an odd element
+    count, numpy keeps the unused half buffered in the bit generator for its
+    next draw; here it is kept as ``spare`` and starts the next slice.
+    """
+    spare = np.empty(0)
+
+    def sign_rows(lo: int, hi: int) -> np.ndarray:
+        nonlocal spare
+        k = (hi - lo) * n
+        c = len(spare)
+        # As little-endian uint32 pairs each word's low half comes first.
+        halves = bitgen.random_raw((k - c + 1) // 2).astype("<u8", copy=False).view("<u4")
+        halves >>= 30
+        halves &= 2                 # each half's top bit, as 0 or 2
+        signs = np.empty(k)
+        signs[:c] = spare
+        np.subtract(halves[:k - c], 1.0, out=signs[c:])
+        spare = halves[k - c:] - 1.0
+        return signs.reshape(hi - lo, n)
+
+    return sign_rows
+
+
 def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstimate:
     """Monte Carlo E sup_f |sum_k eps_k values[f, k]| over n_mc sign vectors.
 
     Sign vectors are drawn in fixed-size chunks from stream(seed, chunk_index),
     so the result is deterministic given (seed, n_mc, chunk size) and invariant
     to how chunks would be distributed across workers.  Within a chunk the
-    signs are drawn in row slices from the chunk's stream, which gives the
-    same signs and the same sums as drawing the chunk at once.
+    signs are drawn in row slices from the chunk's stream; they are the signs
+    ``integers(0, 2, size=(c, n)) * 2 - 1`` would draw from it at once.
     """
     m, n = values.shape
     total = 0.0
@@ -84,9 +114,7 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     chunk_index = 0
     while done < n_mc:
         c = min(SIGN_CHUNK, n_mc - done)
-        rng = stream(seed, chunk_index)
-        sups = _signed_sups(values, c,
-                            lambda lo, hi: rng.integers(0, 2, size=(hi - lo, n)) * 2 - 1)
+        sups = _signed_sups(values, c, _raw_sign_rows(stream(seed, chunk_index).bit_generator, n))
         total += sups.sum()
         total_sq += (sups ** 2).sum()
         done += c

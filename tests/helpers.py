@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import kstwobign
 
 from regenmc.function_classes import (DEDUP_TOL, EXACT_COVER_CAP, BlockMeasure, LiftedClass,
                                       lift_measure, table_class)
+from regenmc.kde import QUAD_TOL
 from regenmc.rademacher import SIGN_CHUNK
 from regenmc.rng import stream
 
@@ -36,6 +38,21 @@ def batch_means_se(x, n_batches: int = 100) -> float:
     m = len(x) // n_batches
     means = x[: m * n_batches].reshape(n_batches, m).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(n_batches))
+
+
+def smoothed_target_quadrature(kernel, h: float, grid, density, support: tuple) -> np.ndarray:
+    """E_pi[K_h(x - Y)] by adaptive quadrature against a 1-d stationary density."""
+    lo, hi = support
+    out = np.empty(len(grid))
+    for i, x in enumerate(np.asarray(grid, dtype=float)):
+        a, b = max(lo, x - h), min(hi, x + h)
+        if a >= b:
+            out[i] = 0.0
+            continue
+        val, _ = quad(lambda y: float(kernel.evaluate(np.array([[(x - y) / h]]))[0]) * density(y),
+                      a, b, epsabs=QUAD_TOL)
+        out[i] = val / h
+    return out
 
 
 def dense_kde_evaluate(sample, kernel, h: float, x):
@@ -80,6 +97,12 @@ def lifted_class_values(lifted, measure):
     return out
 
 
+def child_env() -> dict:
+    """This process's environment with the repository's ``src`` first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": str(src) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 _PEAK_RSS_SCRIPT = """
 import sys
 from regenmc.cli import main
@@ -99,11 +122,9 @@ def cli_peak_rss_mb(config, tmp_path):
     """
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, config["experiment"],
                            "--config", str(path), "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, peak_kb = map(int, proc.stdout.split()[-2:])
     return code, peak_kb / 1024

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from regenmc import cli
 from regenmc.cli import main, run, validate
+
+from .helpers import child_env
 
 CONFIGS = Path(__file__).parent / "configs"
 GOLDEN = Path(__file__).parent / "golden"
@@ -559,3 +563,13 @@ def test_validate_accepts_a_number_as_1d_center(center, tmp_path):
     cfg.update(center=center, n_u=1)
     assert validate(cfg) == []
     run(cfg, tmp_path)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds tens of milliseconds to every start and no run needs it.
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, regenmc.cli; print(sorted(m for m in sys.modules "
+                           "if m.startswith('scipy.integrate')))"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from regenmc import (
     KDEConfig,
@@ -16,16 +17,17 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc.kde import (
+    QUAD_TOL,
     Kernel,
     _epanechnikov_k0,
+    _profile_mass,
     deviation_grid,
     occupancy_moment_premise_check,
-    smoothed_target_quadrature,
 )
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import stream
 
-from .helpers import dense_kde_evaluate
+from .helpers import dense_kde_evaluate, smoothed_target_quadrature
 
 RADIAL_EPANECHNIKOV = Kernel(name="radial-epanechnikov", k0=_epanechnikov_k0, form="radial",
                              k0_sup=0.75, k0_l2sq=0.6)
@@ -44,6 +46,30 @@ def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
         Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0),
                form="product", k0_sup=0.7, k0_l2sq=0.98)
+
+
+def test_kernel_mass_one_percent_off_rejected():
+    with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
+        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), form="product",
+               k0_sup=0.7575, k0_l2sq=0.612)
+
+
+@pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
+def test_builtin_kernels_have_unit_mass(make):
+    # The rule is exact for both profiles; what is left is the rounding of its 32-term sum.
+    assert abs(_profile_mass(make().k0) - 1.0) <= 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k0", [
+    box_kernel().k0,
+    _epanechnikov_k0,
+    lambda t: np.where(np.abs(t) <= 1, 15 / 16 * (1 - np.asarray(t) ** 2) ** 2, 0.0),
+    lambda t: np.where(np.abs(t) <= 1, np.pi / 4 * np.cos(np.pi / 2 * np.asarray(t)), 0.0),
+    lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0),
+])
+def test_profile_mass_agrees_with_adaptive_quadrature(k0):
+    exact, _ = quad(lambda t: float(k0(t)), -1.0, 1.0, epsabs=QUAD_TOL / 10)
+    assert abs(_profile_mass(k0) - exact) <= QUAD_TOL / 10
 
 
 def test_kernel_support_checked():

@@ -33,6 +33,22 @@ from .helpers import reference_mh_regen_path, reference_run_mh
 
 
 # ---------------------------------------------------------------------------
+# Supports
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo,hi,message", [
+    ([np.nan], [1.0], r"coordinate 0 has \(lo, hi\) = \(nan, 1\.0\)"),
+    ([0.0, 0.0], [1.0, np.nan], r"coordinate 1 has \(lo, hi\) = \(0\.0, nan\)"),
+    ([0.0, 0.5], [1.0, 0.5], r"coordinate 1 has \(lo, hi\) = \(0\.5, 0\.5\)"),
+    ([0.0], [1.0, 2.0], r"lo \(1,\), hi \(2,\)"),
+])
+def test_box_rejects_bad_bounds_with_witness(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        Box(np.array(lo), np.array(hi))
+
+
+# ---------------------------------------------------------------------------
 # The move
 # ---------------------------------------------------------------------------
 

@@ -25,8 +25,10 @@ from regenmc import (
     table_class,
     wrapped_doeblin_chain,
 )
+from regenmc import rademacher
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rademacher import SIGN_CHUNK, SLICE_FLOOR, _row_slices, _signed_sup_mc
+from regenmc.rng import stream
 
 from .helpers import (cli_peak_rss_mb, reference_exhaustive_signed_sup,
                       reference_signed_sup_mc)
@@ -126,6 +128,40 @@ def test_sliced_sign_mc_bit_identical_to_whole_chunks(m, n, n_mc, seed):
     assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, n_mc, seed)
 
 
+def _multiplied_signs(monkeypatch, values, n_mc, seed):
+    """Each chunk's sign rows as _signed_sup_mc hands them to _signed_sups, slice by slice."""
+    chunks = []
+
+    def record(values, total, sign_rows):
+        chunks.append(np.vstack([sign_rows(lo, hi)
+                                 for lo, hi in _row_slices(total, values.shape[1])]))
+        return np.zeros(total)
+
+    monkeypatch.setattr(rademacher, "_signed_sups", record)
+    _signed_sup_mc(values, n_mc, seed)
+    return chunks
+
+
+@pytest.mark.parametrize("n,n_mc", [
+    (20_001, 35),               # 13-, 13- and 9-row slices of odd width: carried halves
+    (1001, SIGN_CHUNK + 3),     # odd 261-row slices, then a chunk boundary
+    (7, 5),                     # a total below SLICE_FLOOR
+])
+def test_raw_word_signs_equal_integers_draw(monkeypatch, n, n_mc):
+    # The signs are read off the bit generator's raw words on the strength of
+    # how numpy's integers(0, 2) uses them.  If numpy changes its
+    # bounded-integer method or its half-word order, this fails before any
+    # digest moves.
+    seed = 17
+    chunks = _multiplied_signs(monkeypatch, np.ones((2, n)), n_mc, seed)
+    assert len(chunks) == -(-n_mc // SIGN_CHUNK)
+    for i, signs in enumerate(chunks):
+        c = min(SIGN_CHUNK, n_mc - i * SIGN_CHUNK)
+        drawn = stream(seed, i).integers(0, 2, size=(c, n)) * 2 - 1
+        assert signs.dtype == np.float64
+        assert np.array_equal(signs, drawn)
+
+
 @pytest.mark.parametrize("total,width", [(0, 10), (5, 10), (2048, 140_000), (2048, 3000),
                                          (_FOLDED_TAIL, 1000), (64, 0)])
 def test_row_slices_cover_rows_within_budget(total, width):
@@ -147,9 +183,9 @@ def test_exhaustive_sliced_equals_whole_enumeration(n):
 
 def test_sign_mc_memory_bounded_by_budget():
     # A slice holds at most (step + SLICE_FLOOR - 1) rows, so at most
-    # ELEMENT_BUDGET + SLICE_FLOOR * n elements.  At most three slice-sized
-    # 8-byte arrays live at once (the draw, the +-1 signs, the float copy the
-    # matmul takes), next to a possible copy of the value matrix and the sups.
+    # ELEMENT_BUDGET + SLICE_FLOOR * n elements.  Its raw words (4 bytes an
+    # element) and float signs (8 bytes) fit in three slice-sized 8-byte
+    # arrays, next to a possible copy of the value matrix and the sups.
     # A whole 2048-row chunk needs two 2048 x n arrays, 655 MB here.
     m, n, n_mc = 10, 20_000, 2048
     values = np.random.default_rng(0).uniform(-1, 1, (m, n))
