@@ -4,6 +4,11 @@ Includes construction and grid validation of the uniform minorization
 certificate for the sampler (small ball around a chosen center, minorizing
 measure proportional to the target there), regeneration-instrumented
 sampling, and quantile / credible-interval error experiments.
+
+The marginal CDFs and quantiles need the standard normal CDF and a bracketed
+root finder.  ``ndtr`` and ``brentq`` below are scalar ports of SciPy's
+(cephes ``ndtr`` and ``brentq.c``), so the runtime needs numpy alone; the tests
+pin both to SciPy's results bit for bit.
 """
 
 import hashlib
@@ -15,8 +20,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .chains import REJECTION_CAP, ChainModel, SamplingError, Trajectory, _ConstantState
 from .parallel import (ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json,
@@ -28,6 +31,141 @@ CERT_TOL = 1e-9
 # Validation-grid points per axis of the small ball (d = 1); d > 1 uses its d-th root.
 CERT_GRID = 41
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Standard normal CDF and root finding, ported from SciPy
+# ---------------------------------------------------------------------------
+
+# cephes ndtr.c: erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8, R(x)/S(x) for
+# x >= 8, and erf(x) = x T(x^2)/U(x^2) for |x| < 1.  Q, S and U have an
+# implicit leading coefficient 1.
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2      # log(2^1024)
+_SQRT1_2 = 0.70710678118654752440
+
+# Root finding for the marginal quantiles: the absolute tolerance they ask
+# for, and SciPy's default relative tolerance and iteration cap.
+BRENT_XTOL = 1e-13
+BRENT_RTOL = 4 * 2.0 ** -52
+BRENT_ITER = 100
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """cephes erf for |x| < 1, the only arguments ``ndtr`` gives it."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _p1evl(z, _NDTR_U)
+
+
+def _erfc(x: float) -> float:
+    """cephes erfc for x >= 1, the only arguments ``ndtr`` gives it."""
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _NDTR_P), _p1evl(x, _NDTR_Q)
+    else:
+        p, q = _polevl(x, _NDTR_R), _p1evl(x, _NDTR_S)
+    return (z * p) / q
+
+
+def ndtr(a: float) -> float:
+    """Standard normal CDF at a, bit for bit as cephes computes it (SciPy's special.ndtr)."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def brentq(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb] by Brent's method: SciPy's brentq.c, step for step.
+
+    Stops when the bracket's half-width drops below
+    (BRENT_XTOL + BRENT_RTOL |x|) / 2.  Raises ValueError if f(xa) and f(xb)
+    have the same sign, and RuntimeError after BRENT_ITER iterations.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f(a) and f(b) must have different signs: a={xa!r}, b={xb!r}, "
+                         f"f(a)={fpre!r}, f(b)={fcur!r}")
+    for _ in range(BRENT_ITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:   # inf or nan in C: the test below bisects
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after {BRENT_ITER} iterations; "
+                       f"the last iterate is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +229,8 @@ class UniformCoord:
         t = np.asarray(t, dtype=float)
         return np.where((t >= self.lo) & (t <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
-    def cdf(self, t):
-        return np.clip((np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+    def cdf(self, t: float) -> float:
+        return min(max((t - self.lo) / (self.hi - self.lo), 0.0), 1.0)
 
     def pdf_scalar(self, t: float) -> float:
         return 1.0 / (self.hi - self.lo) if self.lo <= t <= self.hi else 0.0
@@ -108,11 +246,13 @@ class TruncGaussCoord:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        z = ndtr((self.hi - self.mu) / self.sigma) - ndtr((self.lo - self.mu) / self.sigma)
+        a = ndtr((self.lo - self.mu) / self.sigma)
+        z = ndtr((self.hi - self.mu) / self.sigma) - a
         if not z > 0:
             raise ValueError(f"mu={self.mu!r}, sigma={self.sigma!r} put no mass on "
                              f"[{self.lo!r}, {self.hi!r}]")
-        object.__setattr__(self, "_z", float(z))
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_z", z)
         object.__setattr__(self, "_norm", self.sigma * _SQRT2PI * self._z)
 
     @property
@@ -125,10 +265,9 @@ class TruncGaussCoord:
         raw = np.exp(-0.5 * ((t - self.mu) / self.sigma) ** 2) / self._norm
         return np.where((t >= self.lo) & (t <= self.hi), raw, 0.0)
 
-    def cdf(self, t):
-        t = np.clip(np.asarray(t, dtype=float), self.lo, self.hi)
-        a = ndtr((self.lo - self.mu) / self.sigma)
-        return (ndtr((t - self.mu) / self.sigma) - a) / self._z
+    def cdf(self, t: float) -> float:
+        t = min(max(t, self.lo), self.hi)
+        return (ndtr((t - self.mu) / self.sigma) - self._a) / self._z
 
     def pdf_scalar(self, t: float) -> float:
         if not self.lo <= t <= self.hi:
@@ -152,10 +291,14 @@ class BimodalCoord:
             raise ValueError(f"s1 and s2 must be positive, got {self.s1!r} and {self.s2!r}")
         if not 0.0 <= self.w1 <= 1.0:
             raise ValueError(f"w1 must lie in [0, 1], got {self.w1!r}")
-        z1 = ndtr((self.hi - self.mu1) / self.s1) - ndtr((self.lo - self.mu1) / self.s1)
-        z2 = ndtr((self.hi - self.mu2) / self.s2) - ndtr((self.lo - self.mu2) / self.s2)
+        a1 = ndtr((self.lo - self.mu1) / self.s1)
+        a2 = ndtr((self.lo - self.mu2) / self.s2)
+        z1 = ndtr((self.hi - self.mu1) / self.s1) - a1
+        z2 = ndtr((self.hi - self.mu2) / self.s2) - a2
+        object.__setattr__(self, "_a1", a1)
+        object.__setattr__(self, "_a2", a2)
         object.__setattr__(self, "_w2", 1.0 - self.w1)
-        object.__setattr__(self, "_z", float(self.w1 * z1 + self._w2 * z2))
+        object.__setattr__(self, "_z", self.w1 * z1 + self._w2 * z2)
         if not self._z > 0:
             raise ValueError(f"the mixture puts no mass on [{self.lo!r}, {self.hi!r}]")
         object.__setattr__(self, "_n1", self.s1 * _SQRT2PI)
@@ -172,11 +315,11 @@ class BimodalCoord:
                + self._w2 * np.exp(-0.5 * ((t - self.mu2) / self.s2) ** 2) / self._n2)
         return np.where((t >= self.lo) & (t <= self.hi), raw / self._z, 0.0)
 
-    def cdf(self, t):
-        t = np.clip(np.asarray(t, dtype=float), self.lo, self.hi)
-        c1 = ndtr((t - self.mu1) / self.s1) - ndtr((self.lo - self.mu1) / self.s1)
-        c2 = ndtr((t - self.mu2) / self.s2) - ndtr((self.lo - self.mu2) / self.s2)
-        return (self.w1 * c1 + (1.0 - self.w1) * c2) / self._z
+    def cdf(self, t: float) -> float:
+        t = min(max(t, self.lo), self.hi)
+        c1 = ndtr((t - self.mu1) / self.s1) - self._a1
+        c2 = ndtr((t - self.mu2) / self.s2) - self._a2
+        return (self.w1 * c1 + self._w2 * c2) / self._z
 
     def pdf_scalar(self, t: float) -> float:
         if not self.lo <= t <= self.hi:
@@ -224,22 +367,23 @@ class Target:
     def marginal_pdf(self, k: int, t):
         return self.coords[k].pdf(t)
 
-    def marginal_cdf(self, k: int, t):
+    def marginal_cdf(self, k: int, t: float) -> float:
         return self.coords[k].cdf(t)
 
     def marginal_quantile(self, k: int, u: float) -> float:
         if not 0.0 < u < 1.0:
-            raise ValueError("u must lie in (0, 1)")
+            raise ValueError(f"u must lie in (0, 1), got {u!r}")
+        u = float(u)
         lo, hi = float(self.support.lo[k]), float(self.support.hi[k])
         cdf = self.coords[k].cdf
-        return float(brentq(lambda t: float(cdf(t)) - u, lo, hi, xtol=1e-13))
+        return brentq(lambda t: cdf(t) - u, lo, hi)
 
     def interval_mass(self, k: int, a: float, b: float) -> float:
         lo, hi = float(self.support.lo[k]), float(self.support.hi[k])
-        a, b = max(a, lo), min(b, hi)
+        a, b = max(float(a), lo), min(float(b), hi)
         if a >= b:
             return 0.0
-        return float(self.coords[k].cdf(b) - self.coords[k].cdf(a))
+        return self.coords[k].cdf(b) - self.coords[k].cdf(a)
 
     def ball_mass(self, z, r: float) -> float:
         """Target mass of B(z, r) intersected with the support (exact for d = 1)."""
@@ -608,7 +752,7 @@ def mh_chain_regen(target: Target, proposal: RWProposal, cert: MHMinorization,
 def empirical_cdf_quantile(values, u: float) -> float:
     """Smallest sample value whose empirical CDF reaches u."""
     if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0, 1)")
+        raise ValueError(f"u must lie in (0, 1), got {u!r}")
     values = np.sort(np.asarray(values, dtype=float).ravel())
     idx = int(math.ceil(len(values) * u)) - 1
     return float(values[max(idx, 0)])

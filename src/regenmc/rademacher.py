@@ -28,6 +28,8 @@ from .rng import stream
 SIGN_CHUNK = 2048
 # Fewest sign rows per matmul: with fewer, BLAS switches to kernels whose
 # rounding differs, and a row's sums would depend on how the chunk is sliced.
+# The floor does not make every slicing bit-identical: with 2-4 members a
+# row's sums can still differ from the whole chunk's by rounding.
 SLICE_FLOOR = 8
 EXHAUSTIVE_CAP = 20
 # Truncation levels L searched by optimize_block_bound.

@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from regenmc import (
@@ -381,6 +384,87 @@ def test_truncated_gaussian_quantiles_invert_cdf():
     for u in (0.1, 0.37, 0.5, 0.9):
         q = target.marginal_quantile(0, u)
         assert float(target.marginal_cdf(0, q)) == pytest.approx(u, abs=1e-10)
+
+
+def test_marginal_quantile_names_a_bad_u():
+    with pytest.raises(ValueError, match=r"u must lie in \(0, 1\), got 1\.5"):
+        uniform_target().marginal_quantile(0, 1.5)
+    with pytest.raises(ValueError, match="got 0.0"):
+        empirical_cdf_quantile(np.array([1.0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The ndtr and brentq ports.  Their results must equal SciPy's bit for bit: a
+# SciPy build that changes either (FMA contraction, a new algorithm) fails
+# here before any golden digest moves.
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _around(x: float, ulps: int = 3) -> list:
+    """x and its ``ulps`` nearest floats on each side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_ndtr_port_equals_scipy_bitwise():
+    rng = np.random.default_rng(20)
+    edges = [0.0, -0.0, 40.0, -40.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    # |a| sqrt(1/2) = 1 switches erf to erfc, |a| sqrt(1/2) = 8 switches erfc's
+    # rational form, and a^2 / 2 > MAXLOG underflows erfc to 0.
+    for edge in (math.sqrt(2.0), 8 * math.sqrt(2.0), math.sqrt(2 * metropolis._MAXLOG)):
+        edges += _around(edge) + _around(-edge)
+    xs = np.concatenate([rng.normal(0.0, 1.0, 40_000), rng.normal(0.0, 6.0, 40_000),
+                         rng.uniform(-2.0, 2.0, 20_000) * math.sqrt(2.0),
+                         rng.uniform(-45.0, 45.0, 20_000), edges])
+    ours = [metropolis.ndtr(x) for x in xs.tolist()]
+    assert np.array_equal(_bits(ours), _bits(ndtr(xs)))
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_marginal_quantile_brentq_equals_scipy_bitwise(name):
+    target = TARGETS[name]()
+    rng = np.random.default_rng(21)
+    us = np.concatenate([rng.uniform(0.0, 1.0, 500), [1e-12, 0.5, 1 - 1e-12]]).tolist()
+    cdf = target.coords[0].cdf
+    lo, hi = float(target.support.lo[0]), float(target.support.hi[0])
+    ours = [target.marginal_quantile(0, u) for u in us]
+    theirs = [brentq(lambda t, u=u: cdf(t) - u, lo, hi, xtol=metropolis.BRENT_XTOL) for u in us]
+    assert np.array_equal(_bits(ours), _bits(theirs))
+
+
+@pytest.mark.parametrize("f", [lambda x: math.exp(x) - 2.0, lambda x: x ** 3 + x - 0.5,
+                               lambda x: math.atan(x - 0.3)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+def test_brentq_port_equals_scipy_bitwise(f, scale):
+    # At scale 1e-200 the extrapolation step's denominator underflows to 0,
+    # where C divides into inf or nan and the port must bisect as C does.
+    g = lambda x: scale * f(x)
+    theirs = brentq(g, -1.0, 2.0, xtol=metropolis.BRENT_XTOL)
+    assert _bits(metropolis.brentq(g, -1.0, 2.0)) == _bits(theirs)
+
+
+def test_brentq_same_sign_bracket_names_both_ends():
+    with pytest.raises(ValueError, match=r"a=0\.0, b=1\.0, f\(a\)=1\.0, f\(b\)=2\.0"):
+        metropolis.brentq(lambda x: x + 1.0, 0.0, 1.0)
+
+
+def test_brentq_names_its_last_iterate_when_it_runs_out():
+    # A jump at 0.1 leaves Brent's method only bisection, which needs about a
+    # thousand halvings to shrink [-1e300, 1e300] below the tolerance.
+    step = lambda x: -1.0 if x < 0.1 else 1.0
+    last = brentq(step, -1e300, 1e300, xtol=metropolis.BRENT_XTOL, full_output=True,
+                  disp=False)[1].root
+    with pytest.raises(RuntimeError, match=f"after 100 iterations.*{re.escape(repr(last))}$"):
+        metropolis.brentq(step, -1e300, 1e300)
 
 
 def test_credible_interval_experiment_uniform():

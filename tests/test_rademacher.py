@@ -26,7 +26,7 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc import rademacher
-from regenmc.parallel import ELEMENT_BUDGET
+from regenmc.parallel import ELEMENT_BUDGET, pool_map
 from regenmc.rademacher import SIGN_CHUNK, SLICE_FLOOR, _row_slices, _signed_sup_mc
 from regenmc.rng import stream
 
@@ -126,6 +126,40 @@ def test_sliced_sign_mc_bit_identical_to_whole_chunks(m, n, n_mc, seed):
     values = np.random.default_rng(seed).uniform(-1, 1, (m, n))
     est = _signed_sup_mc(values, n_mc, seed)
     assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, n_mc, seed)
+
+
+# With 2-4 members BLAS rounds an 8-row slice's matmul differently from the
+# whole chunk's (by up to about 1e-12 at n = 29380), so the sliced estimate
+# is equal only up to rounding there.
+_FEW_MEMBERS = [(m, 29_380, 200, m) for m in (2, 3, 4)]
+
+
+def _few_members_estimate(case):
+    m, n, n_mc, seed = case
+    est = _signed_sup_mc(np.random.default_rng(seed).uniform(-1, 1, (m, n)), n_mc, seed)
+    return est.mean, est.mc_std_error
+
+
+@pytest.mark.parametrize("m,n,n_mc,seed", _FEW_MEMBERS)
+def test_sliced_sign_mc_within_rounding_of_whole_chunks(m, n, n_mc, seed):
+    values = np.random.default_rng(seed).uniform(-1, 1, (m, n))
+    mean, se = _few_members_estimate((m, n, n_mc, seed))
+    ref_mean, ref_se = reference_signed_sup_mc(values, n_mc, seed)
+    # Two orders of the same n-term sum differ by at most 2 gamma_(n-1) sum|x|
+    # <= n eps sum|x| (Higham, Accuracy and Stability, sec. 4.2), and each
+    # |x| <= max|v|, so each row's sup moves by at most n eps sum_k |v[f, k]|
+    # <= n eps (n max|v|).  The mean of the sups moves by no more, and the SE,
+    # their standard deviation over sqrt(n_mc), by less, up to the rounding of
+    # their own sums (about n_mc eps mean^2), which is far smaller here.  One
+    # wrong sign row would move the mean by about sqrt(n) / n_mc, far more.
+    tol = n * np.finfo(float).eps * np.abs(values).sum(axis=1).max()
+    assert abs(mean - ref_mean) <= tol
+    assert abs(se - ref_se) <= tol
+
+
+def test_sliced_sign_mc_independent_of_jobs():
+    serial = [_few_members_estimate(case) for case in _FEW_MEMBERS]
+    assert pool_map(_few_members_estimate, _FEW_MEMBERS, jobs=2) == serial
 
 
 def _multiplied_signs(monkeypatch, values, n_mc, seed):
