@@ -7,21 +7,21 @@ import numpy as np
 
 from regenmc import (
     Box,
+    UniformStep,
     build_minorization,
     check_ball_chaining_geometry,
     credible_interval_experiment,
-    empirical_cdf_quantile,
+    empirical_quantiles,
     extract_blocks,
     mh_chain_regen,
     pitman_estimate,
     regen_stats,
     truncated_gaussian_target,
-    uniform_step_proposal,
     uniform_target,
 )
 
 target = uniform_target()                 # uniform on [0, 1]
-proposal = uniform_step_proposal(0.25)    # steps from [-0.25, 0.25]
+proposal = UniformStep(0.25)              # steps from [-0.25, 0.25]
 
 # The minorization certificate: a small ball around the centroid where the
 # one-step kernel dominates delta times the target restricted there.  The
@@ -46,8 +46,7 @@ print("occupation estimate of mass below 0.3:", pitman_estimate(blocks, f))
 
 # Quantiles of the coordinate chain drive credible intervals.
 vals = traj.states[:, 0]
-print("\nempirical 10% / 90% quantiles:",
-      empirical_cdf_quantile(vals, 0.1), empirical_cdf_quantile(vals, 0.9))
+print("\nempirical 10% / 90% quantiles:", *empirical_quantiles(vals, [0.1, 0.9]))
 
 # Sweep the chain length and fit the decay of the sup quantile error over
 # u in [0.2, 0.8]; the reference exponent is -1/2.

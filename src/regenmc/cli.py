@@ -28,9 +28,9 @@ from .function_classes import (EXACT_COVER_CAP, BlockMeasure, check_lifted_cover
                                check_truncated_covering_bound, covering_checks,
                                halfline_class, kernel_class, table_class)
 from .kde import KDEConfig, KERNELS, rate_experiment
-from .metropolis import (TARGETS, build_minorization, credible_interval_experiment,
-                         gaussian_step_proposal, uniform_step_proposal)
-from .parallel import pool_map, replication_seeds
+from .metropolis import (TARGETS, GaussianStep, UniformStep, build_minorization,
+                         credible_interval_experiment)
+from .parallel import ELEMENT_BUDGET, pool_map, replication_seeds
 from .rademacher import (compare_bound_vs_empirical, empirical_block_rademacher,
                          empirical_rademacher_iid, block_variance_proxy)
 from .regeneration import extract_blocks, regen_stats, simulate_split_retrospective
@@ -74,7 +74,7 @@ def settings(config) -> dict:
 
 MODELS = {"two_state": two_state_chain, "finite_atom": finite_atom_chain,
           "finite_doeblin": finite_doeblin_chain, "doeblin_uniform": wrapped_doeblin_chain}
-PROPOSALS = {"uniform_step": uniform_step_proposal, "gaussian_step": gaussian_step_proposal}
+PROPOSALS = {"uniform_step": UniformStep, "gaussian_step": GaussianStep}
 
 
 def _halfline(thresholds: ArrayLike = None, lo=0.0, hi=1.0, size: int = 21):
@@ -82,6 +82,9 @@ def _halfline(thresholds: ArrayLike = None, lo=0.0, hi=1.0, size: int = 21):
     if thresholds is None:
         if size < 1:
             raise ValueError(f"size must be an integer >= 1, got {size!r}")
+        if size > ELEMENT_BUDGET:
+            raise ValueError(f"size must be at most ELEMENT_BUDGET = {ELEMENT_BUDGET}, "
+                             f"got {size!r}")
         thresholds = np.linspace(lo, hi, size)
     elif (lo, hi, size) != _halfline.__defaults__[1:]:   # a grid the thresholds would ignore
         raise ValueError(f"lo, hi and size are not read next to thresholds, got lo={lo!r}, "
@@ -119,12 +122,10 @@ def _int_at_least(value, least) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _number_above(value, bound: float) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > bound
-
-
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A number, not a bool, within float range: NaN, inf and 10**400 are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _type_errors(path: str, value, annotation) -> list:
@@ -269,8 +270,9 @@ def validate(config) -> list:
                  for name in consts if name != "M_const"]
         if "M_const" not in consts:
             errs.append("constants.M_const must be explicit for bound experiments")
-        elif not _number_above(consts["M_const"], 0):
-            errs.append(f"constants.M_const must be a positive number, got {consts['M_const']!r}")
+        elif not (_finite(consts["M_const"]) and consts["M_const"] > 0):
+            errs.append(f"constants.M_const must be a finite positive number, "
+                        f"got {consts['M_const']!r}")
     if "n_mc" in reads and not _int_at_least(cfg["n_mc"], 100):
         errs.append(f"n_mc must be an integer >= 100, got {cfg['n_mc']!r}")
     if "class" in reads:
@@ -319,8 +321,8 @@ def validate(config) -> list:
         if not isinstance(eps_grid, list) or not eps_grid:
             errs.append(f"eps_grid must be a non-empty list, got {eps_grid!r}")
         for i, eps in enumerate(eps_grid if isinstance(eps_grid, list) else []):
-            if not _number_above(eps, 0):
-                errs.append(f"eps_grid[{i}] must be a positive number, got {eps!r}")
+            if not (_finite(eps) and eps > 0):
+                errs.append(f"eps_grid[{i}] must be a finite positive number, got {eps!r}")
     return errs
 
 

@@ -6,13 +6,13 @@ smoothing bias is out of scope.  The supremum over space is taken over a grid
 with spacing at most h/4, whose adequacy is covered by a refinement-stability
 test rather than an analytic modulus argument.
 
-Kernels are compactly supported on [-1, 1] (per coordinate, or the unit ball
-for radial kernels), and ``Kernel`` rejects a profile that is non-zero just
-outside it.  The estimator relies on that: each query point is evaluated only
-over the window of samples within h of it in the first coordinate, found in
-the sample sorted once.  The estimate is still bit-identical to summing over
-every sample, because samples outside the window contribute exact zeros and
-the row sums are taken over all samples in their original order.
+Kernels are products of a base profile compactly supported on [-1, 1], and
+``Kernel`` rejects a profile that is non-zero just outside it.  The estimator
+relies on that: each query point is evaluated only over the window of samples
+within h of it in the first coordinate, found in the sample sorted once.  The
+estimate is still bit-identical to summing over every sample, because samples
+outside the window contribute exact zeros and the row sums are taken over all
+samples in their original order.
 """
 
 import math
@@ -64,27 +64,21 @@ def _profile_mass(k0: Callable) -> float:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A compactly supported kernel built from a base profile on [-1, 1].
+    """The product kernel K(x) = prod_k k0(x_k) of a base profile k0 on [-1, 1].
 
-    ``form`` is "product" (K(x) = prod_k k0(x_k)) or "radial" (K(x) =
-    k0(|x|)); ``k0_sup`` and ``k0_l2sq`` are sup|k0| and the integral of
-    k0^2.  The base profile must integrate to one (checked by Gauss-Legendre
-    quadrature, exact for polynomial profiles such as the box and
-    Epanechnikov ones) and vanish outside [-1, 1] (checked at points just
-    outside), because ``kde_evaluate`` only evaluates samples inside that
-    support.
+    ``k0_sup`` is sup|k0|.  The base profile must integrate to one (checked
+    by Gauss-Legendre quadrature, exact for polynomial profiles such as the
+    box and Epanechnikov ones) and vanish outside [-1, 1] (checked at points
+    just outside), because ``kde_evaluate`` only evaluates samples inside
+    that support.
     """
 
     name: str
     k0: Callable
-    form: str
     k0_sup: float
-    k0_l2sq: float
     k0_cdf: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.form not in ("product", "radial"):
-            raise ValueError("form must be 'product' or 'radial'")
         mass = _profile_mass(self.k0)
         if abs(mass - 1.0) > QUAD_TOL:
             raise ValueError(f"base profile integrates to {mass:.10g}, not 1")
@@ -99,19 +93,16 @@ class Kernel:
         u = np.asarray(u, dtype=float)
         if u.ndim == 1:
             u = u[:, None]
-        if self.form == "radial":
-            return np.asarray(self.k0(np.sqrt((u ** 2).sum(axis=1))), dtype=float)
         return np.prod(np.asarray(self.k0(u), dtype=float), axis=1)
 
 
 def box_kernel() -> Kernel:
-    return Kernel(name="box", k0=_box_k0, form="product", k0_sup=0.5, k0_l2sq=0.5,
-                  k0_cdf=_box_k0_cdf)
+    return Kernel(name="box", k0=_box_k0, k0_sup=0.5, k0_cdf=_box_k0_cdf)
 
 
 def epanechnikov_kernel() -> Kernel:
-    return Kernel(name="epanechnikov", k0=_epanechnikov_k0, form="product",
-                  k0_sup=0.75, k0_l2sq=0.6, k0_cdf=_epanechnikov_k0_cdf)
+    return Kernel(name="epanechnikov", k0=_epanechnikov_k0, k0_sup=0.75,
+                  k0_cdf=_epanechnikov_k0_cdf)
 
 
 KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
@@ -146,10 +137,10 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     Only the window of each query is evaluated: the samples whose first
     coordinate lies within h of the query's, found by ``searchsorted`` on the
     sample sorted once by that coordinate.  This rests on the kernel's support
-    being [-1, 1] per coordinate (product form) or the unit ball (radial),
-    which ``Kernel`` checks.  The window is widened by a relative margin,
-    because a sample just outside fl(x -+ h) can still give a computed
-    |(x - X_i)/h| = 1; the extra samples evaluate to exact zeros.
+    being [-1, 1] per coordinate, which ``Kernel`` checks.  The window is
+    widened by a relative margin, because a sample just outside fl(x -+ h)
+    can still give a computed |(x - X_i)/h| = 1; the extra samples evaluate
+    to exact zeros.
 
     The result is bit-identical to evaluating every (query, sample) pair: the
     window's kernel values go into a zeroed row at the samples' original

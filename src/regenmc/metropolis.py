@@ -30,6 +30,10 @@ from .rng import stream
 CERT_TOL = 1e-9
 # Validation-grid points per axis of the small ball (d = 1); d > 1 uses its d-th root.
 CERT_GRID = 41
+# Largest dimension of a target or proposal.  build_minorization's grid pairs
+# peak at 46.6 MB (tracemalloc, trunc_gauss with uniform steps a = 0.25) at
+# d = 6 and grow about 6x per dimension, about 10 GB at d = 9.
+MAX_DIM = 6
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -400,10 +404,16 @@ class Target:
         return float(np.sum(self.pdf(grid[inside])) * cell)
 
 
-def _cube(lo, hi, d: int) -> Box:
-    """The support [lo, hi]^d of a built-in target."""
+def _check_dim(d: int):
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d!r}")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension d must be at most MAX_DIM = {MAX_DIM}, got {d!r}")
+
+
+def _cube(lo, hi, d: int) -> Box:
+    """The support [lo, hi]^d of a built-in target."""
+    _check_dim(d)
     if not lo < hi:
         raise ValueError(f"lo must be below hi, got {lo!r} >= {hi!r}")
     return Box(np.full(d, float(lo)), np.full(d, float(hi)))
@@ -438,107 +448,100 @@ TARGETS = {"uniform": uniform_target, "trunc_gauss": truncated_gaussian_target,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RWProposal:
-    """Even (symmetric) random-walk increment law with a certified ball floor.
+def _certify_floor(proposal, params: str):
+    """Check a proposal's dimension and its certified ball floor at construction.
 
-    ``floor_b`` and ``floor_eps`` certify density(z) >= floor_b whenever
-    |z| <= floor_eps; the floor is re-checked on a deterministic grid of 10^3
-    interior points plus the ball boundary at construction.
+    ``floor_b`` must be positive and finite, and density(z) >= floor_b must
+    hold whenever |z| <= floor_eps: that is checked on a deterministic grid
+    of 10^3 interior points plus 10^3 points on the ball's boundary.
     """
-
-    name: str
-    increments: object              # bulk sampler: (rng, n) -> (n, d)
-    density: object                 # increment density, vectorized as ``.vec``
-    floor_b: float
-    floor_eps: float
-    dim: int
-
-    def __post_init__(self):
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((1000, self.dim))
-        pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12)
-        radii = np.linspace(0.0, 1.0, 1000)[:, None]
-        grid = np.vstack([pts * radii * self.floor_eps, pts * self.floor_eps])
-        dens = self.density.vec(grid)
-        if np.any(dens < self.floor_b - 1e-12):
-            raise ValueError("proposal density violates its certified ball floor")
-
-    def sample_increments(self, rng, n: int) -> np.ndarray:
-        return self.increments(rng, n)
-
-
-@dataclass(frozen=True)
-class _UniformIncrements:
-    a: float
-    d: int
-
-    def __call__(self, rng, n):
-        return rng.uniform(-self.a, self.a, (n, self.d))
-
-
-@dataclass(frozen=True)
-class _UniformIncrementDensity:
-    a: float
-    d: int
-
-    def vec(self, z):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        inside = np.all(np.abs(z) <= self.a, axis=1)
-        return np.where(inside, (2.0 * self.a) ** (-self.d), 0.0)
-
-
-def _density_floor(floor, params: str, d: int) -> float:
-    """The value of ``floor()``, a proposal's density floor, which must be positive and finite."""
+    _check_dim(proposal.d)
     try:
-        b = floor()
+        b = proposal.floor_b
     except ArithmeticError:             # an overflow, or a variance that underflows to 0
         b = math.nan
     if not 0 < b < math.inf:
-        raise ValueError(f"{params} gives no positive finite density floor in {d} dimensions")
-    return b
-
-
-def uniform_step_proposal(a: float, d: int = 1) -> RWProposal:
-    """Uniform increments on [-a, a]^d; floor (2a)^-d on the inscribed ball."""
-    if not a > 0:
-        raise ValueError(f"step half-width a must be positive, got {a!r}")
-    b = _density_floor(lambda: (2.0 * a) ** (-d), f"a={a!r}", d)
-    return RWProposal(name=f"uniform_step(a={a:g})", increments=_UniformIncrements(a, d),
-                      density=_UniformIncrementDensity(a, d), floor_b=b, floor_eps=a, dim=d)
+        raise ValueError(f"{params} gives no positive finite density floor in "
+                         f"{proposal.d} dimensions")
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((1000, proposal.d))
+    pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12)
+    radii = np.linspace(0.0, 1.0, 1000)[:, None]
+    grid = np.vstack([pts * radii * proposal.floor_eps, pts * proposal.floor_eps])
+    if np.any(proposal.density(grid) < b - 1e-12):
+        raise ValueError("proposal density violates its certified ball floor")
 
 
 @dataclass(frozen=True)
-class _GaussIncrements:
-    s: float
-    d: int
+class UniformStep:
+    """Even random-walk increments uniform on [-a, a]^d; floor (2a)^-d on the ball of radius a."""
 
-    def __call__(self, rng, n):
+    a: float
+    d: int = 1
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ValueError(f"step half-width a must be positive, got {self.a!r}")
+        _certify_floor(self, f"a={self.a!r}")
+
+    @property
+    def name(self) -> str:
+        return f"uniform_step(a={self.a:g})"
+
+    @property
+    def floor_b(self) -> float:
+        return (2.0 * self.a) ** (-self.d)
+
+    @property
+    def floor_eps(self) -> float:
+        return self.a
+
+    def sample_increments(self, rng, n: int) -> np.ndarray:
+        return rng.uniform(-self.a, self.a, (n, self.d))
+
+    def density(self, z) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        return np.where(np.all(np.abs(z) <= self.a, axis=1), self.floor_b, 0.0)
+
+
+@dataclass(frozen=True)
+class GaussianStep:
+    """Even random-walk increments N(0, s^2 I); the floor is the density at radius eps."""
+
+    s: float
+    eps: float
+    d: int = 1
+
+    def __post_init__(self):
+        if not self.s > 0:
+            raise ValueError(f"step scale s must be positive, got {self.s!r}")
+        if not self.eps > 0:
+            raise ValueError(f"floor radius eps must be positive, got {self.eps!r}")
+        _certify_floor(self, f"s={self.s!r}, eps={self.eps!r}")
+
+    @property
+    def name(self) -> str:
+        return f"gaussian_step(s={self.s:g})"
+
+    @property
+    def floor_b(self) -> float:
+        return (math.exp(-0.5 * self.eps ** 2 / self.s ** 2)
+                / (2 * math.pi * self.s ** 2) ** (self.d / 2))
+
+    @property
+    def floor_eps(self) -> float:
+        return self.eps
+
+    def sample_increments(self, rng, n: int) -> np.ndarray:
         return rng.normal(0.0, self.s, (n, self.d))
 
-
-@dataclass(frozen=True)
-class _GaussIncrementDensity:
-    s: float
-    d: int
-
-    def vec(self, z):
+    def density(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         return (np.exp(-0.5 * (z ** 2).sum(axis=1) / self.s ** 2)
                 / (2 * math.pi * self.s ** 2) ** (self.d / 2))
 
 
-def gaussian_step_proposal(s: float, eps: float, d: int = 1) -> RWProposal:
-    """Gaussian increments N(0, s^2 I); floor is the density at radius eps."""
-    if not s > 0:
-        raise ValueError(f"step scale s must be positive, got {s!r}")
-    if not eps > 0:
-        raise ValueError(f"floor radius eps must be positive, got {eps!r}")
-    b = _density_floor(
-        lambda: math.exp(-0.5 * eps ** 2 / s ** 2) / (2 * math.pi * s ** 2) ** (d / 2),
-        f"s={s!r}, eps={eps!r}", d)
-    return RWProposal(name=f"gaussian_step(s={s:g})", increments=_GaussIncrements(s, d),
-                      density=_GaussIncrementDensity(s, d), floor_b=b, floor_eps=eps, dim=d)
+Proposal = UniformStep | GaussianStep
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +560,7 @@ class MHKernel:
     """
 
     target: Target
-    proposal: RWProposal
+    proposal: Proposal
 
     def sample_path(self, x0, n, rng):
         """n states from x0: n - 1 increments, then n - 1 acceptance uniforms, then the walk.
@@ -598,7 +601,7 @@ class MHKernel:
         px, py = self.target.pdf(xs), self.target.pdf(ys)
         with np.errstate(invalid="ignore", divide="ignore"):
             rho = np.where(px > 0, np.minimum(1.0, py / px), 1.0)
-        p = self.proposal.density.vec(z) * rho
+        p = self.proposal.density(z) * rho
         return np.where(np.all(xs == ys, axis=1), np.inf, p)
 
 
@@ -622,7 +625,7 @@ def _walk_floats(pdf, path, incs, u_acc):
         path[lo + 1:hi + 1] = walked
 
 
-def run_mh(target: Target, proposal: RWProposal, n: int, seed: int,
+def run_mh(target: Target, proposal: Proposal, n: int, seed: int,
            x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain MH path of n states; starts at the support centroid by default."""
     x = target.support.centroid() if x0 is None else x0
@@ -644,7 +647,7 @@ class MHMinorization:
     """
 
     target: Target
-    proposal: RWProposal
+    proposal: Proposal
     center: np.ndarray
     radius: float
     delta: float
@@ -680,7 +683,7 @@ class MHMinorization:
         }, indent=2)
 
 
-def build_minorization(target: Target, proposal: RWProposal,
+def build_minorization(target: Target, proposal: Proposal,
                        center=None) -> MHMinorization:
     """Construct and grid-validate the small-ball certificate.
 
@@ -710,7 +713,7 @@ def build_minorization(target: Target, proposal: RWProposal,
     pts = pts[np.linalg.norm(pts - z, axis=1) <= radius]
     xs = np.repeat(pts, len(pts), axis=0)
     ys = np.tile(pts, (len(pts), 1))
-    q = proposal.density.vec(ys - xs)
+    q = proposal.density(ys - xs)
     px, py = target.pdf(xs), target.pdf(ys)
     with np.errstate(invalid="ignore"):
         rho = np.where(px > 0, np.minimum(1.0, py / np.where(px > 0, px, 1.0)), 1.0)
@@ -727,7 +730,7 @@ def build_minorization(target: Target, proposal: RWProposal,
                           delta=delta, psi_mass=psi_mass, grid_hash=grid_hash)
 
 
-def mh_chain_regen(target: Target, proposal: RWProposal, cert: MHMinorization,
+def mh_chain_regen(target: Target, proposal: Proposal, cert: MHMinorization,
                    n: int, seed: int, x0: Optional[np.ndarray] = None) -> Trajectory:
     """MH path with retrospective regeneration flags from the certificate.
 
@@ -749,18 +752,17 @@ def mh_chain_regen(target: Target, proposal: RWProposal, cert: MHMinorization,
 # ---------------------------------------------------------------------------
 
 
-def empirical_cdf_quantile(values, u: float) -> float:
-    """Smallest sample value whose empirical CDF reaches u."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u!r}")
-    values = np.sort(np.asarray(values, dtype=float).ravel())
-    idx = int(math.ceil(len(values) * u)) - 1
-    return float(values[max(idx, 0)])
-
-
 def empirical_quantiles(values, us) -> np.ndarray:
+    """The smallest sample value whose empirical CDF reaches u, for each u in ``us``.
+
+    Every u must lie in (0, 1); the first that does not is named in the error.
+    """
+    us = np.asarray(us, dtype=float)
+    bad = us[~((us > 0.0) & (us < 1.0))]
+    if bad.size:
+        raise ValueError(f"u must lie in (0, 1), got {float(bad[0])!r}")
     values = np.sort(np.asarray(values, dtype=float).ravel())
-    idx = np.maximum(np.ceil(len(values) * np.asarray(us, dtype=float)).astype(int) - 1, 0)
+    idx = np.maximum(np.ceil(len(values) * us).astype(int) - 1, 0)
     return values[idx]
 
 
@@ -807,7 +809,7 @@ def _credible_one(target, proposal, cert, k, us, q_ref, n, task_seed):
     return float(np.max(np.abs(qh - q_ref))), qh, mono
 
 
-def credible_interval_experiment(target: Target, proposal: RWProposal,
+def credible_interval_experiment(target: Target, proposal: Proposal,
                                  cert: MHMinorization, k: int, gamma: float,
                                  n_grid, replications: int, seed: int,
                                  n_u: int = 17, jobs: int = 1) -> QuantileSeries:

@@ -29,7 +29,7 @@ from regenmc import (
     table_class,
     truncated_gaussian_target,
     two_state_chain,
-    uniform_step_proposal,
+    UniformStep,
     uniform_target,
     wrapped_doeblin_chain,
 )
@@ -67,7 +67,7 @@ def test_criterion_02_splitting_preserves_marginal():
         b = simulate(model, 10**4, seed=800 + s).values_1d()[::10]
         passes_doeblin += ks_2samp(a, b).pvalue > 0.01
     target = uniform_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     passes_mh = 0
     for s in range(20):
@@ -177,7 +177,7 @@ def test_criterion_07_kde_uniform_deviation_rate():
 def test_criterion_08_credible_interval_rate():
     t0 = time.monotonic()
     target = uniform_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
                                           [2**j for j in range(8, 15)],
@@ -192,7 +192,7 @@ def test_criterion_08_credible_interval_rate():
 
 def test_criterion_09_centered_supremum_growth():
     target = uniform_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     thresholds = np.linspace(0.0, 1.0, 101)
     cls = halfline_class(thresholds)
 
@@ -207,7 +207,7 @@ def test_criterion_09_centered_supremum_growth():
 
 
 def test_criterion_10_certificates_validate_at_scale():
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     details = []
     ok = True
     for make in (uniform_target, truncated_gaussian_target, bimodal_target):

@@ -161,7 +161,11 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
 @pytest.mark.parametrize("name,key,value,message", [
     ("verify_lemmas_tiny.json", "eps_grid", [], "eps_grid must be a non-empty list, got []"),
     ("verify_lemmas_tiny.json", "eps_grid", [0.5, 0],
-     "eps_grid[1] must be a positive number, got 0"),
+     "eps_grid[1] must be a finite positive number, got 0"),
+    ("verify_lemmas_tiny.json", "eps_grid", [0.1, float("inf")],
+     "eps_grid[1] must be a finite positive number, got inf"),
+    ("bounds_tiny.json", "constants", {"M_const": float("inf")},
+     "constants.M_const must be a finite positive number, got inf"),
     ("verify_lemmas_tiny.json", "max_states", 1, "max_states must be an integer >= 2, got 1"),
     ("verify_lemmas_tiny.json", "max_members", 0, "max_members must be an integer >= 1, got 0"),
     ("verify_lemmas_tiny.json", "max_members", 17,
@@ -203,6 +207,10 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
      "target.lo must be a finite number, got '0'"),
     ("mh_credible_tiny.json", "target", {"kind": "uniform", "lo": 1, "hi": 0},
      "target: lo must be below hi, got 1 >= 0"),
+    ("mh_credible_tiny.json", "target", {"kind": "uniform", "d": 7},
+     "target: dimension d must be at most MAX_DIM = 6, got 7"),
+    ("mh_credible_tiny.json", "target", {"kind": "trunc_gauss", "d": 2 ** 31},
+     "target: dimension d must be at most MAX_DIM = 6, got 2147483648"),
     ("mh_credible_tiny.json", "proposal", {"kind": "uniform_step"},
      "proposal.a is required for a 'uniform_step' proposal"),
     ("mh_credible_tiny.json", "proposal", {"kind": "gaussian_step", "s": 0.2},
@@ -285,7 +293,8 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
         run(cfg, tmp_path)
 
 
-_ODD_VALUES = ["x", None, float("nan"), float("inf"), [], {}, True]
+_ODD_VALUES = ["x", None, float("nan"), float("inf"), [], {}, True,
+               pytest.param(10 ** 400, id="10**400"), pytest.param(-10 ** 400, id="-10**400")]
 _TINY = sorted(path.name for path in CONFIGS.glob("*.json"))
 
 
@@ -406,6 +415,16 @@ def test_jobs_do_not_change_results(tmp_path, name):
     assert m1["outputs"] == m2["outputs"]
 
 
+def test_jobs_do_not_change_a_2d_gaussian_step_run(tmp_path):
+    # the pool pickles the proposal, and the workers walk the d > 1 array loop
+    cfg = load("mh_credible_tiny.json")
+    cfg.update(target={"kind": "trunc_gauss", "d": 2},
+               proposal={"kind": "gaussian_step", "s": 0.2, "eps": 0.3})
+    m1, _ = run(cfg, tmp_path / "serial", jobs=1)
+    m2, _ = run(cfg, tmp_path / "parallel", jobs=2)
+    assert m1["outputs"] == m2["outputs"]
+
+
 # ---------------------------------------------------------------------------
 # Entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -481,6 +500,8 @@ _FINITE_ATOM_2 = {"kind": "finite_atom", "matrix": [[0.5, 0.5], [0.2, 0.8]]}
     (None, {"kind": "halfline", "lo": float("-inf")},
      "class.lo must be a finite number, got -inf"),
     (None, {"kind": "halfline", "size": 0}, "class: size must be an integer >= 1, got 0"),
+    (None, {"kind": "halfline", "size": 2 ** 31},
+     "class: size must be at most ELEMENT_BUDGET = 262144, got 2147483648"),
     (None, {"kind": "halfline", "thresholds": [0.5], "size": 5},
      "class: lo, hi and size are not read next to thresholds, got lo=0.0, hi=1.0, size=5"),
     (None, {"kind": ["halfline"]},

@@ -29,29 +29,24 @@ from regenmc.rng import stream
 
 from .helpers import dense_kde_evaluate, smoothed_target_quadrature
 
-RADIAL_EPANECHNIKOV = Kernel(name="radial-epanechnikov", k0=_epanechnikov_k0, form="radial",
-                             k0_sup=0.75, k0_l2sq=0.6)
-KERNEL_CASES = {"box": box_kernel(), "epanechnikov": epanechnikov_kernel(),
-                "radial": RADIAL_EPANECHNIKOV}
+KERNEL_CASES = {"box": box_kernel(), "epanechnikov": epanechnikov_kernel()}
 
 
 def test_kernel_constants():
     box = box_kernel()
     ep = epanechnikov_kernel()
-    assert box.k0_sup == 0.5 and box.k0_l2sq == 0.5
-    assert ep.k0_sup == 0.75 and np.isclose(ep.k0_l2sq, 0.6)
+    assert box.k0_sup == 0.5
+    assert ep.k0_sup == 0.75
 
 
 def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
-        Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0),
-               form="product", k0_sup=0.7, k0_l2sq=0.98)
+        Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0), k0_sup=0.7)
 
 
 def test_kernel_mass_one_percent_off_rejected():
     with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
-        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), form="product",
-               k0_sup=0.7575, k0_l2sq=0.612)
+        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), k0_sup=0.7575)
 
 
 @pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
@@ -78,7 +73,7 @@ def test_kernel_support_checked():
         return np.where(t <= 1.0, 0.5, np.where(t < 1.2, 0.1, 0.0))
 
     with pytest.raises(ValueError, match=r"0\.1 at t = -1\.0000000000000002"):
-        Kernel(name="leaky", k0=leaky, form="product", k0_sup=0.5, k0_l2sq=0.5)
+        Kernel(name="leaky", k0=leaky, k0_sup=0.5)
 
 
 def test_single_point_box_evaluation():

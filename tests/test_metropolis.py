@@ -11,24 +11,24 @@ from scipy.stats import ks_2samp
 
 from regenmc import (
     Box,
+    GaussianStep,
     MHKernel,
+    UniformStep,
     bimodal_target,
     build_minorization,
     check_ball_chaining_geometry,
     credible_interval_experiment,
-    empirical_cdf_quantile,
+    empirical_quantiles,
     extract_blocks,
-    gaussian_step_proposal,
     mh_chain_regen,
     regen_stats,
     run_mh,
     truncated_gaussian_target,
-    uniform_step_proposal,
     uniform_target,
 )
 from regenmc import metropolis
 from regenmc.chains import ChainModel, FiniteKernel, Minorization
-from regenmc.metropolis import TARGETS, empirical_quantiles
+from regenmc.metropolis import TARGETS
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_forward
 from regenmc.rng import stream
 
@@ -59,7 +59,7 @@ def test_box_rejects_bad_bounds_with_witness(lo, hi, message):
 def test_acceptance_rate_against_overlap():
     # uniform target: every in-support proposal is accepted, so the rate from
     # a fixed state is the window/support overlap fraction
-    kernel = MHKernel(uniform_target(), uniform_step_proposal(0.6))
+    kernel = MHKernel(uniform_target(), UniformStep(0.6))
     rng = stream(1, 0)
     x = np.array([0.5])
     accepts = sum(bool(kernel.sample_path(x, 2, rng)[1, 0] != x[0]) for _ in range(20_000))
@@ -69,7 +69,7 @@ def test_acceptance_rate_against_overlap():
 
 
 def test_vanishing_current_density_always_accepts():
-    kernel = MHKernel(uniform_target(), uniform_step_proposal(0.1))
+    kernel = MHKernel(uniform_target(), UniformStep(0.1))
     path = kernel.sample_path(np.array([5.0]), 2, stream(2, 0))
     assert path[1, 0] != 5.0
     # acceptance probability 1: the move's density is the bare proposal density
@@ -78,7 +78,7 @@ def test_vanishing_current_density_always_accepts():
 
 def test_uphill_moves_always_accepted():
     target = truncated_gaussian_target()
-    prop = uniform_step_proposal(0.3)
+    prop = UniformStep(0.3)
     path = MHKernel(target, prop).sample_path(np.array([0.9]), 501, stream(3, 0))
     # the path drew its 500 increments first from the same stream
     ys = path[:-1] + prop.sample_increments(stream(3, 0), 500)
@@ -89,7 +89,7 @@ def test_uphill_moves_always_accepted():
 
 def test_rejection_has_infinite_density_and_is_never_flagged():
     target = truncated_gaussian_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     kernel = MHKernel(target, prop)
     x = np.array([[0.5]])
     assert kernel.density(x, x)[0] == np.inf
@@ -105,7 +105,7 @@ def test_accepted_move_at_proposal_edge_keeps_positive_density():
     # y = fl(x - a) with a = 0.3: the recomputed increment fl(y - x) lands
     # beyond -a for a share of x, where q would read 0
     a = 0.3
-    kernel = MHKernel(uniform_target(), uniform_step_proposal(a))
+    kernel = MHKernel(uniform_target(), UniformStep(a))
     xs = np.linspace(a, 1.0, 4001, endpoint=False)[:, None]
     ys = xs - a
     assert np.mean(np.abs(ys - xs) > a) > 0.05
@@ -121,7 +121,7 @@ def test_accepted_move_at_proposal_edge_keeps_positive_density():
 @example(target="trunc_gauss", gaussian=False, d=1, x0=5.0, n=300, seed=1)
 def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, seed):
     tgt = TARGETS[target](d=d)
-    prop = gaussian_step_proposal(0.2, 0.3, d) if gaussian else uniform_step_proposal(0.25, d)
+    prop = GaussianStep(0.2, 0.3, d) if gaussian else UniformStep(0.25, d)
     cert = build_minorization(tgt, prop)
     start = None if x0 is None else np.full(d, x0)
     traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
@@ -136,7 +136,7 @@ def test_float_walk_slices_bit_identical_to_reference_loops(target, monkeypatch)
     # and next to a slice bound, and n in {1, 2} stays inside the first slice.
     monkeypatch.setattr(metropolis, "ELEMENT_BUDGET", 7)
     tgt = TARGETS[target]()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(tgt, prop)
     for n in (1, 2, 7, 8, 9, 15, 300):
         for seed, start in ((n, None), (n + 1, np.array([5.0]))):
@@ -148,7 +148,7 @@ def test_float_walk_slices_bit_identical_to_reference_loops(target, monkeypatch)
 
 
 def test_out_of_support_proposals_rejected():
-    states = run_mh(uniform_target(), uniform_step_proposal(0.8), 5000, seed=4)
+    states = run_mh(uniform_target(), UniformStep(0.8), 5000, seed=4)
     assert states.min() >= 0.0 and states.max() <= 1.0
 
 
@@ -165,11 +165,14 @@ def test_out_of_support_proposals_rejected():
     (bimodal_target, {"w1": 1.5}, r"w1 must lie in \[0, 1\]"),
     (bimodal_target, {"w1": -0.1}, r"w1 must lie in \[0, 1\]"),
     (uniform_target, {"d": 0}, "dimension d must be >= 1, got 0"),
+    (bimodal_target, {"d": 7}, "dimension d must be at most MAX_DIM = 6, got 7"),
     (uniform_target, {"lo": 1.0, "hi": 0.0}, "lo must be below hi, got 1.0 >= 0.0"),
     (truncated_gaussian_target, {"mu": 50.0, "sigma": 0.01}, "put no mass on"),
     (bimodal_target, {"mu1": 50.0, "s1": 0.01, "w1": 1.0}, "no mass on"),
-    (uniform_step_proposal, {"a": 0.0}, "a must be positive, got 0.0"),
-    (gaussian_step_proposal, {"s": 0.2, "eps": -1.0}, "eps must be positive, got -1.0"),
+    (UniformStep, {"a": 0.0}, "a must be positive, got 0.0"),
+    (GaussianStep, {"s": 0.2, "eps": -1.0}, "eps must be positive, got -1.0"),
+    (UniformStep, {"a": 0.25, "d": 7}, "dimension d must be at most MAX_DIM = 6, got 7"),
+    (GaussianStep, {"s": 0.2, "eps": 0.3, "d": 0}, "dimension d must be >= 1, got 0"),
 ])
 def test_coordinate_constructors_reject_bad_scales_and_weights(make, params, message):
     with pytest.raises(ValueError, match=message):
@@ -186,42 +189,42 @@ def test_certified_sup_dominates_density_everywhere():
 
 def test_certificate_hand_value():
     # delta = b * pi(ball) / sup = (1/0.4) * 0.2 / 1
-    cert = build_minorization(uniform_target(), uniform_step_proposal(0.2),
+    cert = build_minorization(uniform_target(), UniformStep(0.2),
                               center=np.array([0.5]))
     assert cert.delta == pytest.approx(0.5)
     assert cert.radius == pytest.approx(0.1)
 
 
 def test_certificate_boundary_center_truncated():
-    cert = build_minorization(uniform_target(), uniform_step_proposal(0.2),
+    cert = build_minorization(uniform_target(), UniformStep(0.2),
                               center=np.array([0.02]))
     assert cert.psi_mass == pytest.approx(0.12)
     assert cert.delta == pytest.approx(0.3)
 
 
 def test_certificate_spiky_target_small_delta():
-    flat = build_minorization(truncated_gaussian_target(sigma=0.5), uniform_step_proposal(0.2))
-    spiky = build_minorization(truncated_gaussian_target(sigma=0.05), uniform_step_proposal(0.2))
+    flat = build_minorization(truncated_gaussian_target(sigma=0.5), UniformStep(0.2))
+    spiky = build_minorization(truncated_gaussian_target(sigma=0.05), UniformStep(0.2))
     assert 0 < spiky.delta < flat.delta < 1
 
 
 def test_certificate_rejects_outside_center():
     with pytest.raises(ValueError, match="inside the support"):
-        build_minorization(uniform_target(), uniform_step_proposal(0.2),
+        build_minorization(uniform_target(), UniformStep(0.2),
                            center=np.array([1.5]))
 
 
-def test_certificate_rejects_degenerate_delta():
+def test_certificate_rejects_degenerate_delta(monkeypatch):
     # a huge proposal floor would certify delta >= 1, which is impossible
     target = uniform_target()
-    prop = uniform_step_proposal(0.2)
-    object.__setattr__(prop, "floor_b", 20.0)
-    with pytest.raises(ValueError):
+    prop = UniformStep(0.2)
+    monkeypatch.setattr(UniformStep, "floor_b", 20.0)
+    with pytest.raises(ValueError, match="degenerate certificate"):
         build_minorization(target, prop)
 
 
 def test_gaussian_proposal_certificate_valid():
-    cert = build_minorization(uniform_target(), gaussian_step_proposal(0.2, 0.3))
+    cert = build_minorization(uniform_target(), GaussianStep(0.2, 0.3))
     assert 0 < cert.delta < 1
 
 
@@ -230,14 +233,14 @@ def test_certificate_grid_validation_failure_names_witness():
     target = truncated_gaussian_target(sigma=0.2)
     object.__setattr__(target, "sup_density", 0.5 * target.sup_density)
     with pytest.raises(ValueError, match="validation failed at x="):
-        build_minorization(target, uniform_step_proposal(0.2))
+        build_minorization(target, UniformStep(0.2))
 
 
 def test_runtime_certificate_violation_detected():
     import dataclasses
 
     target = uniform_target()
-    prop = uniform_step_proposal(0.2)
+    prop = UniformStep(0.2)
     cert = dataclasses.replace(build_minorization(target, prop), delta=0.9)
     with pytest.raises(ValueError, match="regeneration probability"):
         mh_chain_regen(target, prop, cert, 20_000, seed=15)
@@ -250,7 +253,7 @@ def test_runtime_certificate_violation_detected():
 
 def test_regen_flag_rate_matches_delta_times_small_set_mass():
     target = uniform_target()
-    prop = uniform_step_proposal(0.2)
+    prop = UniformStep(0.2)
     cert = build_minorization(target, prop)
     traj = mh_chain_regen(target, prop, cert, 100_000, seed=5)
     rate = traj.regen_flags.mean()
@@ -260,7 +263,7 @@ def test_regen_flag_rate_matches_delta_times_small_set_mass():
 
 def test_regen_flags_only_inside_small_set():
     target = uniform_target()
-    prop = uniform_step_proposal(0.2)
+    prop = UniformStep(0.2)
     cert = build_minorization(target, prop)
     traj = mh_chain_regen(target, prop, cert, 20_000, seed=6)
     flagged_states = traj.states[traj.regen_flags]
@@ -295,7 +298,7 @@ def test_regen_cross_checked_against_discretized_forward_split():
     assert gap.min() >= -1e-12
     disc = simulate_split_forward(model, 100_000, seed=7)
     target = uniform_target()
-    prop = uniform_step_proposal(a)
+    prop = UniformStep(a)
     cont = mh_chain_regen(target, prop, build_minorization(target, prop), 100_000, seed=8)
     r1, r2 = disc.regen_flags.mean(), cont.regen_flags.mean()
     assert abs(r1 - r2) <= 4 * math.sqrt(2 * 0.1 / 100_000) + 0.003
@@ -303,7 +306,7 @@ def test_regen_cross_checked_against_discretized_forward_split():
 
 def test_regen_marginal_matches_plain_mh():
     target = uniform_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     stride, failures = 30, 0
     for s in range(20):
@@ -315,7 +318,7 @@ def test_regen_marginal_matches_plain_mh():
 
 
 def test_detailed_balance_on_bins():
-    states = run_mh(uniform_target(), uniform_step_proposal(0.3), 200_000, seed=9)[:, 0]
+    states = run_mh(uniform_target(), UniformStep(0.3), 200_000, seed=9)[:, 0]
     bins = np.minimum((states * 5).astype(int), 4)
     flow = np.zeros((5, 5))
     np.add.at(flow, (bins[:-1], bins[1:]), 1)
@@ -327,7 +330,7 @@ def test_detailed_balance_on_bins():
 
 
 def test_mgf_finite_for_every_builtin_configuration():
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     for make in (uniform_target, truncated_gaussian_target, bimodal_target):
         target = make()
         cert = build_minorization(target, prop)
@@ -340,7 +343,7 @@ def test_mgf_finite_for_every_builtin_configuration():
 
 
 def test_pitman_on_mh_blocks_matches_marginal_mass():
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     for make, cut in ((uniform_target, 0.3), (truncated_gaussian_target, 0.3)):
         target = make()
         cert = build_minorization(target, prop)
@@ -359,16 +362,18 @@ def test_pitman_on_mh_blocks_matches_marginal_mass():
 
 def test_quantile_inf_definition():
     sample = np.array([1.0, 2.0, 3.0, 4.0])
-    assert empirical_cdf_quantile(sample, 0.5) == 2.0
-    assert empirical_cdf_quantile(sample, 1 - 1 / 8) == 4.0
-    assert empirical_cdf_quantile(sample, 0.2) == 1.0
+    assert empirical_quantiles(sample, 0.5) == 2.0
+    assert empirical_quantiles(sample, 1 - 1 / 8) == 4.0
+    assert empirical_quantiles(sample, 0.2) == 1.0
 
 
 def test_quantile_domain():
     with pytest.raises(ValueError):
-        empirical_cdf_quantile(np.array([1.0]), 0.0)
+        empirical_quantiles(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
-        empirical_cdf_quantile(np.array([1.0]), 1.0)
+        empirical_quantiles(np.array([1.0]), 1.0)
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        empirical_quantiles(np.array([1.0]), [0.5, 1.5, float("nan")])
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
@@ -390,7 +395,7 @@ def test_marginal_quantile_names_a_bad_u():
     with pytest.raises(ValueError, match=r"u must lie in \(0, 1\), got 1\.5"):
         uniform_target().marginal_quantile(0, 1.5)
     with pytest.raises(ValueError, match="got 0.0"):
-        empirical_cdf_quantile(np.array([1.0]), 0.0)
+        empirical_quantiles(np.array([1.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +474,7 @@ def test_brentq_names_its_last_iterate_when_it_runs_out():
 
 def test_credible_interval_experiment_uniform():
     target = uniform_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
                                           [2 ** j for j in range(8, 15)], 10, seed=13)
@@ -484,7 +489,7 @@ def test_credible_interval_experiment_uniform():
 
 def test_credible_interval_truncated_gaussian_reference():
     target = truncated_gaussian_target()
-    prop = uniform_step_proposal(0.25)
+    prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
                                           [256, 512, 1024], 5, seed=14)

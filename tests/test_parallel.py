@@ -8,6 +8,7 @@ import regenmc.metropolis as metropolis
 import regenmc.rademacher as rademacher
 from regenmc import (
     KDEConfig,
+    UniformStep,
     box_kernel,
     build_minorization,
     compare_bound_vs_empirical,
@@ -16,7 +17,6 @@ from regenmc import (
     rate_experiment,
     simulate,
     supremum_growth_experiment,
-    uniform_step_proposal,
     uniform_target,
     wrapped_doeblin_chain,
 )
@@ -76,7 +76,7 @@ def _rate(monkeypatch):
 
 def _credible(monkeypatch):
     monkeypatch.setattr(metropolis, "mh_chain_regen", _boom)
-    target, prop = uniform_target(), uniform_step_proposal(0.25)
+    target, prop = uniform_target(), UniformStep(0.25)
     credible_interval_experiment(target, prop, build_minorization(target, prop), 0, 0.1,
                                  [64, 128, 256], 2, SEED)
 
