@@ -194,6 +194,26 @@ def _center_errors(center, target) -> list:
 # Smallest value of each verify-lemmas instance limit: an instance needs two states.
 _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 1}
 
+# Caps on the integers that size a run, so that validate refuses a run too big
+# to hold in memory instead of numpy failing inside it.  Each is the count of
+# units whose memory reaches RUN_BYTES = 2^36 B (64 GiB), at the peak bytes one
+# unit was measured to hold under tracemalloc: 89 B a chain step of the split
+# simulation (n = 2^20 and 2^22; `n` and each `n_grid` entry), 196 B a work
+# item with its seeds, task and result (10^5 and 4 * 10^5 items;
+# `replications` and `trials`) and 531 B a quantile level (`n_u`, in the
+# 3 x 3 chains of tests/configs/mh_credible_tiny.json).
+RUN_BYTES = 2 ** 36
+MAX_STEPS = RUN_BYTES // 89
+MAX_ITEMS = RUN_BYTES // 196
+MAX_LEVELS = RUN_BYTES // 531
+
+
+def _size_errors(path: str, value, cap: int) -> list:
+    """Violations of the run-size integer at ``path``: it must lie in [1, cap]."""
+    if not _int_at_least(value, 1):
+        return [f"{path} must be an integer >= 1, got {value!r}"]
+    return [] if value <= cap else [f"{path} must be at most {cap}, got {value!r}"]
+
 
 def validate(config) -> list:
     """All violations that would prevent a run; empty means runnable."""
@@ -207,8 +227,8 @@ def validate(config) -> list:
     errs += [f"{key} is not read by a {exp!r} experiment"
              for key in config if key not in reads and key not in ("experiment", "seed")]
     cfg = settings(config)
-    if "n" in reads and not _int_at_least(cfg.get("n"), 1):
-        errs.append("n must be a positive integer")
+    if "n" in reads:
+        errs += _size_errors("n", cfg.get("n"), MAX_STEPS)
     if "min_blocks" in reads and not _int_at_least(cfg["min_blocks"], 0):
         errs.append(f"min_blocks must be an integer >= 0, got {cfg['min_blocks']!r}")
     model = None
@@ -226,15 +246,14 @@ def validate(config) -> list:
         sizes = grid if isinstance(grid, list) else []
         if len(sizes) < 3:
             errs.append("n_grid must be a list with at least 3 sizes")
-        bad = [f"n_grid[{i}] must be an integer >= 1, got {n!r}"
-               for i, n in enumerate(sizes) if not _int_at_least(n, 1)]
+        bad = [e for i, n in enumerate(sizes)
+               for e in _size_errors(f"n_grid[{i}]", n, MAX_STEPS)]
         errs += bad
         falls = [] if bad else [i for i in range(1, len(sizes)) if sizes[i] <= sizes[i - 1]]
         if falls:
             errs.append(f"n_grid must be strictly increasing, got n_grid[{falls[0]}] = "
                         f"{sizes[falls[0]]!r} after {sizes[falls[0] - 1]!r}")
-        if not _int_at_least(cfg.get("replications"), 1):
-            errs.append("replications must be a positive integer")
+        errs += _size_errors("replications", cfg.get("replications"), MAX_ITEMS)
     if exp == "kde-rate":
         if cfg["kernel"] not in tuple(KERNELS):
             errs.append(f"kernel must be one of {tuple(KERNELS)}, got {cfg['kernel']!r}")
@@ -305,11 +324,9 @@ def validate(config) -> list:
                 errs.extend(_center_errors(cfg["center"], target))
         # the run supplies the target's dimension; d = 1 stands in when the target is invalid
         errs += _spec("proposal", cfg["proposal"], PROPOSALS, d=getattr(target, "dim", 1))[0]
-        if not _int_at_least(cfg["n_u"], 1):
-            errs.append(f"n_u must be an integer >= 1, got {cfg['n_u']!r}")
+        errs += _size_errors("n_u", cfg["n_u"], MAX_LEVELS)
     if exp == "verify-lemmas":
-        if not _int_at_least(cfg.get("trials"), 1):
-            errs.append("trials must be a positive integer")
+        errs += _size_errors("trials", cfg.get("trials"), MAX_ITEMS)
         for name, least in _LEMMA_LIMITS.items():
             if not _int_at_least(cfg[name], least):
                 errs.append(f"{name} must be an integer >= {least}, got {cfg[name]!r}")

@@ -29,7 +29,8 @@ SIGN_CHUNK = 2048
 # Fewest sign rows per matmul: with fewer, BLAS switches to kernels whose
 # rounding differs, and a row's sums would depend on how the chunk is sliced.
 # The floor does not make every slicing bit-identical: with 2-4 members a
-# row's sums can still differ from the whole chunk's by rounding.
+# row's sums can still differ from the whole chunk's by rounding.  Only the
+# float64 path rounds; the float32 path's sums are exact however they are cut.
 SLICE_FLOOR = 8
 EXHAUSTIVE_CAP = 20
 # Truncation levels L searched by optimize_block_bound.
@@ -58,22 +59,41 @@ def _row_slices(total: int, width: int):
         lo = hi
 
 
+def _exact_in_float32(values: np.ndarray) -> bool:
+    """Whether float32 sums of +-values[f, k] over any signs equal float64's.
+
+    They do when every value is an integer and each row's sum of |v| is at
+    most 2^24: every partial sum of +-v, in any order or blocking, is then an
+    integer of magnitude at most 2^24, which float32 holds exactly.  So no
+    step of the float32 matmul rounds, fused multiply-adds included, and
+    neither would float64's.  NaN and inf fail the sum test.
+    """
+    v = np.asarray(values, dtype=float)
+    return bool((np.abs(v).sum(axis=1) <= 2.0 ** 24).all() and np.array_equal(v, np.rint(v)))
+
+
 def _signed_sups(values: np.ndarray, total: int, sign_rows) -> np.ndarray:
     """max_f |sum_k s_k values[f, k]| for each of ``total`` sign rows.
 
-    ``sign_rows(lo, hi)`` returns rows lo..hi-1 of the +-1 sign matrix, which
-    is never built whole.
+    ``sign_rows(lo, hi, dtype)`` returns rows lo..hi-1 of the +-1 sign
+    matrix in ``dtype``; the matrix is never built whole.  Values whose sums
+    are exact in float32 are multiplied in float32; any others in float64,
+    as ``signs @ values.T`` with float64 signs.
     """
+    if _exact_in_float32(values):
+        dtype, operand = np.float32, np.ascontiguousarray(values.T, dtype=np.float32)
+    else:
+        dtype, operand = np.float64, values.T
     sups = np.empty(total)
     for lo, hi in _row_slices(total, values.shape[1]):
-        sups[lo:hi] = np.abs(sign_rows(lo, hi) @ values.T).max(axis=1)
+        sups[lo:hi] = np.abs(sign_rows(lo, hi, dtype) @ operand).max(axis=1)
     return sups
 
 
 def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
     """``sign_rows`` for ``_signed_sups`` read off ``bitgen``'s raw 64-bit words.
 
-    Successive calls give the float signs that successive
+    Successive calls give the signs that successive
     ``Generator.integers(0, 2, size=(hi - lo, n)) * 2 - 1`` calls on the same
     fresh generator give.  numpy takes each such value from the top bit of
     one 32-bit half of a raw word, the low half first, by Lemire's method,
@@ -81,20 +101,24 @@ def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
     count, numpy keeps the unused half buffered in the bit generator for its
     next draw; here it is kept as ``spare`` and starts the next slice.
     """
-    spare = np.empty(0)
+    spare = np.empty(0, np.float32)
 
-    def sign_rows(lo: int, hi: int) -> np.ndarray:
+    def sign_rows(lo: int, hi: int, dtype) -> np.ndarray:
         nonlocal spare
         k = (hi - lo) * n
         c = len(spare)
         # As little-endian uint32 pairs each word's low half comes first.
         halves = bitgen.random_raw((k - c + 1) // 2).astype("<u8", copy=False).view("<u4")
-        halves >>= 30
-        halves &= 2                 # each half's top bit, as 0 or 2
-        signs = np.empty(k)
-        signs[:c] = spare
-        np.subtract(halves[:k - c], 1.0, out=signs[c:])
-        spare = halves[k - c:] - 1.0
+        # Keep each half's top bit and xor in the bits of -1.0f: read as
+        # float32, a set bit gives 0x3F800000 = +1.0 and a clear one -1.0.
+        halves &= 0x80000000
+        halves ^= 0xBF800000
+        fresh = halves.view("<f4")
+        if c:
+            signs = np.concatenate((spare, fresh[:k - c]), dtype=dtype)
+        else:
+            signs = fresh[:k].astype(dtype, copy=False)
+        spare = fresh[k - c:].copy()
         return signs.reshape(hi - lo, n)
 
     return sign_rows
@@ -133,8 +157,8 @@ def exhaustive_signed_sup(values: np.ndarray) -> float:
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration limited to {EXHAUSTIVE_CAP} data points")
     bits = np.arange(n)
-    sups = _signed_sups(values, 2 ** n,
-                        lambda lo, hi: ((np.arange(lo, hi)[:, None] >> bits) & 1) * 2 - 1)
+    sups = _signed_sups(values, 2 ** n, lambda lo, hi, dtype: np.array([-1, 1], dtype)[
+        (np.arange(lo, hi)[:, None] >> bits) & 1])
     return float(sups.mean())
 
 

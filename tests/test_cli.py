@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from regenmc import cli
-from regenmc.cli import main, run, validate
+from regenmc.cli import MAX_ITEMS, MAX_LEVELS, MAX_STEPS, main, run, validate
 
 from .helpers import child_env
 
@@ -226,6 +226,18 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     ("mh_credible_tiny.json", "proposal", {"a": 0.25},
      "proposal.kind must be one of ('uniform_step', 'gaussian_step'), got None"),
     ("mh_credible_tiny.json", "n_u", 0, "n_u must be an integer >= 1, got 0"),
+    ("mh_credible_tiny.json", "n_u", MAX_LEVELS + 1,
+     f"n_u must be at most {MAX_LEVELS}, got {MAX_LEVELS + 1}"),
+    ("simulate_tiny.json", "n", 10 ** 30, f"n must be at most {MAX_STEPS}, got {10 ** 30}"),
+    ("blocks_tiny.json", "n", 2 ** 40, f"n must be at most {MAX_STEPS}, got {2 ** 40}"),
+    ("rademacher_tiny.json", "n", MAX_STEPS + 1,
+     f"n must be at most {MAX_STEPS}, got {MAX_STEPS + 1}"),
+    ("bounds_tiny.json", "n_grid", [256, 512, 2 ** 40],
+     f"n_grid[2] must be at most {MAX_STEPS}, got {2 ** 40}"),
+    ("kde_rate_tiny.json", "replications", MAX_ITEMS + 1,
+     f"replications must be at most {MAX_ITEMS}, got {MAX_ITEMS + 1}"),
+    ("verify_lemmas_tiny.json", "trials", 10 ** 30,
+     f"trials must be at most {MAX_ITEMS}, got {10 ** 30}"),
     ("mh_credible_tiny.json", "center", [0.5, 0.5],
      "center must list one number per coordinate of the 1-d target, got [0.5, 0.5]"),
     ("mh_credible_tiny.json", "center", [1.5],
@@ -291,6 +303,19 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
     assert validate(cfg) == [message]
     with pytest.raises(ValueError, match="invalid config"):
         run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("simulate_tiny.json", "n", MAX_STEPS),
+    ("bounds_tiny.json", "n_grid", [256, 512, MAX_STEPS]),
+    ("kde_rate_tiny.json", "replications", MAX_ITEMS),
+    ("verify_lemmas_tiny.json", "trials", MAX_ITEMS),
+    ("mh_credible_tiny.json", "n_u", MAX_LEVELS),
+])
+def test_validate_accepts_run_sizes_at_their_caps(name, key, value):
+    cfg = load(name)
+    cfg[key] = value
+    assert validate(cfg) == []
 
 
 _ODD_VALUES = ["x", None, float("nan"), float("inf"), [], {}, True,

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regenmc import (
     Trajectory,
@@ -162,14 +164,63 @@ def test_sliced_sign_mc_independent_of_jobs():
     assert pool_map(_few_members_estimate, _FEW_MEMBERS, jobs=2) == serial
 
 
+def _halfline_block_sums():
+    blocks = extract_blocks(simulate_split_retrospective(wrapped_doeblin_chain(0.3, 0.25),
+                                                         20_000, seed=4))
+    return blocks.block_values(halfline_class(np.linspace(0.05, 0.95, 10)).evaluate)
+
+
+# Values, and whether their signed sums are exact in float32 (and so take it).
+_EXACTNESS = {
+    "halfline-block-sums": (_halfline_block_sums, True),
+    "sum-abs-at-2**24": (lambda: np.array([[2.0 ** 23, -2.0 ** 22, 2.0 ** 22 - 1, 1.0],
+                                           [3.0, 0.0, -5.0, 7.0]]), True),
+    "2**24+1-rounds-in-float32": (lambda: np.array([[2.0 ** 24, 1.0]]), False),
+    "nan": (lambda: np.array([[np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]]), False),
+    "inf": (lambda: np.array([[np.inf, 1.0, 2.0], [np.inf, -np.inf, 3.0]]), False),
+    # 13-row slices of odd width: each slice carries a half into the next
+    "odd-width-counts": (lambda: np.random.default_rng(5).integers(0, 40, (6, 20_001)), True),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXACTNESS))
+def test_sign_mc_bit_identical_on_both_matmul_paths(case):
+    make, exact = _EXACTNESS[case]
+    values = make()
+    assert rademacher._exact_in_float32(values) is exact
+    with np.errstate(invalid="ignore"):     # inf - inf in the nan and inf cases
+        est = _signed_sup_mc(values, 300, seed=9)
+        ref = reference_signed_sup_mc(values, 300, seed=9)
+    assert np.array_equal([est.mean, est.mc_std_error], ref, equal_nan=True)
+
+
+@given(m=st.integers(1, 5), n=st.integers(1, 400), cap=st.integers(0, 2 ** 24),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_integer_values_under_the_bound_are_exact_in_float32(m, n, cap, seed):
+    # every row's sum of |v| is at most n * (2^24 // n) <= 2^24
+    top = min(cap, 2 ** 24 // n)
+    values = np.random.default_rng(seed).integers(-top, top + 1, (m, n)).astype(float)
+    assert rademacher._exact_in_float32(values)
+    est = _signed_sup_mc(values, SIGN_CHUNK + 50, seed)
+    assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, SIGN_CHUNK + 50, seed)
+
+
 def _multiplied_signs(monkeypatch, values, n_mc, seed):
-    """Each chunk's sign rows as _signed_sup_mc hands them to _signed_sups, slice by slice."""
+    """Each chunk's sign rows as _signed_sups multiplies them, slice by slice."""
     chunks = []
+    signed_sups = rademacher._signed_sups
 
     def record(values, total, sign_rows):
-        chunks.append(np.vstack([sign_rows(lo, hi)
-                                 for lo, hi in _row_slices(total, values.shape[1])]))
-        return np.zeros(total)
+        rows = []
+
+        def recorded(*args):
+            rows.append(sign_rows(*args))
+            return rows[-1]
+
+        sups = signed_sups(values, total, recorded)
+        chunks.append(np.vstack(rows))
+        return sups
 
     monkeypatch.setattr(rademacher, "_signed_sups", record)
     _signed_sup_mc(values, n_mc, seed)
@@ -181,18 +232,19 @@ def _multiplied_signs(monkeypatch, values, n_mc, seed):
     (1001, SIGN_CHUNK + 3),     # odd 261-row slices, then a chunk boundary
     (7, 5),                     # a total below SLICE_FLOOR
 ])
-def test_raw_word_signs_equal_integers_draw(monkeypatch, n, n_mc):
+@pytest.mark.parametrize("fill,dtype", [(1.0, np.float32), (0.5, np.float64)])
+def test_raw_word_signs_equal_integers_draw(monkeypatch, n, n_mc, fill, dtype):
     # The signs are read off the bit generator's raw words on the strength of
     # how numpy's integers(0, 2) uses them.  If numpy changes its
     # bounded-integer method or its half-word order, this fails before any
-    # digest moves.
+    # digest moves.  Integer values take float32 signs, others float64.
     seed = 17
-    chunks = _multiplied_signs(monkeypatch, np.ones((2, n)), n_mc, seed)
+    chunks = _multiplied_signs(monkeypatch, np.full((2, n), fill), n_mc, seed)
     assert len(chunks) == -(-n_mc // SIGN_CHUNK)
     for i, signs in enumerate(chunks):
         c = min(SIGN_CHUNK, n_mc - i * SIGN_CHUNK)
         drawn = stream(seed, i).integers(0, 2, size=(c, n)) * 2 - 1
-        assert signs.dtype == np.float64
+        assert signs.dtype == dtype
         assert np.array_equal(signs, drawn)
 
 
@@ -211,8 +263,13 @@ def test_row_slices_cover_rows_within_budget(total, width):
 
 @pytest.mark.parametrize("n", [14, 15, 16])
 def test_exhaustive_sliced_equals_whole_enumeration(n):
-    values = np.random.default_rng(n).uniform(-1, 1, (5, n))
-    assert exhaustive_signed_sup(values) == reference_exhaustive_signed_sup(values)
+    rng = np.random.default_rng(n)
+    # real values take float64, integer ones float32, as int64 or as float
+    cases = [rng.uniform(-1, 1, (5, n)), rng.integers(-9, 10, (5, n)),
+             rng.integers(0, 2 ** 19, (3, n)).astype(float)]
+    for values, exact in zip(cases, (False, True, True)):
+        assert rademacher._exact_in_float32(values) is exact
+        assert exhaustive_signed_sup(values) == reference_exhaustive_signed_sup(values)
 
 
 def test_sign_mc_memory_bounded_by_budget():
