@@ -127,7 +127,12 @@ class WrappedMixtureKernel:
         start_base = np.where(anchor >= 0, csum[safe], 0.0)
         out = np.empty(n)
         out[0] = x0
-        out[1:] = (start_val + csum - start_base) % 1.0
+        # v - floor(v) equals v % 1.0 bit for bit: the exact fraction for
+        # v >= 0, one rounding of the same real 1 - f for v < 0, +0.0 for a
+        # zero result.  It skips np.remainder's sign and divmod handling;
+        # wrapping in place keeps one step-sized temporary.
+        out[1:] = start_val + csum - start_base
+        out[1:] -= np.floor(out[1:])
         return out.reshape(n, 1)
 
 

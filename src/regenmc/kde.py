@@ -9,7 +9,8 @@ test rather than an analytic modulus argument.
 Kernels are products of a base profile compactly supported on [-1, 1], and
 ``Kernel`` rejects a profile that is non-zero just outside it.  The estimator
 relies on that: each query point is evaluated only over the window of samples
-within h of it in the first coordinate, found in the sample sorted once.  The
+within h of it in the first coordinate, which is one contiguous slice of the
+sample sorted once, taken in pieces of at most ``ELEMENT_BUDGET`` samples.  The
 estimate is still bit-identical to summing over every sample, because samples
 outside the window contribute exact zeros and the row sums are taken over all
 samples in their original order.
@@ -113,21 +114,6 @@ KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
 # ---------------------------------------------------------------------------
 
 
-def _window_pieces(starts, stops, budget: int):
-    """The pairs (row j, sorted position p) with starts[j] <= p < stops[j].
-
-    Rows are taken in order and positions ascending within a row; the pairs
-    come in pieces of at most ``budget``, so no piece grows with the windows.
-    """
-    offsets = np.concatenate(([0], np.cumsum(stops - starts)))
-    total = int(offsets[-1])
-    for a in range(0, total, budget):
-        b = min(a + budget, total)
-        lens = np.clip(offsets[1:], a, b) - np.clip(offsets[:-1], a, b)
-        rows = np.repeat(np.arange(len(lens)), lens)
-        yield rows, np.arange(a, b) + (starts - offsets[:-1])[rows]
-
-
 def kde_evaluate(sample, kernel: Kernel, h: float, x):
     """The density estimate n^-1 sum_i K((x - X_i)/h) / h^d at query points x.
 
@@ -135,17 +121,20 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     of queries returns an array.
 
     Only the window of each query is evaluated: the samples whose first
-    coordinate lies within h of the query's, found by ``searchsorted`` on the
-    sample sorted once by that coordinate.  This rests on the kernel's support
-    being [-1, 1] per coordinate, which ``Kernel`` checks.  The window is
-    widened by a relative margin, because a sample just outside fl(x -+ h)
-    can still give a computed |(x - X_i)/h| = 1; the extra samples evaluate
-    to exact zeros.
+    coordinate lies within h of the query's.  In the sample sorted once by
+    that coordinate the window is one contiguous slice, bounded by
+    ``searchsorted``, so the kernel runs on views of the sorted sample and of
+    the sort order, in pieces of at most ``ELEMENT_BUDGET`` samples.  This
+    rests on the kernel's support being [-1, 1] per coordinate, which
+    ``Kernel`` checks.  The window is widened by a relative margin, because a
+    sample just outside fl(x -+ h) can still give a computed |(x - X_i)/h| = 1;
+    the extra samples evaluate to exact zeros.
 
     The result is bit-identical to evaluating every (query, sample) pair: the
-    window's kernel values go into a zeroed row at the samples' original
-    indices, and the row mean then adds the same operands in the same order,
-    since every sample outside the window contributes an exact zero.
+    kernel is elementwise, so a piece's values equal the dense ones; they go
+    into a zeroed row at the samples' original indices, and the row mean then
+    adds the same operands in the same order, since every sample outside the
+    window contributes an exact zero.  Only the touched cells are re-zeroed.
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
@@ -172,18 +161,16 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     stops = np.searchsorted(keys, q[:, 0] + reach, side="right")
     step = max(ELEMENT_BUDGET // n, 1)
     buf = np.zeros((min(step, len(q)), n))
-    cells = buf.reshape(-1)
     out = np.empty(len(q))
     for lo in range(0, len(q), step):
         hi = min(lo + step, len(q))
-        touched = []
-        for rows, pos in _window_pieces(starts[lo:hi], stops[lo:hi], ELEMENT_BUDGET):
-            at = rows * n + order[pos]
-            cells[at] = kernel.evaluate((q[lo + rows] - srt[pos]) / h)
-            touched.append(at)
+        for j in range(lo, hi):
+            for a in range(starts[j], stops[j], ELEMENT_BUDGET):
+                b = min(a + ELEMENT_BUDGET, stops[j])
+                buf[j - lo, order[a:b]] = kernel.evaluate((q[j] - srt[a:b]) / h)
         out[lo:hi] = buf[:hi - lo].mean(axis=1) / h ** d
-        for at in touched:
-            cells[at] = 0.0
+        for j in range(lo, hi):
+            buf[j - lo, order[starts[j]:stops[j]]] = 0.0
     return float(out[0]) if scalar_in else out
 
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from .rng import child_seed
 
-# Max elements of one dense temporary: a KDE (query x sample) buffer or window
-# piece, one slice of sign rows in the Rademacher estimates or of bootstrap
-# resample indices, or one slice of MH steps converted to Python floats.
+# Max elements of one dense temporary: a KDE (query x sample) buffer or piece
+# of one query's window, one slice of sign rows in the Rademacher estimates or
+# of bootstrap resample indices, or one slice of MH steps converted to Python
+# floats.
 ELEMENT_BUDGET = 2 ** 18
 
 

@@ -78,6 +78,26 @@ def dense_kde_evaluate(sample, kernel, h: float, x):
     return float(out[0]) if scalar_in else out
 
 
+def reference_wrapped_path(kernel, x0, n, rng):
+    """Reference Doeblin sampler path: the wrap taken with ``% 1.0``."""
+    x0 = float(np.ravel(x0)[0])
+    if n == 1:
+        return np.array([[x0]])
+    m = n - 1
+    fresh = rng.random(m) < kernel.delta
+    psi = rng.random(m)
+    inc = rng.uniform(-kernel.width, kernel.width, m)
+    anchor = np.maximum.accumulate(np.where(fresh, np.arange(m), -1))
+    csum = np.cumsum(inc)
+    safe = np.maximum(anchor, 0)
+    start_val = np.where(anchor >= 0, psi[safe], x0)
+    start_base = np.where(anchor >= 0, csum[safe], 0.0)
+    out = np.empty(n)
+    out[0] = x0
+    out[1:] = (start_val + csum - start_base) % 1.0
+    return out.reshape(n, 1)
+
+
 def member_block_values(blocks, cls):
     """Reference lifted values over a BlockSet: one prefix sum per member, stacked."""
     rows = []

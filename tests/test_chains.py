@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import geom
 
 from regenmc import (
@@ -13,8 +15,9 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
+from regenmc.chains import WrappedMixtureKernel
 
-from .helpers import batch_means_se, discrete_ks_pvalue
+from .helpers import batch_means_se, discrete_ks_pvalue, reference_wrapped_path
 
 
 def test_absorbing_identity_kernel():
@@ -143,3 +146,29 @@ def test_doeblin_block_lengths_geometric():
     se = np.std(mean_taus, ddof=1) / np.sqrt(len(mean_taus))
     assert abs(pooled - 1 / delta) <= 3 * se
 
+
+@given(delta=st.floats(0.0, 1.0, exclude_min=True), width=st.floats(0.0, 0.5, exclude_min=True),
+       x0=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(1, 3000),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+@example(delta=1.0, width=0.5, x0=0.0, n=1000, seed=0)
+@example(delta=0.3, width=0.25, x0=0.5, n=1, seed=1)
+@example(delta=0.3, width=0.25, x0=0.5, n=2, seed=2)
+@example(delta=1e-9, width=0.5, x0=0.999, n=3000, seed=3)
+def test_wrapped_sample_path_equals_remainder_reference(delta, width, x0, n, seed):
+    kernel = WrappedMixtureKernel(delta, width)
+    got = kernel.sample_path(x0, n, np.random.default_rng(seed))
+    want = reference_wrapped_path(kernel, x0, n, np.random.default_rng(seed))
+    assert got.shape == want.shape == (n, 1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_floor_wrap_equals_remainder_on_edge_values():
+    # The Doeblin sampler wraps with v - floor(v) in place of v % 1.0.
+    rng = np.random.default_rng(0)
+    tiny = np.exp(-rng.uniform(0.0, 700.0, 100_000))
+    near_one = np.nextafter(1.0, 0.0)
+    edges = [0.0, 5e-324, near_one, 2.0 ** 52 - 0.5, 2.0 ** 52 + 0.5, 2.0 ** 60]
+    v = np.concatenate([rng.uniform(-3.0, 3.0, 100_000), rng.uniform(-1e6, 1e6, 100_000),
+                        tiny, -tiny, edges, -np.array(edges)])
+    assert np.array_equal((v - np.floor(v)).view(np.int64), (v % 1.0).view(np.int64))

@@ -122,16 +122,22 @@ def test_kde_evaluate_bit_identical_to_dense(kernel, d, n, ties, scalar, h, seed
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [ELEMENT_BUDGET // 2 - 1, ELEMENT_BUDGET + 1])
+@pytest.mark.parametrize("n", [ELEMENT_BUDGET // 2 - 1, ELEMENT_BUDGET - 1, ELEMENT_BUDGET + 1])
 @pytest.mark.parametrize("h", [0.01, 2.0])
-def test_kde_evaluate_bit_identical_across_eval_budget(n, h):
+@pytest.mark.parametrize("d", [1, 2])
+def test_kde_evaluate_bit_identical_across_eval_budget(n, h, d):
     # h = 2 puts the whole sample in every window, so with n above the
-    # budget each window is evaluated in more than one piece.
-    sample = stream(n, 0).random(n)
-    grid = np.linspace(-0.1, 1.1, 9)
+    # budget each window is evaluated in more than one piece.  The queries
+    # beyond 5 have empty windows.
+    rng = stream(n, d)
+    sample = rng.random((n, d))
+    grid = np.concatenate([np.linspace(-0.1, 1.1, 9), np.linspace(5.0, 1e6, 12)])
+    queries = np.column_stack([grid] + [rng.uniform(-0.1, 1.1, len(grid))] * (d - 1))
+    if d == 1:
+        sample, queries = sample[:, 0], queries[:, 0]
     ep = epanechnikov_kernel()
-    assert np.array_equal(kde_evaluate(sample, ep, h, grid),
-                          dense_kde_evaluate(sample, ep, h, grid))
+    assert np.array_equal(kde_evaluate(sample, ep, h, queries),
+                          dense_kde_evaluate(sample, ep, h, queries))
 
 
 def test_window_keeps_samples_one_ulp_beyond_x_pm_h():
@@ -153,15 +159,16 @@ def test_window_keeps_samples_one_ulp_beyond_x_pm_h():
         assert kde_evaluate(sample, box_kernel(), h, x) == dense_kde_evaluate(sample, box_kernel(), h, x)
 
 
-def test_kde_evaluate_memory_bounded_by_sample_size():
-    # The sample order, the sorted sample, one buffer row and the touched
-    # cells are n-sized; window pieces hold at most ELEMENT_BUDGET pairs.  A
-    # dense (query chunk x n) evaluation needs several times more.
-    n = 2 ** 20
+@pytest.mark.parametrize("h,n,min_queries", [(0.01, 2 ** 20, 400), (2.0, 2 ** 22, 10)])
+def test_kde_evaluate_memory_bounded_by_sample_size(h, n, min_queries):
+    # The sample order, the sorted sample and one buffer row are n-sized; a
+    # query's window is evaluated in pieces of at most ELEMENT_BUDGET
+    # samples, also at h = 2, where every window holds the whole sample.  A
+    # dense (query chunk x n) evaluation needs several times more, and so
+    # does a whole window at once once n is well above ELEMENT_BUDGET.
     sample = stream(21, 0).random(n)
-    h = 0.01
     grid = deviation_grid(h)
-    assert len(grid) > 400
+    assert len(grid) > min_queries
     tracemalloc.start()
     try:
         kde_evaluate(sample, epanechnikov_kernel(), h, grid)
