@@ -11,7 +11,7 @@ from regenmc import (
     check_lifted_covering_bound,
     check_truncated_covering_bound,
     covering_number,
-    covering_table,
+    covering_numbers,
     halfline_class,
     lift_measure,
     lift_second_moment_gap,
@@ -60,5 +60,6 @@ print(f"truncated (length <= 2) comparison: {check_t.lhs} <= {check_t.rhs} -> {c
 # The convexity step behind the comparison, checkable directly:
 print("second-moment gap (nonpositive):", lift_second_moment_gap(small, bm))
 
-# Tables serialize for downstream tooling.
-print("\ncovering table:", covering_table(small, atoms, [0.3, 0.6, 1.2])["table"])
+# One distance matrix serves a whole radius grid.
+print("\ncovering counts over radii [0.3, 0.6, 1.2]:",
+      covering_numbers(small, atoms, [0.3, 0.6, 1.2], "greedy"))

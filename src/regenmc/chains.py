@@ -130,9 +130,11 @@ class WrappedMixtureKernel:
         # v - floor(v) equals v % 1.0 bit for bit: the exact fraction for
         # v >= 0, one rounding of the same real 1 - f for v < 0, +0.0 for a
         # zero result.  It skips np.remainder's sign and divmod handling;
-        # wrapping in place keeps one step-sized temporary.
+        # wrapping in place keeps one step-sized temporary.  For v in
+        # [-2^-54, 0) that rounding gives 1.0, the point 0 of the circle.
         out[1:] = start_val + csum - start_base
         out[1:] -= np.floor(out[1:])
+        out[1:][out[1:] == 1.0] = 0.0
         return out.reshape(n, 1)
 
 
@@ -386,7 +388,9 @@ class _WrappedResidualSampler:
 
     def __call__(self, x, rng):
         x = float(np.ravel(x)[0])
-        return np.array([(x + rng.uniform(-self.width, self.width)) % 1.0])
+        y = (x + rng.uniform(-self.width, self.width)) % 1.0
+        # v % 1.0 rounds to 1.0 for v in [-2^-54, 0); that is the point 0
+        return np.array([0.0 if y == 1.0 else y])
 
 
 def finite_doeblin_chain(delta: float, matrix: ArrayLike, psi: ArrayLike) -> ChainModel:

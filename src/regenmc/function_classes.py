@@ -65,16 +65,6 @@ class EvaluableClass:
     def size(self) -> int:
         return len(self.members)
 
-    def describe(self) -> dict:
-        """JSON-ready summary of the class."""
-        return {
-            "size": self.size,
-            "envelope": self.envelope,
-            "vc_C": self.vc_c,
-            "vc_v": self.vc_v,
-            "members": [type(f).__name__ for f in self.members],
-        }
-
     def evaluate(self, points) -> np.ndarray:
         """Member-by-point value matrix, shape (size, n_points)."""
         vals = np.vstack([np.asarray(f(points), dtype=float) for f in self.members])
@@ -141,15 +131,6 @@ class BlockMeasure:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "offsets", np.concatenate([[0], np.cumsum(lengths)]))
         object.__setattr__(self, "all_states", np.concatenate([np.asarray(b) for b in self.blocks]))
-
-    @classmethod
-    def from_blockset(cls, blockset, weights=None):
-        blocks = tuple(blockset.complete_blocks())
-        if len(blocks) == 0:
-            raise ValueError("no complete blocks to build a measure from")
-        if weights is None:
-            weights = np.full(len(blocks), 1.0 / len(blocks))
-        return cls(blocks=blocks, weights=np.asarray(weights, dtype=float))
 
     def ell_norm(self) -> float:
         """L2 norm of the block-length function under this measure."""
@@ -274,25 +255,15 @@ def covering_number(cls, measure, eps: float, method: str = "greedy") -> int:
 
 
 def _merge_atoms(points, weights):
-    pts = np.asarray(points)
-    if pts.ndim == 1:
-        # np.add.at adds the weights of equal atoms in index order
-        uniq, inv = np.unique(pts, return_inverse=True)
-        agg = np.zeros(len(uniq))
-        np.add.at(agg, inv, weights)
-        return uniq, agg
-    # vector states: merge on exact byte equality
-    keys = [p.tobytes() for p in pts]
-    seen = {}
-    out_pts, out_w = [], []
-    for key, p, w in zip(keys, pts, weights):
-        if key in seen:
-            out_w[seen[key]] += w
-        else:
-            seen[key] = len(out_pts)
-            out_pts.append(p)
-            out_w.append(w)
-    return np.asarray(out_pts), np.asarray(out_w)
+    """Distinct states (rows, for vector states) in sorted order, with their summed weights.
+
+    np.add.at adds the weights of equal atoms in index order.  Equality is by
+    value, so -0.0 and 0.0 are one atom.
+    """
+    uniq, inv = np.unique(np.asarray(points), axis=0, return_inverse=True)
+    agg = np.zeros(len(uniq))
+    np.add.at(agg, inv, weights)
+    return uniq, agg
 
 
 def lift_measure(block_measure: BlockMeasure, trunc: Optional[float] = None) -> EmpiricalMeasure:
@@ -324,7 +295,6 @@ class CoveringCheck:
     rhs: Optional[int]
     lhs_radius: float
     rhs_radius: float
-    note: str = ""
 
 
 def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
@@ -335,9 +305,9 @@ def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
     eps * ||ell||, or eps * trunc when truncated; the right side covers the
     base class under the lifted state measure (restricted to surviving blocks)
     at radius eps.  Each side is one ``covering_numbers`` pass over the grid.
-    Greedy mode upper-bounds the left side, so a greedy violation is only
-    reported as inconclusive.  If truncation kills every block the left class
-    is {0} and the bound holds trivially.
+    Greedy mode upper-bounds the left side, so ``holds`` False is conclusive
+    only in exact mode.  If truncation kills every block the left class is {0}
+    and the bound holds trivially.
     """
     scale = block_measure.ell_norm() if trunc is None else trunc
     lhs_radii = [eps * scale for eps in eps_grid]
@@ -346,20 +316,12 @@ def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
     elif np.any(block_measure.lengths <= trunc):
         lhs_eps = [max(r, 1e-300) for r in lhs_radii]
     else:
-        return [CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=eps,
-                              note="all blocks truncated; left class is {0}")
+        return [CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=eps)
                 for eps, r in zip(eps_grid, lhs_radii)]
     lhs = covering_numbers(LiftedClass(cls, trunc=trunc), block_measure, lhs_eps, method)
     rhs = covering_numbers(cls, lift_measure(block_measure, trunc=trunc), eps_grid, method)
-    checks = []
-    for eps, r, left, right in zip(eps_grid, lhs_radii, lhs, rhs):
-        holds = left <= right
-        note = ""
-        if not holds and method == "greedy":
-            note = "inconclusive: greedy upper bound on the left side"
-        checks.append(CoveringCheck(holds=holds, lhs=left, rhs=right, lhs_radius=r,
-                                    rhs_radius=eps, note=note))
-    return checks
+    return [CoveringCheck(holds=left <= right, lhs=left, rhs=right, lhs_radius=r, rhs_radius=eps)
+            for eps, r, left, right in zip(eps_grid, lhs_radii, lhs, rhs)]
 
 
 def check_lifted_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure,
@@ -381,15 +343,6 @@ def check_truncated_covering_bound(cls: EvaluableClass, block_measure: BlockMeas
     The left radius is eps * trunc; see ``covering_checks``.
     """
     return covering_checks(cls, block_measure, [eps], trunc, method)[0]
-
-
-def covering_table(cls, measure, eps_grid, method: str = "greedy") -> dict:
-    """Covering numbers over a radius grid, ready for JSON serialization."""
-    grid = [float(e) for e in eps_grid]
-    counts = covering_numbers(cls, measure, grid, method)
-    rows = [{"eps": e, "count": n} for e, n in zip(grid, counts)]
-    base = cls.base if isinstance(cls, LiftedClass) else cls
-    return {"class": base.describe(), "method": method, "table": rows}
 
 
 def lift_second_moment_gap(cls: EvaluableClass, block_measure: BlockMeasure) -> float:
@@ -443,7 +396,7 @@ class KernelTranslate:
         return self.kernel.k0((self.center - vals) / self.h)
 
 
-def table_class(tables, envelope=None, vc_c=None, vc_v=2.0) -> EvaluableClass:
+def table_class(tables, vc_c=None, vc_v=2.0) -> EvaluableClass:
     """Class of lookup-table functions on a finite label space, one per row of ``tables``."""
     widths = [np.size(row) for row in tables]
     if len(set(widths)) > 1:
@@ -451,9 +404,8 @@ def table_class(tables, envelope=None, vc_c=None, vc_v=2.0) -> EvaluableClass:
     tables = np.asarray(tables, dtype=float)
     if tables.ndim != 2:
         raise ValueError(f"tables must be a list of rows, got shape {tables.shape}")
-    if envelope is None:
-        envelope = float(np.max(np.abs(tables)))
-        envelope = envelope if envelope > 0 else 1.0
+    envelope = float(np.max(np.abs(tables)))
+    envelope = envelope if envelope > 0 else 1.0
     if vc_c is None:
         vc_c = _admissible_scale(vc_v)
     members = tuple(TableFunction(t) for t in tables)

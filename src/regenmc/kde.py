@@ -67,17 +67,18 @@ def _profile_mass(k0: Callable) -> float:
 class Kernel:
     """The product kernel K(x) = prod_k k0(x_k) of a base profile k0 on [-1, 1].
 
-    ``k0_sup`` is sup|k0|.  The base profile must integrate to one (checked
-    by Gauss-Legendre quadrature, exact for polynomial profiles such as the
-    box and Epanechnikov ones) and vanish outside [-1, 1] (checked at points
-    just outside), because ``kde_evaluate`` only evaluates samples inside
-    that support.
+    ``k0_sup`` is sup|k0| and ``k0_cdf`` the profile's CDF, which gives the
+    smoothed target in closed form.  The base profile must integrate to one
+    (checked by Gauss-Legendre quadrature, exact for polynomial profiles such
+    as the box and Epanechnikov ones) and vanish outside [-1, 1] (checked at
+    points just outside), because ``kde_evaluate`` only evaluates samples
+    inside that support.
     """
 
     name: str
     k0: Callable
     k0_sup: float
-    k0_cdf: Optional[Callable] = None
+    k0_cdf: Callable
 
     def __post_init__(self):
         mass = _profile_mass(self.k0)
@@ -174,13 +175,10 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     return float(out[0]) if scalar_in else out
 
 
-def uniform_smoothed_target(kernel: Kernel, h: float, grid, lo: float = 0.0,
-                            hi: float = 1.0) -> np.ndarray:
-    """E_pi[K_h(x - Y)] for Y uniform on [lo, hi], in closed form (d = 1)."""
-    if kernel.k0_cdf is None:
-        raise ValueError("kernel has no closed-form profile CDF")
+def uniform_smoothed_target(kernel: Kernel, h: float, grid) -> np.ndarray:
+    """E_pi[K_h(x - Y)] for Y uniform on [0, 1], in closed form (d = 1)."""
     grid = np.asarray(grid, dtype=float)
-    return (kernel.k0_cdf((grid - lo) / h) - kernel.k0_cdf((grid - hi) / h)) / (hi - lo)
+    return kernel.k0_cdf(grid / h) - kernel.k0_cdf((grid - 1.0) / h)
 
 
 def uniform_deviation(sample, kernel: Kernel, h: float, grid, target_values) -> float:
@@ -192,11 +190,10 @@ def uniform_deviation(sample, kernel: Kernel, h: float, grid, target_values) -> 
     return float(np.max(np.abs(est - np.asarray(target_values, dtype=float))))
 
 
-def deviation_grid(h: float, lo: float = 0.0, hi: float = 1.0,
-                   spacing_factor: float = 4.0) -> np.ndarray:
-    """Evaluation grid with spacing h/spacing_factor, padded by h beyond the support."""
+def deviation_grid(h: float, spacing_factor: float = 4.0) -> np.ndarray:
+    """Evaluation grid with spacing h/spacing_factor over [0, 1], padded by h on each side."""
     step = h / spacing_factor
-    return np.arange(lo - h, hi + h + step / 2, step)
+    return np.arange(-h, 1.0 + h + step / 2, step)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +210,6 @@ class KDEConfig:
 
     def bandwidth(self, n: int) -> float:
         return self.scale * float(n) ** (-self.beta)
-
-    def grid(self, h: float) -> np.ndarray:
-        return deviation_grid(h)
 
     def smoothed_target(self, kernel: Kernel, h: float, grid) -> np.ndarray:
         return uniform_smoothed_target(kernel, h, grid)
@@ -242,7 +236,7 @@ class RateReport:
 
 def _rate_one(model, kernel, config, sample_fn, n, task_seed):
     h = config.bandwidth(n)
-    grid = config.grid(h)
+    grid = deviation_grid(h)
     target = config.smoothed_target(kernel, h, grid)
     states = simulate(model, n, task_seed).states if sample_fn is None else sample_fn(n, task_seed)
     d = 1 if np.asarray(states).ndim == 1 else np.asarray(states).shape[1]

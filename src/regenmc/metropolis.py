@@ -643,7 +643,8 @@ class MHMinorization:
 
     delta = floor_b * pi(S) / sup_density and Psi has density pi(y) / pi(S) on
     S.  ``grid_hash`` fingerprints the validation grid the certificate passed
-    at construction.
+    at construction.  It has no exact residual sampler, so forward splitting
+    draws the residual by rejection from P(x, .).
     """
 
     target: Target
@@ -653,6 +654,7 @@ class MHMinorization:
     delta: float
     psi_mass: float
     grid_hash: str
+    residual_sample = None
 
     def small_set(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -197,7 +197,7 @@ class BlockSet:
         payload = {
             "l_n": int(self.l_n),
             "initial": list(map(int, self.initial_bounds)) if self.initial_bounds else None,
-            "complete": [[int(s), int(e)] for s, e in self.complete_bounds],
+            "complete": self.complete_bounds.tolist(),
             "trailing": list(map(int, self.trailing_bounds)) if self.trailing_bounds else None,
         }
         return json.dumps(payload, indent=2)

@@ -79,7 +79,7 @@ def dense_kde_evaluate(sample, kernel, h: float, x):
 
 
 def reference_wrapped_path(kernel, x0, n, rng):
-    """Reference Doeblin sampler path: the wrap taken with ``% 1.0``."""
+    """Reference Doeblin sampler path: the wrap taken with ``% 1.0``, and 1.0 taken as 0.0."""
     x0 = float(np.ravel(x0)[0])
     if n == 1:
         return np.array([[x0]])
@@ -95,6 +95,7 @@ def reference_wrapped_path(kernel, x0, n, rng):
     out = np.empty(n)
     out[0] = x0
     out[1:] = (start_val + csum - start_base) % 1.0
+    out[out == 1.0] = 0.0
     return out.reshape(n, 1)
 
 
@@ -219,6 +220,24 @@ def reference_lift_measure(block_measure, trunc=None):
     agg = np.zeros(len(uniq))
     np.add.at(agg, inv, weights[order])
     return uniq, agg / agg.sum()
+
+
+def byte_keyed_merge(points, weights):
+    """Reference merge of weighted vector states: equal rows by exact bytes, first-seen order.
+
+    Rows that differ only in the sign of a zero stay separate atoms.
+    """
+    seen = {}
+    out_pts, out_w = [], []
+    for p, w in zip(np.asarray(points), weights):
+        key = p.tobytes()
+        if key in seen:
+            out_w[seen[key]] += w
+        else:
+            seen[key] = len(out_pts)
+            out_pts.append(p)
+            out_w.append(w)
+    return np.asarray(out_pts), np.asarray(out_w)
 
 
 def reference_signed_sup_mc(values, n_mc, seed):

@@ -15,7 +15,7 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
-from regenmc.chains import WrappedMixtureKernel
+from regenmc.chains import WrappedMixtureKernel, _WrappedResidualSampler
 
 from .helpers import batch_means_se, discrete_ks_pvalue, reference_wrapped_path
 
@@ -155,6 +155,7 @@ def test_doeblin_block_lengths_geometric():
 @example(delta=0.3, width=0.25, x0=0.5, n=1, seed=1)
 @example(delta=0.3, width=0.25, x0=0.5, n=2, seed=2)
 @example(delta=1e-9, width=0.5, x0=0.999, n=3000, seed=3)
+@example(delta=0.015625, width=5e-324, x0=0.0, n=7, seed=0)  # a step to -5e-324 wraps to 0.0
 def test_wrapped_sample_path_equals_remainder_reference(delta, width, x0, n, seed):
     kernel = WrappedMixtureKernel(delta, width)
     got = kernel.sample_path(x0, n, np.random.default_rng(seed))
@@ -172,3 +173,29 @@ def test_floor_wrap_equals_remainder_on_edge_values():
     v = np.concatenate([rng.uniform(-3.0, 3.0, 100_000), rng.uniform(-1e6, 1e6, 100_000),
                         tiny, -tiny, edges, -np.array(edges)])
     assert np.array_equal((v - np.floor(v)).view(np.int64), (v % 1.0).view(np.int64))
+
+
+# x0 = 0.25 and this increment give v = -2^-54, and 1 - 2^-54 rounds to 1.0.
+_NEG_TINY_STEP = -(0.25 + 2.0 ** -54)
+
+
+class _ForcedStepRng:
+    """Draws no fresh point and returns ``_NEG_TINY_STEP`` as every increment."""
+
+    def random(self, size=None):
+        return np.ones(size)
+
+    def uniform(self, low, high, size=None):
+        assert low <= _NEG_TINY_STEP <= high
+        return _NEG_TINY_STEP if size is None else np.full(size, _NEG_TINY_STEP)
+
+
+def test_wrapped_sample_path_maps_one_to_zero():
+    path = WrappedMixtureKernel(0.5, 0.3).sample_path(0.25, 3, _ForcedStepRng())
+    # v = -2^-54, then -2^-54 - (0.25 + 2^-54): the second step wraps normally
+    assert path[1, 0] == 0.0 and 0.0 <= path[2, 0] < 1.0
+
+
+def test_wrapped_residual_sampler_maps_one_to_zero():
+    y = _WrappedResidualSampler(0.3)(np.array([0.25]), _ForcedStepRng())
+    assert y.tolist() == [0.0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from regenmc import (
     BlockMeasure,
     EmpiricalMeasure,
+    EvaluableClass,
     LiftedClass,
     Trajectory,
     check_lifted_covering_bound,
@@ -15,7 +16,6 @@ from regenmc import (
     covering_checks,
     covering_number,
     covering_numbers,
-    covering_table,
     halfline_class,
     kernel_class,
     lift_measure,
@@ -24,13 +24,13 @@ from regenmc import (
     table_class,
 )
 from regenmc.cli import _lemma_trial
-from regenmc.function_classes import _distance_matrix
+from regenmc.function_classes import TableFunction, _distance_matrix
 from regenmc.kde import box_kernel, epanechnikov_kernel
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import child_seed
 
-from .helpers import (cli_peak_rss_mb, lifted_class_values, member_block_values,
-                      reference_covering_check, reference_covering_number,
+from .helpers import (byte_keyed_merge, cli_peak_rss_mb, lifted_class_values,
+                      member_block_values, reference_covering_check, reference_covering_number,
                       reference_distance_matrix, reference_lemma_trial, reference_lift_measure)
 
 
@@ -147,8 +147,6 @@ def test_covering_numbers_equal_per_eps_reference():
             expected = [reference_covering_number(cls, measure, e, method) for e in grid]
             assert covering_numbers(cls, measure, grid, method) == expected
             assert [covering_number(cls, measure, e, method) for e in grid] == expected
-            assert [row["count"] for row in covering_table(cls, measure, grid, method)["table"]] \
-                == expected
 
 
 def test_covering_checks_equal_per_eps_reference():
@@ -293,6 +291,43 @@ def test_lift_measure_equals_per_block_reference(lengths, n_values, zeros, trunc
     assert np.array_equal(got.points, ref[0]) and np.array_equal(got.weights, ref[1])
 
 
+def _atom_set(points, weights):
+    return {(tuple(p), w) for p, w in zip(np.asarray(points).tolist(), np.asarray(weights).tolist())}
+
+
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       n_values=st.integers(1, 6), trunc=st.one_of(st.none(), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_lift_measure_of_vector_states_equals_byte_keyed_merge(lengths, n_values, trunc, seed):
+    # d = 2 states drawn from few distinct rows, so atoms repeat within and across blocks
+    rng = np.random.default_rng(seed)
+    rows = np.round(rng.uniform(-1, 1, (n_values, 2)), 1) + 0.0
+    bm = BlockMeasure(blocks=tuple(rows[rng.integers(0, n_values, ell)] for ell in lengths),
+                      weights=rng.dirichlet(np.ones(len(lengths))))
+    if trunc is not None and not np.any(bm.lengths <= trunc):
+        return
+    kept = [(b, w) for b, w in zip(bm.blocks, bm.weights) if trunc is None or len(b) <= trunc]
+    ref_p, ref_w = byte_keyed_merge(np.concatenate([b for b, _ in kept]),
+                                    np.concatenate([np.full(len(b), w * len(b)) for b, w in kept]))
+    got = lift_measure(bm, trunc)
+    assert got.points.shape == ref_p.shape
+    # lift_measure normalizes by the total over its atoms in sorted row order
+    total = ref_w[np.lexsort((ref_p[:, 1], ref_p[:, 0]))].sum()
+    assert _atom_set(got.points, got.weights) == _atom_set(ref_p, ref_w / total)
+
+
+def test_lift_measure_merges_signed_zero_rows():
+    bm = BlockMeasure(blocks=(np.array([[-0.0, 1.0], [0.5, 0.5]]), np.array([[0.0, 1.0]])),
+                      weights=np.array([0.25, 0.75]))
+    # the byte-keyed merge keeps (-0.0, 1) and (0.0, 1) apart
+    assert len(byte_keyed_merge(bm.all_states, np.ones(3))[0]) == 3
+    got = lift_measure(bm)
+    # weights 0.25 * 2 on each row of the first block, 0.75 on the second
+    assert got.points.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+    assert got.weights.tolist() == [(0.5 + 0.75) / 1.75, 0.5 / 1.75]
+
+
 # ---------------------------------------------------------------------------
 # Covering comparison checks
 # ---------------------------------------------------------------------------
@@ -408,7 +443,8 @@ def test_kernel_class_covering_polynomial_growth():
 
 
 def test_envelope_violation_detected():
-    cls = table_class(np.array([[0.5, 2.0]]), envelope=1.0)
+    cls = EvaluableClass(members=(TableFunction(np.array([0.5, 2.0])),), envelope=1.0,
+                         vc_c=25.0, vc_v=2.0)
     with pytest.raises(ValueError, match="envelope"):
         cls.evaluate(np.array([1]))
 
@@ -475,7 +511,8 @@ def test_lifted_values_bit_identical_to_per_member_reference(kind, n, members, t
         return
     # same row layout too: row reductions add in the reference's order
     assert np.array_equal((got ** 2).mean(axis=1), (ref ** 2).mean(axis=1))
-    bm = BlockMeasure.from_blockset(blocks, weights=rng.dirichlet(np.ones(blocks.n_complete)))
+    bm = BlockMeasure(blocks=tuple(blocks.complete_blocks()),
+                      weights=rng.dirichlet(np.ones(blocks.n_complete)))
     lifted = LiftedClass(cls, trunc)
     ref = lifted_class_values(lifted, bm)
     got = lifted.evaluate(bm)

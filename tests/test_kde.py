@@ -19,7 +19,9 @@ from regenmc import (
 from regenmc.kde import (
     QUAD_TOL,
     Kernel,
+    _box_k0_cdf,
     _epanechnikov_k0,
+    _epanechnikov_k0_cdf,
     _profile_mass,
     deviation_grid,
     occupancy_moment_premise_check,
@@ -41,12 +43,14 @@ def test_kernel_constants():
 
 def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
-        Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0), k0_sup=0.7)
+        Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0), k0_sup=0.7,
+               k0_cdf=_box_k0_cdf)
 
 
 def test_kernel_mass_one_percent_off_rejected():
     with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
-        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), k0_sup=0.7575)
+        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), k0_sup=0.7575,
+               k0_cdf=_epanechnikov_k0_cdf)
 
 
 @pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
@@ -73,7 +77,7 @@ def test_kernel_support_checked():
         return np.where(t <= 1.0, 0.5, np.where(t < 1.2, 0.1, 0.0))
 
     with pytest.raises(ValueError, match=r"0\.1 at t = -1\.0000000000000002"):
-        Kernel(name="leaky", k0=leaky, k0_sup=0.5)
+        Kernel(name="leaky", k0=leaky, k0_sup=0.5, k0_cdf=_box_k0_cdf)
 
 
 def test_single_point_box_evaluation():

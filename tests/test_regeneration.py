@@ -14,7 +14,10 @@ from scipy.stats import ks_2samp
 from regenmc import (
     ChainModel,
     FiniteKernel,
+    MHKernel,
     Minorization,
+    UniformStep,
+    build_minorization,
     Trajectory,
     block_bootstrap_se,
     extract_blocks,
@@ -25,6 +28,7 @@ from regenmc import (
     simulate_split_forward,
     simulate_split_retrospective,
     two_state_chain,
+    uniform_target,
     wrapped_doeblin_chain,
 )
 from regenmc import regeneration
@@ -163,6 +167,23 @@ def test_forward_and_retrospective_agree():
         if ks_2samp(t1, t2).pvalue <= 0.01:
             failures += 1
     assert failures <= 2
+
+
+def test_forward_split_on_mh_chain_flags_only_small_set_steps():
+    # The MH certificate has no exact residual sampler: off a flag, a step from
+    # the small set is drawn by rejection from P(x, .).
+    target, proposal = uniform_target(), UniformStep(0.25)
+    cert = build_minorization(target, proposal)
+    model = ChainModel(MHKernel(target, proposal), cert.psi_sample, cert, "mh")
+    traj = simulate_split_forward(model, 4000, seed=5)
+    assert traj.states.shape == (4000, 1)
+    in_s = cert.small_set(traj.states)
+    flags = traj.regen_flags
+    assert flags.any() and not np.any(flags & ~in_s)
+    # each small-set step flags with probability delta
+    m = int(in_s.sum())
+    se = np.sqrt(cert.delta * (1 - cert.delta) / m)
+    assert abs(flags[in_s].mean() - cert.delta) <= 4 * se
 
 
 # ---------------------------------------------------------------------------

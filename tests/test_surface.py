@@ -1,0 +1,62 @@
+"""The package's settable surface: parameters that take a default.
+
+A settable value is a parameter with a default of any function, method or
+lambda under ``src/regenmc``, or a dataclass field with a default.  Every one
+is an option a caller may set, so the count may only grow together with a
+reason for the new option.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "regenmc"
+MAX_SETTABLE = 64
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.AST) -> list:
+    """(owner name, count) for each function, lambda and dataclass with defaults."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            n = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            name = getattr(node, "name", "<lambda>")
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            n = sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+            name = node.name
+        else:
+            continue
+        if n:
+            found.append((name, n))
+    return found
+
+
+def test_counter_rule():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "g = lambda x, y=0: x\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    u: int\n"
+        "    v: int = 3\n"
+        "    w = None\n"
+        "    def m(self, z=4): pass\n"
+        "class Plain:\n"
+        "    v: int = 3\n")
+    assert sorted(settable_values(tree)) == [("<lambda>", 1), ("C", 1), ("f", 2), ("m", 1)]
+
+
+def test_settable_values_do_not_grow():
+    per_file = {path.name: settable_values(ast.parse(path.read_text()))
+                for path in sorted(SRC.glob("*.py"))}
+    total = sum(n for found in per_file.values() for _, n in found)
+    assert total <= MAX_SETTABLE, per_file
