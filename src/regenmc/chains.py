@@ -11,7 +11,7 @@ streams are safe to run concurrently.
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,11 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 class SamplingError(RuntimeError):
     """A rejection sampler exceeded ``REJECTION_CAP`` proposals."""
+
+
+def _check_delta(delta):
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +105,7 @@ class WrappedMixtureKernel:
     width: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
+        _check_delta(self.delta)
         if not 0.0 < self.width <= 0.5:
             raise ValueError(f"width must lie in (0, 0.5], got {self.width!r}")
 
@@ -144,25 +148,71 @@ class WrappedMixtureKernel:
 
 
 @dataclass(frozen=True)
-class Minorization:
-    """Certificate that P(x, .) >= delta * Psi(.) for every x in the small set.
+class FiniteMinorization:
+    """Certificate that P(x, .) >= delta * psi(.) for every label x with ``small[x]`` true.
 
-    ``psi_density`` is the density of Psi w.r.t. the chain's reference
-    measure, vectorized over state batches; ``small_set`` maps a state batch
-    to a boolean membership array.  ``residual_sample``, when supplied, draws
-    exactly from (P(x, .) - delta Psi(.)) / (1 - delta); otherwise forward
-    splitting falls back to rejection from P(x, .).
+    The splitters read five members, and any object that has them is a
+    certificate: ``delta``; ``small_set`` and ``psi_density`` over a batch of
+    states; ``psi_sample(rng)``; and ``residual_sample(x, rng)``, a draw from
+    (P(x, .) - delta psi) / (1 - delta), here row x of ``residual``.  Where
+    ``residual`` is None, as at delta = 1, ``residual_sample`` is None too, and
+    forward splitting draws any residual by rejection from P(x, .).
     """
 
     delta: float
-    psi_sample: Callable
-    psi_density: Callable
-    small_set: Callable
-    residual_sample: Optional[Callable] = None
+    psi: np.ndarray
+    small: np.ndarray
+    residual: Optional[np.ndarray]
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"minorization constant delta must lie in (0, 1], got {self.delta!r}")
+        _check_delta(self.delta)
+        object.__setattr__(self, "_psi_cum", np.cumsum(self.psi).tolist())
+        if self.residual is None:
+            object.__setattr__(self, "residual_sample", None)
+        else:
+            object.__setattr__(self, "_residual_cum",
+                               [np.cumsum(row).tolist() for row in self.residual])
+
+    def small_set(self, x) -> np.ndarray:
+        return self.small[np.asarray(x, dtype=int)]
+
+    def psi_density(self, y) -> np.ndarray:
+        return self.psi[np.asarray(y, dtype=int)]
+
+    def psi_sample(self, rng) -> int:
+        return bisect.bisect_right(self._psi_cum, rng.random())
+
+    def residual_sample(self, x, rng) -> int:
+        return bisect.bisect_right(self._residual_cum[int(x)], rng.random())
+
+
+@dataclass(frozen=True)
+class CircleMinorization:
+    """Certificate of :class:`WrappedMixtureKernel`: the whole circle is small, Psi is
+    Uniform(0, 1) and the residual adds a wrapped uniform increment from [-width, width]."""
+
+    delta: float
+    width: float
+
+    def __post_init__(self):
+        _check_delta(self.delta)
+
+    def small_set(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        return np.ones(x.shape[0] if x.ndim > 0 else 1, dtype=bool)
+
+    def psi_density(self, y) -> np.ndarray:
+        y = np.ravel(np.asarray(y, dtype=float))
+        return ((y >= 0.0) & (y < 1.0)).astype(float)
+
+    def psi_sample(self, rng) -> np.ndarray:
+        return np.array([rng.random()])
+
+    def residual_sample(self, x, rng) -> np.ndarray:
+        x = float(np.ravel(x)[0])
+        y = (x + rng.uniform(-self.width, self.width)) % 1.0
+        # v % 1.0 rounds to 1.0 for v in [-2^-54, 0); that is the point 0
+        return np.array([0.0 if y == 1.0 else y])
 
 
 @dataclass(frozen=True)
@@ -171,7 +221,7 @@ class ChainModel:
 
     kernel: object
     initial_sample: Callable
-    minorization: Optional[Minorization]
+    minorization: object
     model_id: str
 
     @property
@@ -328,69 +378,11 @@ def exact_stationary(kernel) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PmfSampler:
-    cum: tuple
-
-    def __call__(self, rng):
-        return bisect.bisect_right(self.cum, rng.random())
-
-
-@dataclass(frozen=True)
-class _PmfDensity:
-    pmf: np.ndarray
-
-    def __call__(self, y):
-        return self.pmf[np.asarray(y, dtype=int)]
-
-
-@dataclass(frozen=True)
-class _LabelEquals:
-    label: int
-
-    def __call__(self, x):
-        return np.asarray(x) == self.label
-
-
-def _all_true(x):
-    x = np.asarray(x)
-    n = x.shape[0] if x.ndim > 0 else 1
-    return np.ones(n, dtype=bool)
-
-
-@dataclass(frozen=True)
-class _FiniteResidualSampler:
-    cum_rows: tuple
-
-    def __call__(self, x, rng):
-        return bisect.bisect_right(self.cum_rows[int(x)], rng.random())
-
-
-@dataclass(frozen=True)
 class _ConstantState:
     value: object
 
     def __call__(self, rng):
         return self.value
-
-
-def _uniform01_sample(rng):
-    return np.array([rng.random()])
-
-
-def _uniform01_density(y):
-    y = np.ravel(np.asarray(y, dtype=float))
-    return ((y >= 0.0) & (y < 1.0)).astype(float)
-
-
-@dataclass(frozen=True)
-class _WrappedResidualSampler:
-    width: float
-
-    def __call__(self, x, rng):
-        x = float(np.ravel(x)[0])
-        y = (x + rng.uniform(-self.width, self.width)) % 1.0
-        # v % 1.0 rounds to 1.0 for v in [-2^-54, 0); that is the point 0
-        return np.array([0.0 if y == 1.0 else y])
 
 
 def finite_doeblin_chain(delta: float, matrix: ArrayLike, psi: ArrayLike) -> ChainModel:
@@ -404,20 +396,14 @@ def finite_doeblin_chain(delta: float, matrix: ArrayLike, psi: ArrayLike) -> Cha
     if psi.shape != (kernel.n_states,) or not abs(psi.sum() - 1.0) <= 1e-12 or np.any(psi < 0):
         raise ValueError(f"psi must be a probability vector over the {kernel.n_states} states, "
                          f"got {psi.tolist()}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     gap = kernel.matrix - delta * psi[None, :]
+    cert = FiniteMinorization(delta=delta, psi=psi, small=np.ones(kernel.n_states, dtype=bool),
+                              residual=gap / (1.0 - delta) if 0.0 < delta < 1.0 else None)
     if np.min(gap) < -1e-12:
         x, y = np.unravel_index(np.argmin(gap), gap.shape)
         raise ValueError(
             f"domination violated at (x={x}, y={y}): P={kernel.matrix[x, y]:.6g} < delta*psi={delta * psi[y]:.6g}")
-    resid_sampler = None
-    if delta < 1.0:
-        resid_sampler = _FiniteResidualSampler(tuple(tuple(np.cumsum(r)) for r in gap / (1.0 - delta)))
-    psi_sample = _PmfSampler(tuple(np.cumsum(psi)))
-    cert = Minorization(delta=delta, psi_sample=psi_sample, psi_density=_PmfDensity(psi),
-                        small_set=_all_true, residual_sample=resid_sampler)
-    return ChainModel(kernel=kernel, initial_sample=psi_sample, minorization=cert,
+    return ChainModel(kernel=kernel, initial_sample=cert.psi_sample, minorization=cert,
                       model_id=f"finite_doeblin(delta={delta:g})")
 
 
@@ -428,11 +414,8 @@ def wrapped_doeblin_chain(delta: float, width: float = 0.25) -> ChainModel:
     delta and Psi = Uniform(0, 1), and complete-block lengths are geometric.
     """
     kernel = WrappedMixtureKernel(delta, width)
-    cert = Minorization(delta=delta, psi_sample=_uniform01_sample,
-                        psi_density=_uniform01_density, small_set=_all_true,
-                        residual_sample=_WrappedResidualSampler(width))
-    return ChainModel(kernel=kernel, initial_sample=_uniform01_sample,
-                      minorization=cert,
+    cert = CircleMinorization(delta=delta, width=width)
+    return ChainModel(kernel=kernel, initial_sample=cert.psi_sample, minorization=cert,
                       model_id=f"wrapped_doeblin(delta={delta:g},width={width:g})")
 
 
@@ -445,9 +428,8 @@ def finite_atom_chain(matrix: ArrayLike, atom: int = 0) -> ChainModel:
     kernel = FiniteKernel(matrix)
     if not 0 <= atom < kernel.n_states:
         raise ValueError(f"atom must be a state in [0, {kernel.n_states}), got {atom!r}")
-    row = kernel.matrix[atom]
-    cert = Minorization(delta=1.0, psi_sample=_PmfSampler(tuple(np.cumsum(row))),
-                        psi_density=_PmfDensity(row), small_set=_LabelEquals(atom))
+    cert = FiniteMinorization(delta=1.0, psi=kernel.matrix[atom],
+                              small=np.arange(kernel.n_states) == atom, residual=None)
     return ChainModel(kernel=kernel, initial_sample=_ConstantState(atom),
                       minorization=cert, model_id=f"finite_atom(atom={atom})")
 
@@ -458,7 +440,5 @@ def two_state_chain(p01: float = 0.5, p10: float = 0.2) -> ChainModel:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     matrix = np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
-    model = finite_atom_chain(matrix, atom=0)
-    return ChainModel(kernel=model.kernel, initial_sample=model.initial_sample,
-                      minorization=model.minorization,
-                      model_id=f"two_state(p01={p01:g},p10={p10:g})")
+    return replace(finite_atom_chain(matrix, atom=0),
+                   model_id=f"two_state(p01={p01:g},p10={p10:g})")

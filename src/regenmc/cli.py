@@ -200,12 +200,14 @@ _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 
 # unit was measured to hold under tracemalloc: 89 B a chain step of the split
 # simulation (n = 2^20 and 2^22; `n` and each `n_grid` entry), 196 B a work
 # item with its seeds, task and result (10^5 and 4 * 10^5 items;
-# `replications` and `trials`) and 531 B a quantile level (`n_u`, in the
-# 3 x 3 chains of tests/configs/mh_credible_tiny.json).
+# `replications` and `trials`), 531 B a quantile level (`n_u`, in the
+# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 48 B a point of the
+# kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256).
 RUN_BYTES = 2 ** 36
 MAX_STEPS = RUN_BYTES // 89
 MAX_ITEMS = RUN_BYTES // 196
 MAX_LEVELS = RUN_BYTES // 531
+MAX_GRID = RUN_BYTES // 48
 
 
 def _size_errors(path: str, value, cap: int) -> list:
@@ -263,6 +265,15 @@ def validate(config) -> list:
         beta = cfg.get("beta")
         if not (_finite(beta) and beta >= 0):
             errs.append(f"beta must be a finite number >= 0, got {beta!r}")
+        elif _finite(scale) and scale > 0 and sizes and not bad:
+            n = max(sizes)
+            h = KDEConfig(beta=beta, scale=scale).bandwidth(n)
+            # the length of deviation_grid(h) = np.arange(-h, 1 + h + h/8, h/4), not built
+            if h == 0.0 or (1.0 + 2.0 * h + h / 8.0) / (h / 4.0) > MAX_GRID:
+                why = ("underflows to 0" if h == 0.0
+                       else f"has a grid over MAX_GRID = {MAX_GRID} points")
+                errs.append(f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth "
+                            f"h = {h!r} at n = {n}, which {why}")
     if exp == "bounds":
         if cfg["mode"] not in ("pm", "em"):
             errs.append("mode must be 'pm' or 'em'")

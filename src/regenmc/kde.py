@@ -17,7 +17,7 @@ samples in their original order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -137,7 +137,7 @@ def kde_evaluate(sample, kernel: Kernel, h: float, x):
     adds the same operands in the same order, since every sample outside the
     window contributes an exact zero.  Only the touched cells are re-zeroed.
     """
-    if h <= 0:
+    if not 0 < h < math.inf:
         raise ValueError("bandwidth h must be positive")
     s = np.asarray(sample, dtype=float)
     if s.ndim == 1:
@@ -271,8 +271,7 @@ def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid
 
 
 def _first_regeneration(model, horizon, x, task_seed):
-    started = ChainModel(kernel=model.kernel, initial_sample=_ConstantState(np.array([x])),
-                         minorization=model.minorization, model_id=model.model_id)
+    started = replace(model, initial_sample=_ConstantState(np.array([x])))
     flags = np.flatnonzero(simulate_split_retrospective(started, horizon, task_seed).regen_flags)
     return float(flags[0] + 1) if len(flags) else float(horizon)
 
@@ -286,8 +285,6 @@ def occupancy_moment_premise_check(model: ChainModel, p: float, x_grid, horizon:
     the first regeneration time over replications; finiteness and stability of
     the returned sup support the same-rate regime for the deviation bound.
     """
-    if model.minorization is None:
-        raise ValueError("model carries no minorization certificate")
     xs = np.asarray(x_grid, dtype=float)
     groups = replicate(partial(_first_regeneration, model, horizon), xs, replications, seed)
     sup_val = 0.0

@@ -47,8 +47,6 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
     with the offending pair.
     """
     cert = model.minorization
-    if cert is None:
-        raise ValueError("model carries no minorization certificate")
     rng = stream(seed, 0)
     x0 = model.initial_sample(rng)
     ext = sample_path(model.kernel, x0, n + 1, rng)
@@ -94,8 +92,6 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
     equivalent to :func:`simulate_split_retrospective`.
     """
     cert = model.minorization
-    if cert is None:
-        raise ValueError("model carries no minorization certificate")
     rng = stream(seed, 0)
     rng_flags = stream(seed, 1)
     x = model.initial_sample(rng)
@@ -112,16 +108,11 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
             break
         if flag:
             x = cert.psi_sample(rng)
-        elif in_s and cert.delta < 1.0:
+        elif in_s:  # never at delta = 1, since the flag's uniform is below 1
             x = _residual_draw(model, cert, x, rng, i)
-        elif in_s:
-            # delta == 1: the Y = 0 branch has probability zero
-            x = cert.psi_sample(rng)
         else:
             x = sample_path(model.kernel, x, 2, rng)[1]
     arr = np.asarray(states, dtype=np.int64 if finite else float)
-    if not finite and arr.ndim == 1:
-        arr = arr[:, None]
     return Trajectory(states=arr, regen_flags=flags, seed=seed, model_id=model.model_id)
 
 

@@ -1,10 +1,13 @@
 """Shared test utilities."""
 
+import bisect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -383,3 +386,70 @@ def reference_lemma_trial(limits, task):
         rows.append((trial, eps, "lift") + c1)
         rows.append((trial, eps, f"trunc{trunc}") + c2)
     return rows
+
+
+@dataclass(frozen=True)
+class CallableMinorization:
+    """A certificate as a bag of callables, the shape every built-in chain's
+    certificate had before certificates became classes with methods."""
+
+    delta: float
+    psi_sample: Callable
+    psi_density: Callable
+    small_set: Callable
+    residual_sample: Optional[Callable] = None
+
+
+def _all_true(x):
+    x = np.asarray(x)
+    return np.ones(x.shape[0] if x.ndim > 0 else 1, dtype=bool)
+
+
+def _uniform01_sample(rng):
+    return np.array([rng.random()])
+
+
+def _uniform01_density(y):
+    y = np.ravel(np.asarray(y, dtype=float))
+    return ((y >= 0.0) & (y < 1.0)).astype(float)
+
+
+def callable_certificate_model(model):
+    """A built-in chain with the callable-bag certificate and initial law its
+    factory used to build; kernel and model_id are kept."""
+    kind = model.model_id.split("(")[0]
+    delta = model.minorization.delta
+    if kind == "wrapped_doeblin":
+        width = model.kernel.width
+
+        def wrapped_residual(x, rng):
+            y = (float(np.ravel(x)[0]) + rng.uniform(-width, width)) % 1.0
+            return np.array([0.0 if y == 1.0 else y])
+
+        cert = CallableMinorization(delta, _uniform01_sample, _uniform01_density, _all_true,
+                                    wrapped_residual)
+        return replace(model, initial_sample=_uniform01_sample, minorization=cert)
+    matrix = model.kernel.matrix
+    residual_sample = None
+    if kind == "finite_doeblin":
+        psi, small_set = model.minorization.psi, _all_true
+        if delta < 1.0:
+            rows = tuple(tuple(np.cumsum(r)) for r in (matrix - delta * psi[None, :]) / (1.0 - delta))
+
+            def residual_sample(x, rng):
+                return bisect.bisect_right(rows[int(x)], rng.random())
+    else:  # finite_atom and two_state start at the atom, which regenerates on every visit
+        atom = model.initial_sample.value
+        psi = matrix[atom]
+
+        def small_set(x):
+            return np.asarray(x) == atom
+    cum = tuple(np.cumsum(psi))
+
+    def psi_sample(rng):
+        return bisect.bisect_right(cum, rng.random())
+
+    cert = CallableMinorization(delta, psi_sample, lambda y: psi[np.asarray(y, dtype=int)],
+                                small_set, residual_sample)
+    start = psi_sample if kind == "finite_doeblin" else model.initial_sample
+    return replace(model, initial_sample=start, minorization=cert)

@@ -15,7 +15,7 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
-from regenmc.chains import WrappedMixtureKernel, _WrappedResidualSampler
+from regenmc.chains import CircleMinorization, WrappedMixtureKernel
 
 from .helpers import batch_means_se, discrete_ks_pvalue, reference_wrapped_path
 
@@ -197,5 +197,5 @@ def test_wrapped_sample_path_maps_one_to_zero():
 
 
 def test_wrapped_residual_sampler_maps_one_to_zero():
-    y = _WrappedResidualSampler(0.3)(np.array([0.25]), _ForcedStepRng())
+    y = CircleMinorization(0.5, 0.3).residual_sample(np.array([0.25]), _ForcedStepRng())
     assert y.tolist() == [0.0]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from regenmc import cli
-from regenmc.cli import MAX_ITEMS, MAX_LEVELS, MAX_STEPS, main, run, validate
+from regenmc.cli import MAX_GRID, MAX_ITEMS, MAX_LEVELS, MAX_STEPS, main, run, validate
 
 from .helpers import child_env
 
@@ -303,6 +303,23 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
     assert validate(cfg) == [message]
     with pytest.raises(ValueError, match="invalid config"):
         run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    # h = 0.35 * 1024^-3 = 3.3e-10 gives about 1.2e10 grid points
+    ("beta", 3.0, "beta = 3.0 and bandwidth_scale = 0.35 give the bandwidth h = "
+                  "3.2596290111541746e-10 at n = 1024, which has a grid over "
+                  f"MAX_GRID = {MAX_GRID} points"),
+    ("bandwidth_scale", 1e-300, "beta = 0.2 and bandwidth_scale = 1e-300 give the bandwidth "
+                                f"h = 2.4999999999999996e-301 at n = 1024, which has a grid over "
+                                f"MAX_GRID = {MAX_GRID} points"),
+    ("bandwidth_scale", 5e-324, "beta = 0.2 and bandwidth_scale = 5e-324 give the bandwidth "
+                                "h = 0.0 at n = 1024, which underflows to 0"),
+])
+def test_validate_refuses_a_kde_grid_too_big_to_hold(key, value, message):
+    cfg = load("kde_rate_tiny.json")
+    cfg[key] = value
+    assert validate(cfg) == [message]
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -609,6 +626,27 @@ def test_validate_accepts_a_number_as_1d_center(center, tmp_path):
     cfg.update(center=center, n_u=1)
     assert validate(cfg) == []
     run(cfg, tmp_path)
+
+
+_NUMPY_ONLY_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+from regenmc.cli import run
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+print(json.dumps({path.name: run(json.loads(path.read_text()), out / path.stem)[0]["outputs"]
+                  for path in sorted(configs.glob("*_tiny.json"))}))
+"""
+
+
+def test_every_tiny_config_matches_golden_digests_with_scipy_blocked(tmp_path):
+    # the runtime needs numpy alone: with scipy unimportable, every run still
+    # writes the golden outputs
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(CONFIGS), str(tmp_path)],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    golden = json.loads((GOLDEN / "digests.json").read_text())
+    assert json.loads(proc.stdout) == golden
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

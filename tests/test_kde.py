@@ -88,9 +88,11 @@ def test_far_query_is_zero():
     assert kde_evaluate(np.array([0.0]), box_kernel(), 1.0, 5.0) == 0.0
 
 
-def test_bandwidth_must_be_positive():
-    with pytest.raises(ValueError):
-        kde_evaluate(np.array([0.0]), box_kernel(), 0.0, 0.0)
+@pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
+def test_bandwidth_must_be_positive(h):
+    sample = np.random.default_rng(0).random(100)
+    with pytest.raises(ValueError, match="bandwidth h must be positive"):
+        kde_evaluate(sample, box_kernel(), h, 0.5)
 
 
 def test_empty_sample_rejected():

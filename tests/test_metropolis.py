@@ -27,7 +27,7 @@ from regenmc import (
     uniform_target,
 )
 from regenmc import metropolis
-from regenmc.chains import ChainModel, FiniteKernel, Minorization
+from regenmc.chains import ChainModel, FiniteKernel, FiniteMinorization
 from regenmc.metropolis import TARGETS
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_forward
 from regenmc.rng import stream
@@ -287,10 +287,8 @@ def test_regen_cross_checked_against_discretized_forward_split():
     in_s = (centers >= 0.4) & (centers <= 0.6)
     psi = in_s / in_s.sum()
     delta = 0.5
-    cert = Minorization(delta=delta,
-                        psi_sample=lambda rng: int(rng.choice(np.flatnonzero(in_s))),
-                        psi_density=lambda y: psi[np.asarray(y, dtype=int)],
-                        small_set=lambda x: in_s[np.asarray(x, dtype=int)])
+    # no residual rows: forward splitting draws the residual by rejection
+    cert = FiniteMinorization(delta=delta, psi=psi, small=in_s, residual=None)
     model = ChainModel(kernel=FiniteKernel(matrix),
                        initial_sample=lambda rng: int(rng.choice(np.flatnonzero(in_s))),
                        minorization=cert, model_id="binned_walk")

@@ -1,8 +1,9 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,14 @@ from scipy.stats import ks_2samp
 from regenmc import (
     ChainModel,
     FiniteKernel,
+    FiniteMinorization,
     MHKernel,
-    Minorization,
     UniformStep,
     build_minorization,
     Trajectory,
     block_bootstrap_se,
     extract_blocks,
+    finite_atom_chain,
     finite_doeblin_chain,
     pitman_estimate,
     regen_stats,
@@ -34,7 +36,7 @@ from regenmc import (
 from regenmc import regeneration
 from regenmc.regeneration import RegenStats
 
-from .helpers import reference_block_bootstrap_se
+from .helpers import callable_certificate_model, reference_block_bootstrap_se
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,13 +84,8 @@ def test_retrospective_marginal_matches_plain_simulation():
 def test_invalid_certificate_detected():
     model = finite_doeblin_chain(0.3, np.array([[0.5, 0.5], [0.2, 0.8]]),
                                  np.array([0.5, 0.5]))
-    bad_cert = type(model.minorization)(
-        delta=0.9,  # claims more than the kernel provides
-        psi_sample=model.minorization.psi_sample,
-        psi_density=model.minorization.psi_density,
-        small_set=model.minorization.small_set)
-    bad = ChainModel(kernel=model.kernel, initial_sample=model.initial_sample,
-                     minorization=bad_cert, model_id="bad")
+    # delta = 0.9 claims more than the kernel provides
+    bad = replace(model, minorization=replace(model.minorization, delta=0.9), model_id="bad")
     with pytest.raises(ValueError, match="flag probability"):
         simulate_split_retrospective(bad, 2000, seed=0)
 
@@ -112,13 +109,44 @@ def test_zero_density_error_names_chain_step_and_pair():
     # the move 1 -> 0 is zero, first met at chain step 1
     kernel = _MisreportingKernel(FiniteKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                                  FiniteKernel(np.array([[0.0, 1.0], [0.0, 1.0]])))
-    cert = Minorization(delta=0.5, psi_sample=lambda rng: 0,
-                        psi_density=lambda y: np.full(len(y), 0.5),
-                        small_set=lambda x: np.asarray(x) == 1)
+    cert = FiniteMinorization(delta=0.5, psi=np.array([0.5, 0.5]),
+                              small=np.array([False, True]), residual=None)
     model = ChainModel(kernel=kernel, initial_sample=lambda rng: 0, minorization=cert,
                        model_id="misreporting")
     with pytest.raises(ValueError, match=r"zero density at step 1 \(x=1, y=0\)"):
         simulate_split_retrospective(model, 10, seed=0)
+
+
+_P3 = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+BUILT_IN = [
+    finite_doeblin_chain(0.3, _P3, np.array([0.5, 0.3, 0.2])),
+    finite_doeblin_chain(1.0, np.array([[0.6, 0.4], [0.6, 0.4]]), np.array([0.6, 0.4])),
+    finite_atom_chain(_P3, atom=1),
+    two_state_chain(0.3, 0.6),
+    wrapped_doeblin_chain(0.4, 0.2),
+]
+
+
+def _same_split(a, b):
+    return (a.states.dtype == b.states.dtype and a.states.tobytes() == b.states.tobytes()
+            and np.array_equal(a.regen_flags, b.regen_flags))
+
+
+@pytest.mark.parametrize("split", [simulate_split_forward, simulate_split_retrospective])
+@pytest.mark.parametrize("model", BUILT_IN, ids=lambda m: m.model_id)
+def test_certificate_classes_split_as_the_callable_certificates(model, split):
+    reference = callable_certificate_model(model)
+    for seed in (0, 17):
+        assert _same_split(split(model, 2000, seed), split(reference, 2000, seed)), seed
+
+
+@pytest.mark.parametrize("model", BUILT_IN, ids=lambda m: m.model_id)
+def test_built_in_models_round_trip_through_pickle(model):
+    # --jobs > 1 sends models to worker processes
+    back = pickle.loads(pickle.dumps(model))
+    assert back.model_id == model.model_id
+    for split in (simulate_split_forward, simulate_split_retrospective):
+        assert _same_split(split(model, 500, 3), split(back, 500, 3))
 
 
 def test_forward_delta_one_all_flags():

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regenmc"
-MAX_SETTABLE = 64
+MAX_SETTABLE = 63
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
