@@ -201,13 +201,15 @@ _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 
 # simulation (n = 2^20 and 2^22; `n` and each `n_grid` entry), 196 B a work
 # item with its seeds, task and result (10^5 and 4 * 10^5 items;
 # `replications` and `trials`), 531 B a quantile level (`n_u`, in the
-# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 48 B a point of the
-# kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256).
+# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 32 B a point of the
+# kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256; the
+# KDE takes its queries in ELEMENT_BUDGET chunks, whose temporaries add a
+# fixed 16 MB).
 RUN_BYTES = 2 ** 36
 MAX_STEPS = RUN_BYTES // 89
 MAX_ITEMS = RUN_BYTES // 196
 MAX_LEVELS = RUN_BYTES // 531
-MAX_GRID = RUN_BYTES // 48
+MAX_GRID = RUN_BYTES // 32
 
 
 def _size_errors(path: str, value, cap: int) -> list:
@@ -266,14 +268,21 @@ def validate(config) -> list:
         if not (_finite(beta) and beta >= 0):
             errs.append(f"beta must be a finite number >= 0, got {beta!r}")
         elif _finite(scale) and scale > 0 and sizes and not bad:
+            bandwidth = KDEConfig(beta=beta, scale=scale).bandwidth
             n = max(sizes)
-            h = KDEConfig(beta=beta, scale=scale).bandwidth(n)
+            h = bandwidth(n)
             # the length of deviation_grid(h) = np.arange(-h, 1 + h + h/8, h/4), not built
             if h == 0.0 or (1.0 + 2.0 * h + h / 8.0) / (h / 4.0) > MAX_GRID:
                 why = ("underflows to 0" if h == 0.0
                        else f"has a grid over MAX_GRID = {MAX_GRID} points")
                 errs.append(f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth "
                             f"h = {h!r} at n = {n}, which {why}")
+            n = min(sizes)
+            h = bandwidth(n)
+            if h > 1.0:
+                errs.append(f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth "
+                            f"h = {h!r} at n = {n}, above 1, where the theory rate "
+                            f"sqrt(log(1/h) / (n h)) is undefined")
     if exp == "bounds":
         if cfg["mode"] not in ("pm", "em"):
             errs.append("mode must be 'pm' or 'em'")

@@ -6,14 +6,16 @@ smoothing bias is out of scope.  The supremum over space is taken over a grid
 with spacing at most h/4, whose adequacy is covered by a refinement-stability
 test rather than an analytic modulus argument.
 
-Kernels are products of a base profile compactly supported on [-1, 1], and
-``Kernel`` rejects a profile that is non-zero just outside it.  The estimator
-relies on that: each query point is evaluated only over the window of samples
-within h of it in the first coordinate, which is one contiguous slice of the
-sample sorted once, taken in pieces of at most ``ELEMENT_BUDGET`` samples.  The
-estimate is still bit-identical to summing over every sample, because samples
-outside the window contribute exact zeros and the row sums are taken over all
-samples in their original order.
+Samples are one-dimensional.  A kernel's base profile is compactly supported
+on [-1, 1], where it is a polynomial whose power-basis coefficients it
+carries; ``Kernel`` checks both.  The estimator relies on them: each query's
+window, the samples within h of it, is one contiguous slice of the sample
+sorted once, and its kernel sum is a combination of the window's moments
+sum (X_i - c)^j about one origin c.  Those come from segment sums of the
+sorted sample between the windows' ends, so a whole grid costs O(n + q log n)
+and no (query x sample) array is ever built.  The result agrees with the
+dense sum over every sample to the rounding bound given in ``kde_evaluate``;
+for the box kernel, whose sum is a count, it is bit-identical.
 """
 
 import math
@@ -28,14 +30,18 @@ from .parallel import ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, stri
 from .regeneration import simulate_split_retrospective
 
 QUAD_TOL = 1e-8
-# Widening of each query's window, relative to h + |x|.  It exceeds the
-# rounding of both x -+ h and (x - X_i)/h, so every sample with a computed
-# |(x - X_i)/h| <= 1 lies inside the window.
+# Widening and narrowing of each query's window, relative to h + |x|.  It
+# exceeds the rounding of both x -+ h and (x - X_i)/h, so every sample with a
+# computed |(x - X_i)/h| <= 1 lies inside the widened window and every sample
+# inside the narrowed one passes that test.
 _WINDOW_MARGIN = 2.0 ** -30
 # Points just outside [-1, 1] where a base profile must be exactly zero.
 _OUTSIDE_SUPPORT = np.array([1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.1, 1.5, 2.0, 10.0])
 # Gauss-Legendre rule on [-1, 1], exact for polynomials of degree below 64.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Allowed gap between a profile and its polynomial at the nodes, in ulps of
+# sum |a_k|, which bounds the polynomial on [-1, 1].
+_COEFF_ULPS = 4
 
 
 def _box_k0(t):
@@ -65,20 +71,22 @@ def _profile_mass(k0: Callable) -> float:
 
 @dataclass(frozen=True)
 class Kernel:
-    """The product kernel K(x) = prod_k k0(x_k) of a base profile k0 on [-1, 1].
+    """A base profile k0 on [-1, 1]: K_h(x - X) = k0((x - X)/h) / h.
 
-    ``k0_sup`` is sup|k0| and ``k0_cdf`` the profile's CDF, which gives the
-    smoothed target in closed form.  The base profile must integrate to one
-    (checked by Gauss-Legendre quadrature, exact for polynomial profiles such
-    as the box and Epanechnikov ones) and vanish outside [-1, 1] (checked at
-    points just outside), because ``kde_evaluate`` only evaluates samples
-    inside that support.
+    ``k0_sup`` is sup|k0|, ``k0_cdf`` the profile's CDF, which gives the
+    smoothed target in closed form, and ``coeffs`` the power-basis
+    coefficients (a_0, a_1, ...) of k0 on [-1, 1], from which
+    ``kde_evaluate`` sums the kernel over a window.  The base profile must
+    integrate to one (checked by Gauss-Legendre quadrature, exact for
+    polynomial profiles), vanish outside [-1, 1] (checked at points just
+    outside) and equal its polynomial at the quadrature nodes to a few ulps.
     """
 
     name: str
     k0: Callable
     k0_sup: float
     k0_cdf: Callable
+    coeffs: tuple
 
     def __post_init__(self):
         mass = _profile_mass(self.k0)
@@ -89,22 +97,21 @@ class Kernel:
         for t, v in zip(ts.tolist(), vals.tolist()):
             if v != 0.0:
                 raise ValueError(f"base profile is {v:.6g} at t = {t!r}, outside its support [-1, 1]")
-
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """K at each row of u, shape (m, d) -> (m,)."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        return np.prod(np.asarray(self.k0(u), dtype=float), axis=1)
+        gap = np.abs(np.asarray(self.k0(_GL_NODES), dtype=float)
+                     - sum(a * _GL_NODES ** k for k, a in enumerate(self.coeffs)))
+        worst = int(np.argmax(gap))
+        if not gap[worst] <= _COEFF_ULPS * np.finfo(float).eps * np.sum(np.abs(self.coeffs)):
+            raise ValueError(f"base profile differs from its coefficients {self.coeffs} by "
+                             f"{gap[worst]:.6g} at t = {_GL_NODES[worst]!r}")
 
 
 def box_kernel() -> Kernel:
-    return Kernel(name="box", k0=_box_k0, k0_sup=0.5, k0_cdf=_box_k0_cdf)
+    return Kernel(name="box", k0=_box_k0, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5,))
 
 
 def epanechnikov_kernel() -> Kernel:
     return Kernel(name="epanechnikov", k0=_epanechnikov_k0, k0_sup=0.75,
-                  k0_cdf=_epanechnikov_k0_cdf)
+                  k0_cdf=_epanechnikov_k0_cdf, coeffs=(0.75, 0.0, -0.75))
 
 
 KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
@@ -115,64 +122,120 @@ KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
 # ---------------------------------------------------------------------------
 
 
+def _first_failing(keys, x, lo, hi, holds):
+    """Per query, the first index in [lo, hi) where ``holds(x, keys[i])`` is false, else hi.
+
+    ``holds`` must be true on a prefix of each range; the search bisects,
+    in place in ``lo`` and ``hi``, only the queries whose range is not yet
+    empty, usually none.
+    """
+    live = np.flatnonzero(lo < hi)
+    while len(live):
+        mid = (lo[live] + hi[live]) // 2
+        ok = holds(x[live], keys[mid])
+        lo[live[ok]] = mid[ok] + 1
+        hi[live[~ok]] = mid[~ok]
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
 def kde_evaluate(sample, kernel: Kernel, h: float, x):
-    """The density estimate n^-1 sum_i K((x - X_i)/h) / h^d at query points x.
+    """The density estimate n^-1 sum_i k0((x - X_i)/h) / h at query points x.
 
-    A scalar query (or a single d-vector for d > 1) returns a float; an array
-    of queries returns an array.
+    A scalar query returns a float; an array of queries returns an array.
+    The sample must be one-dimensional (shape (n,) or (n, 1)); moment sums
+    exist only in one dimension.
 
-    Only the window of each query is evaluated: the samples whose first
-    coordinate lies within h of the query's.  In the sample sorted once by
-    that coordinate the window is one contiguous slice, bounded by
-    ``searchsorted``, so the kernel runs on views of the sorted sample and of
-    the sort order, in pieces of at most ``ELEMENT_BUDGET`` samples.  This
-    rests on the kernel's support being [-1, 1] per coordinate, which
-    ``Kernel`` checks.  The window is widened by a relative margin, because a
-    sample just outside fl(x -+ h) can still give a computed |(x - X_i)/h| = 1;
-    the extra samples evaluate to exact zeros.
+    Window: the samples with |fl((x - X_i)/h)| <= 1, the dense sum's own
+    support test.  That test is monotone in X_i, so in the sample sorted
+    once the window is one slice.  ``searchsorted`` at x -+ h widened, and
+    narrowed, by a relative margin brackets each end of the slice; the few
+    samples between the two brackets, usually none, are settled by bisecting
+    with the test itself, so the window is exactly the dense sum's.
 
-    The result is bit-identical to evaluating every (query, sample) pair: the
-    kernel is elementwise, so a piece's values equal the dense ones; they go
-    into a zeroed row at the samples' original indices, and the row mean then
-    adds the same operands in the same order, since every sample outside the
-    window contributes an exact zero.  Only the touched cells are re-zeroed.
+    Moments: the sorted sample is centred in place at one origin c, the
+    midpoint of its range, so v_i = X_i - c and u = x - c.  For each power
+    j up to the profile's degree, ``np.add.reduceat`` sums v^j over the
+    segments between consecutive window ends and a cumsum over those
+    segments gives every window's S_j = sum v_i^j as a difference.  With
+    k0(t) = sum_k a_k t^k the window's kernel sum is
+    sum_k a_k h^-k sum_j C(k, j) u^(k-j) (-1)^j S_j.
+
+    Error: with eps = 2^-52 and M = (max X - min X) + 2h, which bounds |u|
+    and every |v_i| of a non-empty window, the result differs from the dense
+    sum by at most 4 (n + 8) eps / h * sum_k |a_k| (2M/h)^k: the prefix sums
+    lose about 2 n eps sum_i |v_i|^j, the binomial combination and the dense
+    sum's own mean add smaller terms of the same shape.  For the box kernel
+    (degree 0) the sum is 0.5 times the window's count, so the result is
+    bit-identical to the dense sum.
     """
     if not 0 < h < math.inf:
         raise ValueError("bandwidth h must be positive")
     s = np.asarray(sample, dtype=float)
-    if s.ndim == 1:
-        s = s[:, None]
-    n, d = s.shape
+    if s.ndim > 2 or (s.ndim == 2 and s.shape[1] != 1):
+        raise ValueError(f"kde_evaluate takes a one-dimensional sample, got shape {s.shape}")
+    srt = np.sort(s.ravel())
+    n = len(srt)
     if n == 0:
         raise ValueError("empty sample")
+    if not (np.isfinite(srt[0]) and np.isfinite(srt[-1])):
+        raise ValueError("sample has non-finite values")
     xq = np.asarray(x, dtype=float)
-    if xq.ndim == 0:
-        q, scalar_in = xq.reshape(1, 1), True
-    elif xq.ndim == 1:
-        q, scalar_in = (xq[:, None], False) if d == 1 else (xq[None, :], True)
-    else:
-        q, scalar_in = xq, False
-    if q.shape[1] != d:
-        raise ValueError(f"query points have {q.shape[1]} coordinates, the sample has {d}")
-    order = np.argsort(s[:, 0])
-    srt = s[order]
-    keys = srt[:, 0]
-    reach = h + _WINDOW_MARGIN * (h + np.abs(q[:, 0]))
-    starts = np.searchsorted(keys, q[:, 0] - reach, side="left")
-    stops = np.searchsorted(keys, q[:, 0] + reach, side="right")
-    step = max(ELEMENT_BUDGET // n, 1)
-    buf = np.zeros((min(step, len(q)), n))
-    out = np.empty(len(q))
-    for lo in range(0, len(q), step):
-        hi = min(lo + step, len(q))
-        for j in range(lo, hi):
-            for a in range(starts[j], stops[j], ELEMENT_BUDGET):
-                b = min(a + ELEMENT_BUDGET, stops[j])
-                buf[j - lo, order[a:b]] = kernel.evaluate((q[j] - srt[a:b]) / h)
-        out[lo:hi] = buf[:hi - lo].mean(axis=1) / h ** d
-        for j in range(lo, hi):
-            buf[j - lo, order[starts[j]:stops[j]]] = 0.0
-    return float(out[0]) if scalar_in else out
+    if xq.ndim > 2 or (xq.ndim == 2 and xq.shape[1] != 1):
+        raise ValueError(f"query points have shape {xq.shape}; the sample has one coordinate")
+    q = xq.ravel()
+    chunks = [slice(lo, lo + ELEMENT_BUDGET) for lo in range(0, len(q), ELEMENT_BUDGET)]
+    start, stop = np.empty((2, len(q)), dtype=np.intp)
+    for sl in chunks:
+        start[sl], stop[sl] = _window_ends(srt, q[sl], h)
+    c = 0.5 * srt[0] + 0.5 * srt[-1]
+    srt -= c
+    out = np.zeros(len(q))
+    for sl in chunks:
+        live = np.flatnonzero(stop[sl] > start[sl]) + sl.start
+        if len(live):
+            out[live] = _window_kernel_sums(srt, start[live], stop[live], q[live] - c, h,
+                                            kernel.coeffs) / n / h
+    return float(out[0]) if xq.ndim == 0 else out
+
+
+def _window_ends(keys, q, h):
+    """Each query's window keys[start:stop], the samples with |fl((x - X_i)/h)| <= 1."""
+    slack = _WINDOW_MARGIN * (h + np.abs(q))
+    outer, inner = h + slack, h - slack
+    start = _first_failing(keys, q, np.searchsorted(keys, q - outer, side="left"),
+                           np.searchsorted(keys, q - inner, side="left"),
+                           lambda xs, xi: (xs - xi) / h > 1.0)
+    stop = _first_failing(keys, q, np.searchsorted(keys, q + inner, side="right"),
+                          np.searchsorted(keys, q + outer, side="right"),
+                          lambda xs, xi: (xs - xi) / h >= -1.0)
+    return start, stop
+
+
+def _window_kernel_sums(v, start, stop, u, h, coeffs):
+    """sum_i k0((u - v_i)/h) over each non-empty window v[start:stop] of a sorted sample.
+
+    The moments S_j = sum v_i^j of all windows come from one segment sum of
+    v^j between consecutive window ends and a cumsum over those segments;
+    then k0 = sum_k a_k t^k gives sum_k a_k h^-k sum_j C(k, j) u^(k-j) (-1)^j S_j.
+    """
+    both = np.concatenate((start, stop))
+    ends = np.sort(both)
+    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
+    where = np.searchsorted(ends, both)
+    seg = v[ends[0]:ends[-1]]
+    moments = [(stop - start).astype(float)]
+    power = None
+    for _ in coeffs[1:]:
+        power = seg if power is None else power * seg
+        prefix = np.concatenate(([0.0], np.cumsum(np.add.reduceat(power, ends[:-1] - ends[0]))))
+        moments.append(prefix[where[len(u):]] - prefix[where[:len(u)]])
+    total = np.zeros(len(u))
+    for k, a in enumerate(coeffs):
+        if a != 0.0:
+            total += a * sum(math.comb(k, j) * (-1) ** j * u ** (k - j) * moments[j]
+                             for j in range(k + 1)) / h ** k
+    return total
 
 
 def uniform_smoothed_target(kernel: Kernel, h: float, grid) -> np.ndarray:
@@ -239,8 +302,7 @@ def _rate_one(model, kernel, config, sample_fn, n, task_seed):
     grid = deviation_grid(h)
     target = config.smoothed_target(kernel, h, grid)
     states = simulate(model, n, task_seed).states if sample_fn is None else sample_fn(n, task_seed)
-    d = 1 if np.asarray(states).ndim == 1 else np.asarray(states).shape[1]
-    return uniform_deviation(states, kernel, h, grid, target), d
+    return uniform_deviation(states, kernel, h, grid, target)
 
 
 def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid,
@@ -249,24 +311,24 @@ def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid
     """Mean uniform deviation per n and the fitted log-log slope.
 
     Samples come from ``simulate(model, n, .)`` unless ``sample_fn(n, seed)``
-    overrides the source (e.g. an i.i.d. oracle).  Replication (i, r) runs on
-    its own derived seed, so jobs > 1 changes nothing but wall time.  The
-    theoretical slope reported is -(1 - beta d)/2, log factors ignored.
+    overrides the source (e.g. an i.i.d. oracle); either must be
+    one-dimensional.  Replication (i, r) runs on its own derived seed, so
+    jobs > 1 changes nothing but wall time.  The theoretical rate reported is
+    sqrt(log(1/h) / (n h)) and the slope -(1 - beta)/2, log factors ignored.
     """
     if len(n_grid) < 3:
         raise ValueError("need at least 3 grid points to fit a rate")
     ns = [int(n) for n in n_grid]
     groups = replicate(partial(_rate_one, model, kernel, config, sample_fn), ns,
                        replications, seed, jobs)
-    d = groups[0][0][1]
     rows = []
-    for n, results in zip(ns, groups):
+    for n, devs in zip(ns, groups):
         h = config.bandwidth(n)
-        mean_dev, std_err = mean_se([dev for (dev, _) in results])
+        mean_dev, std_err = mean_se(devs)
         rows.append({"n": float(n), "h": h, "mean_dev": mean_dev, "std_err": std_err,
-                     "theory_rate": math.sqrt(math.log(1.0 / h) / (n * h ** d))})
+                     "theory_rate": math.sqrt(math.log(1.0 / h) / (n * h))})
     slope, slope_se = fit_loglog_slope([r["n"] for r in rows], [r["mean_dev"] for r in rows])
-    theory = -(1.0 - config.beta * d) / 2.0
+    theory = -(1.0 - config.beta) / 2.0
     return RateReport(rows=rows, slope=slope, slope_se=slope_se, theory_slope=theory)
 
 

@@ -235,9 +235,13 @@ def block_rademacher_bound_pm(trunc, *, u, sigma, c, v, n, m_const, p, tau_momen
     """Block complexity bound under a polynomial moment on block lengths.
 
     The main term at scale L U for the blockwise proxy sigma' (valid for
-    0 < sigma' <= L U) plus the remainder n E[tau^p] / L^(p-1).
+    0 < sigma' <= L U) plus the remainder n E[tau^p] / L^(p-1).  A level
+    where L^(p-1) overflows is infeasible: ValueError.
     """
-    remainder = n * tau_moment_p / trunc ** (p - 1.0)
+    try:
+        remainder = n * tau_moment_p / trunc ** (p - 1.0)
+    except OverflowError:
+        raise ValueError(f"L^(p - 1) overflows at L = {trunc!r}, p = {p!r}") from None
     return m_const * _main_term(trunc * u, sigma, c, v, n, _BLOCK_HYPOTHESIS) + remainder
 
 

@@ -52,14 +52,16 @@ def smoothed_target_quadrature(kernel, h: float, grid, density, support: tuple) 
         if a >= b:
             out[i] = 0.0
             continue
-        val, _ = quad(lambda y: float(kernel.evaluate(np.array([[(x - y) / h]]))[0]) * density(y),
-                      a, b, epsabs=QUAD_TOL)
+        val, _ = quad(lambda y: float(kernel.k0((x - y) / h)) * density(y), a, b, epsabs=QUAD_TOL)
         out[i] = val / h
     return out
 
 
 def dense_kde_evaluate(sample, kernel, h: float, x):
-    """Reference KDE: the kernel at every (query, sample) pair, in row chunks."""
+    """Reference KDE: the product kernel prod_k k0(u_k) at every (query, sample) pair, in row chunks.
+
+    It takes d-dimensional samples too, which ``kde_evaluate`` refuses.
+    """
     s = np.asarray(sample, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
@@ -76,7 +78,7 @@ def dense_kde_evaluate(sample, kernel, h: float, x):
     for lo in range(0, len(q), step):
         hi = min(lo + step, len(q))
         diff = (q[lo:hi, None, :] - s[None, :, :]) / h
-        vals = kernel.evaluate(diff.reshape(-1, d)).reshape(hi - lo, n)
+        vals = np.prod(np.asarray(kernel.k0(diff), dtype=float), axis=2)
         out[lo:hi] = vals.mean(axis=1) / h ** d
     return float(out[0]) if scalar_in else out
 

@@ -8,7 +8,7 @@ import pytest
 from regenmc import cli
 from regenmc.cli import MAX_GRID, MAX_ITEMS, MAX_LEVELS, MAX_STEPS, main, run, validate
 
-from .helpers import child_env
+from .helpers import child_env, strict_loads
 
 CONFIGS = Path(__file__).parent / "configs"
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,6 +176,9 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
      "bandwidth_scale must be a finite positive number, got -1"),
     ("kde_rate_tiny.json", "bandwidth_scale", float("inf"),
      "bandwidth_scale must be a finite positive number, got inf"),
+    ("kde_rate_tiny.json", "bandwidth_scale", 64,
+     "beta = 0.2 and bandwidth_scale = 64 give the bandwidth h = 21.112126572366307 at n = 256, "
+     "above 1, where the theory rate sqrt(log(1/h) / (n h)) is undefined"),
     ("kde_rate_tiny.json", "beta", float("nan"), "beta must be a finite number >= 0, got nan"),
     ("kde_rate_tiny.json", "beta", True, "beta must be a finite number >= 0, got True"),
     ("kde_rate_tiny.json", "kernel", [],
@@ -430,6 +433,19 @@ def test_every_experiment_kind_matches_golden_digests(tmp_path):
         manifest, passed = run(load(name), tmp_path / name.replace(".json", ""))
         assert manifest["outputs"] == golden[name], name
         assert passed in (True, None), name
+
+
+def test_pm_bounds_at_p_36_finish_with_finite_json(tmp_path):
+    # L^(p - 1) overflows at the top truncation levels once p >= 36
+    cfg = load("bounds_pm_tiny.json")
+    cfg["p"] = 36
+    try:
+        run(cfg, tmp_path)
+    except ValueError as err:
+        assert "p = 36" in str(err)
+    else:
+        report = strict_loads((tmp_path / "bound_report.json").read_text())
+        assert report["rows"] and all(row["trunc_opt"] < 2.0 ** 30 for row in report["rows"])
 
 
 def test_kde_rate_outputs_shape(tmp_path):

@@ -31,8 +31,6 @@ from regenmc.rng import stream
 
 from .helpers import dense_kde_evaluate, smoothed_target_quadrature
 
-KERNEL_CASES = {"box": box_kernel(), "epanechnikov": epanechnikov_kernel()}
-
 
 def test_kernel_constants():
     box = box_kernel()
@@ -44,13 +42,13 @@ def test_kernel_constants():
 def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
         Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0), k0_sup=0.7,
-               k0_cdf=_box_k0_cdf)
+               k0_cdf=_box_k0_cdf, coeffs=(0.7,))
 
 
 def test_kernel_mass_one_percent_off_rejected():
     with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
         Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), k0_sup=0.7575,
-               k0_cdf=_epanechnikov_k0_cdf)
+               k0_cdf=_epanechnikov_k0_cdf, coeffs=(0.7575, 0.0, -0.7575))
 
 
 @pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
@@ -77,7 +75,17 @@ def test_kernel_support_checked():
         return np.where(t <= 1.0, 0.5, np.where(t < 1.2, 0.1, 0.0))
 
     with pytest.raises(ValueError, match=r"0\.1 at t = -1\.0000000000000002"):
-        Kernel(name="leaky", k0=leaky, k0_sup=0.5, k0_cdf=_box_k0_cdf)
+        Kernel(name="leaky", k0=leaky, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5,))
+
+
+def test_kernel_coefficients_may_carry_trailing_zeros():
+    Kernel(name="box", k0=box_kernel().k0, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("coeffs", [(0.75, 0.0, -0.75), (0.5 + 1e-9,), (0.5, 1e-12)])
+def test_kernel_coefficients_checked_against_profile(coeffs):
+    with pytest.raises(ValueError, match="differs from its coefficients"):
+        Kernel(name="box", k0=box_kernel().k0, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=coeffs)
 
 
 def test_single_point_box_evaluation():
@@ -100,50 +108,110 @@ def test_empty_sample_rejected():
         kde_evaluate(np.array([]), box_kernel(), 0.1, 0.5)
 
 
-@pytest.mark.parametrize("x", [np.full((3, 1), 0.5), np.full(3, 0.5)])
-def test_query_dimension_must_match_sample(x):
-    sample = stream(8, 0).random((10, 2))
-    with pytest.raises(ValueError, match="query points have . coordinates, the sample has 2"):
-        kde_evaluate(sample, epanechnikov_kernel(), 0.5, x)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        kde_evaluate(np.array([0.2, bad, 0.7]), epanechnikov_kernel(), 0.1, 0.5)
 
 
-@given(kernel=st.sampled_from(sorted(KERNEL_CASES)), d=st.sampled_from([1, 2]),
-       n=st.integers(1, 300), ties=st.booleans(), scalar=st.booleans(),
-       h=st.floats(1e-3, 3.0), seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=200, deadline=None)
-@example(kernel="box", d=1, n=1, ties=False, scalar=True, h=1.0, seed=0)
-def test_kde_evaluate_bit_identical_to_dense(kernel, d, n, ties, scalar, h, seed):
+@pytest.mark.parametrize("shape", [(10, 2), (10, 1, 1), (5, 3)])
+def test_multivariate_sample_refused(shape):
+    sample = stream(8, 0).random(shape)
+    with pytest.raises(ValueError, match=r"one-dimensional sample, got shape \(%d, %d" % shape[:2]):
+        kde_evaluate(sample, epanechnikov_kernel(), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("x", [np.full((3, 2), 0.5), np.full((3, 1, 1), 0.5)])
+def test_query_points_must_be_scalars(x):
+    with pytest.raises(ValueError, match=r"query points have shape \(3, .*one coordinate"):
+        kde_evaluate(stream(8, 0).random(10), epanechnikov_kernel(), 0.5, x)
+
+
+def moment_error_bound(sample, kernel, h):
+    """A priori bound on |kde_evaluate - dense_kde_evaluate| at any query.
+
+    Derived from the method, never from observed errors.  Let eps = 2^-52,
+    a_k the profile's coefficients, and M = (max X - min X) + 2h: the origin
+    c lies in [min X, max X], so M bounds |X_i - c|, and |x - c| whenever
+    the window of x is non-empty.  Write U = eps / h * sum_k |a_k| (2M/h)^k.
+    - Each window moment S_j is a difference of two prefix sums of at most n
+      terms v^j with |v| <= M, each off by at most n eps * n M^j.  Through
+      sum_j C(k, j) |u|^(k-j) and the final division by n h, that is 2n U.
+    - Rounding v and u at the centring, the powers, the binomial terms, the
+      h^-k scaling and the final /n/h add less than (4 deg + 6) U.
+    - The dense oracle rounds each kernel value (under (2 deg + 4) eps
+      sum|a_k|) and their n-term mean (n eps sum|a_k|): at most (n + 2 deg + 4) U.
+    The total, 3n + 6 deg + 10 units, is below 4 (n + 8) U for deg <= 2.
+    """
+    s = np.asarray(sample, dtype=float)
+    big_m = float(s.max() - s.min()) + 2.0 * h
+    scale = sum(abs(a) * (2.0 * big_m / h) ** k for k, a in enumerate(kernel.coeffs))
+    return 4.0 * (len(s) + 8) * np.finfo(float).eps / h * scale
+
+
+def _kde_case(n, ties, h, offset, seed):
+    """A sample on [-1, 2] (offset 0) or [offset, offset + 1], with queries and window edges."""
     rng = np.random.default_rng(seed)
-    sample = rng.uniform(-1.0, 2.0, (n, d))
+    sample = rng.uniform(-1.0, 2.0, n) if offset == 0 else offset + rng.uniform(0.0, 1.0, n)
     if ties:
         sample = np.round(sample * 4.0) / 4.0
-    edges = sample[rng.integers(0, n, 8)] + h * rng.choice([-1.0, 1.0], (8, 1))
-    queries = np.concatenate([rng.uniform(-1.5, 2.5, (16, d)), edges])
-    if d == 1:
-        sample, queries = sample[:, 0], queries[:, 0]
+    edges = sample[rng.integers(0, n, 8)] + h * rng.choice([-1.0, 1.0], 8)
+    queries = np.concatenate([rng.uniform(sample.min() - 0.5, sample.max() + 0.5, 16), edges])
+    return sample, queries
+
+
+_CASES = dict(n=st.integers(1, 300), ties=st.booleans(), scalar=st.booleans(),
+              h=st.floats(1e-3, 3.0), offset=st.sampled_from([0.0, 1e3]),
+              seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(**_CASES)
+@settings(max_examples=200, deadline=None)
+@example(n=1, ties=False, scalar=True, h=1.0, offset=0.0, seed=0)
+def test_box_kde_evaluate_bit_identical_to_dense(n, ties, scalar, h, offset, seed):
+    sample, queries = _kde_case(n, ties, h, offset, seed)
     x = queries[0] if scalar else queries
-    got = kde_evaluate(sample, KERNEL_CASES[kernel], h, x)
-    want = dense_kde_evaluate(sample, KERNEL_CASES[kernel], h, x)
+    got = kde_evaluate(sample, box_kernel(), h, x)
     assert isinstance(got, float) == scalar
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, dense_kde_evaluate(sample, box_kernel(), h, x))
+
+
+@given(**_CASES)
+@settings(max_examples=200, deadline=None)
+@example(n=300, ties=True, scalar=False, h=1e-3, offset=1e3, seed=0)
+def test_epanechnikov_kde_evaluate_within_derived_bound_of_dense(n, ties, scalar, h, offset, seed):
+    sample, queries = _kde_case(n, ties, h, offset, seed)
+    x = queries[0] if scalar else queries
+    ep = epanechnikov_kernel()
+    got = kde_evaluate(sample, ep, h, x)
+    assert isinstance(got, float) == scalar
+    err = np.max(np.abs(got - dense_kde_evaluate(sample, ep, h, x)))
+    assert err <= moment_error_bound(sample, ep, h)
 
 
 @pytest.mark.parametrize("n", [ELEMENT_BUDGET // 2 - 1, ELEMENT_BUDGET - 1, ELEMENT_BUDGET + 1])
 @pytest.mark.parametrize("h", [0.01, 2.0])
-@pytest.mark.parametrize("d", [1, 2])
-def test_kde_evaluate_bit_identical_across_eval_budget(n, h, d):
-    # h = 2 puts the whole sample in every window, so with n above the
-    # budget each window is evaluated in more than one piece.  The queries
-    # beyond 5 have empty windows.
-    rng = stream(n, d)
-    sample = rng.random((n, d))
-    grid = np.concatenate([np.linspace(-0.1, 1.1, 9), np.linspace(5.0, 1e6, 12)])
-    queries = np.column_stack([grid] + [rng.uniform(-0.1, 1.1, len(grid))] * (d - 1))
-    if d == 1:
-        sample, queries = sample[:, 0], queries[:, 0]
+def test_kde_evaluate_matches_dense_across_eval_budget(n, h):
+    # h = 2 puts the whole sample in every window.  The queries beyond 5
+    # have empty windows.
+    sample = stream(n, 1).random(n)
+    queries = np.concatenate([np.linspace(-0.1, 1.1, 9), np.linspace(5.0, 1e6, 12)])
+    box, ep = box_kernel(), epanechnikov_kernel()
+    assert np.array_equal(kde_evaluate(sample, box, h, queries),
+                          dense_kde_evaluate(sample, box, h, queries))
+    err = np.max(np.abs(kde_evaluate(sample, ep, h, queries)
+                        - dense_kde_evaluate(sample, ep, h, queries)))
+    assert err <= moment_error_bound(sample, ep, h)
+
+
+def test_kde_evaluate_chunks_queries_beyond_eval_budget():
+    sample = stream(3, 0).random(500)
+    queries = stream(3, 1).uniform(-0.2, 1.2, ELEMENT_BUDGET + 7)
     ep = epanechnikov_kernel()
-    assert np.array_equal(kde_evaluate(sample, ep, h, queries),
-                          dense_kde_evaluate(sample, ep, h, queries))
+    got = kde_evaluate(sample, ep, 0.05, queries)
+    assert np.array_equal(got[-7:], kde_evaluate(sample, ep, 0.05, queries[-7:]))
+    err = np.max(np.abs(got - dense_kde_evaluate(sample, ep, 0.05, queries)))
+    assert err <= moment_error_bound(sample, ep, 0.05)
 
 
 def test_window_keeps_samples_one_ulp_beyond_x_pm_h():

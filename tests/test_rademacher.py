@@ -381,6 +381,15 @@ def test_pm_bound_remainder_arithmetic():
                                      m_const=0.0, p=2.0, tau_moment_p=4.0) == pytest.approx(40.0)
 
 
+def test_pm_bound_level_where_the_remainder_overflows_is_infeasible():
+    # 2^30^35 = 2^1050 overflows a double; the level is skipped, not an error
+    kw = dict(u=1.0, sigma=1.0, c=30.0, v=1.0, n=100.0, m_const=1.0, p=36.0, tau_moment_p=4.0)
+    with pytest.raises(ValueError, match=r"overflows at L = 1073741824\.0, p = 36\.0"):
+        block_rademacher_bound_pm(2.0 ** 30, **kw)
+    _, _, table = optimize_block_bound(partial(block_rademacher_bound_pm, **kw))
+    assert table[-1][0] < 2.0 ** 30 and all(math.isfinite(v) for _, v in table)
+
+
 def test_em_bound_remainder_arithmetic():
     assert block_rademacher_bound_em(2.0, u=1.0, sigma=1.0, c=30.0, v=1.0, n=10.0, m_const=0.0,
                                      lam=2.0, c_lambda=math.e ** 2) == pytest.approx(10.0)
