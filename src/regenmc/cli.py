@@ -201,15 +201,15 @@ _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 
 # simulation (n = 2^20 and 2^22; `n` and each `n_grid` entry), 196 B a work
 # item with its seeds, task and result (10^5 and 4 * 10^5 items;
 # `replications` and `trials`), 531 B a quantile level (`n_u`, in the
-# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 32 B a point of the
+# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 38 B a point of the
 # kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256; the
-# KDE takes its queries in ELEMENT_BUDGET chunks, whose temporaries add a
-# fixed 16 MB).
+# KDE takes its queries in chunks of ELEMENT_BUDGET / 4, whose temporaries add
+# a fixed 22 MB at most, measured with 2^18 queries on 2^20 samples).
 RUN_BYTES = 2 ** 36
 MAX_STEPS = RUN_BYTES // 89
 MAX_ITEMS = RUN_BYTES // 196
 MAX_LEVELS = RUN_BYTES // 531
-MAX_GRID = RUN_BYTES // 32
+MAX_GRID = RUN_BYTES // 38
 
 
 def _size_errors(path: str, value, cap: int) -> list:

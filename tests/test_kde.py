@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,10 +23,12 @@ from regenmc.kde import (
     _box_k0_cdf,
     _epanechnikov_k0,
     _epanechnikov_k0_cdf,
+    _prefix_sums,
     _profile_mass,
     deviation_grid,
     occupancy_moment_premise_check,
 )
+from regenmc.cli import MAX_GRID
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import stream
 
@@ -130,23 +133,34 @@ def test_query_points_must_be_scalars(x):
 def moment_error_bound(sample, kernel, h):
     """A priori bound on |kde_evaluate - dense_kde_evaluate| at any query.
 
-    Derived from the method, never from observed errors.  Let eps = 2^-52,
-    a_k the profile's coefficients, and M = (max X - min X) + 2h: the origin
-    c lies in [min X, max X], so M bounds |X_i - c|, and |x - c| whenever
-    the window of x is non-empty.  Write U = eps / h * sum_k |a_k| (2M/h)^k.
-    - Each window moment S_j is a difference of two prefix sums of at most n
-      terms v^j with |v| <= M, each off by at most n eps * n M^j.  Through
-      sum_j C(k, j) |u|^(k-j) and the final division by n h, that is 2n U.
-    - Rounding v and u at the centring, the powers, the binomial terms, the
-      h^-k scaling and the final /n/h add less than (4 deg + 6) U.
-    - The dense oracle rounds each kernel value (under (2 deg + 4) eps
-      sum|a_k|) and their n-term mean (n eps sum|a_k|): at most (n + 2 deg + 4) U.
-    The total, 3n + 6 deg + 10 units, is below 4 (n + 8) U for deg <= 2.
+    Derived from the method, never from observed errors.  Let eps = 2^-52
+    (twice the unit roundoff), d the profile's degree, a_k its coefficients,
+    R = max X - min X, m = 3 + 8 eps (1 + R/h) and A = eps / h * sum_k |a_k| m^k.
+    - Two samples in one block have computed floor((X - min X)/h) equal, so
+      they lie under h + 2 eps R apart: every scaled |v_i| = |(X_i - o)/h|,
+      rounded twice, is at most W = (1 + 2 eps R/h)(1 + eps).  A window's
+      samples lie within h (1 + eps) of x, so on a piece of a block with
+      first value o, the scaled |u| = |(x - o)/h| and W add up to at most m.
+    - A window meets at most four blocks, so it has at most four pieces,
+      each a difference of two prefix values per moment j.
+    - A prefix value sums at most n terms v^j, |v^j| <= W^j: the powers
+      round in d steps, reduceat sums each segment pairwise (depth under
+      log2 n + 20) and ``_prefix_sums`` adds the segment sums in at most
+      2 sqrt(n) + 3 steps.  With s = 2 sqrt(n) + log2 n + d + 23 it is off by
+      at most s (eps/2) n W^j.  Through sum_j C(k, j) |u|^(k-j), whose sum
+      with W^j is (|u| + W)^k <= m^k, and the division by n h, each piece is
+      off by at most s A, four pieces 4 s A.
+    - Rounding u and v, the binomial terms, the sums over j, k and pieces
+      and the final /n/h add under (2d + 17) A; the dense oracle rounds each
+      kernel value and their pairwise mean, under (log2 n + d + 24) A / 2.
+    The total, under 8 sqrt(n) + 4.5 log2 n + 6 d + 109 units of A, is below
+    8 (sqrt(n) + log2 n + d + 16) A.
     """
     s = np.asarray(sample, dtype=float)
-    big_m = float(s.max() - s.min()) + 2.0 * h
-    scale = sum(abs(a) * (2.0 * big_m / h) ** k for k, a in enumerate(kernel.coeffs))
-    return 4.0 * (len(s) + 8) * np.finfo(float).eps / h * scale
+    eps, n, deg = np.finfo(float).eps, len(s), len(kernel.coeffs) - 1
+    m = 3.0 + 8.0 * eps * (1.0 + float(s.max() - s.min()) / h)
+    scale = sum(abs(a) * m ** k for k, a in enumerate(kernel.coeffs))
+    return 8.0 * (np.sqrt(n) + np.log2(n) + deg + 16) * eps / h * scale
 
 
 def _kde_case(n, ties, h, offset, seed):
@@ -212,6 +226,51 @@ def test_kde_evaluate_chunks_queries_beyond_eval_budget():
     assert np.array_equal(got[-7:], kde_evaluate(sample, ep, 0.05, queries[-7:]))
     err = np.max(np.abs(got - dense_kde_evaluate(sample, ep, 0.05, queries)))
     assert err <= moment_error_bound(sample, ep, 0.05)
+
+
+@pytest.mark.parametrize("h", [2e-5, 4.0 / MAX_GRID])
+def test_kde_evaluate_within_bound_at_small_h_and_large_n(h):
+    # n = 2^20 with h = 2e-5, which a kde-rate config with beta = 0.78
+    # reaches, and with h = 4 / MAX_GRID, just below the smallest h that
+    # validate accepts.  A single origin for the whole sample was off by 6e-4
+    # at h = 2e-5; block origins keep the error within the bound, and the
+    # bound within 1 % of the rate.
+    n = 2 ** 20
+    sample = stream(5, 0).random(n)
+    queries = np.concatenate([stream(5, 1).uniform(-1e-4, 1.0 + 1e-4, 64),
+                              sample[:16] + h, sample[16:32]])
+    ep = epanechnikov_kernel()
+    err = np.max(np.abs(kde_evaluate(sample, ep, h, queries)
+                        - dense_kde_evaluate(sample, ep, h, queries)))
+    bound = moment_error_bound(sample, ep, h)
+    assert err <= bound < 0.01 * np.sqrt(np.log(1.0 / h) / (n * h))
+    assert np.array_equal(kde_evaluate(sample, box_kernel(), h, queries),
+                          dense_kde_evaluate(sample, box_kernel(), h, queries))
+
+
+def test_kde_evaluate_at_a_bandwidth_whose_square_underflows():
+    # h^2 underflows to 0 below about 1e-154; the moments are taken of
+    # (X - o)/h, so no power of h is ever formed
+    h = 1e-299
+    sample = stream(4, 0).random(200) * 1e-298
+    queries = np.linspace(-1e-299, 1.1e-298, 40)
+    ep = epanechnikov_kernel()
+    got = kde_evaluate(sample, ep, h, queries)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - dense_kde_evaluate(sample, ep, h, queries))) <= \
+        moment_error_bound(sample, ep, h)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 15, 16, 17, 1000])
+def test_prefix_sums_match_exact_prefixes(length):
+    # integer-valued terms sum exactly; random terms stay within the rounding
+    # of 2 sqrt(len) + 3 additions
+    ints = stream(length, 0).integers(-1000, 1000, length).astype(float)
+    assert np.array_equal(_prefix_sums(ints), np.concatenate(([0.0], np.cumsum(ints))))
+    g = stream(length, 1).normal(size=length)
+    exact = [math.fsum(g[:i]) for i in range(length + 1)]
+    slack = (2 * math.sqrt(length) + 3) * np.finfo(float).eps / 2 * np.sum(np.abs(g))
+    assert np.max(np.abs(_prefix_sums(g) - exact)) <= slack
 
 
 def test_window_keeps_samples_one_ulp_beyond_x_pm_h():
