@@ -191,9 +191,6 @@ def _center_errors(center, target) -> list:
     return errs
 
 
-# Smallest value of each verify-lemmas instance limit: an instance needs two states.
-_LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 1}
-
 # Caps on the integers that size a run, so that validate refuses a run too big
 # to hold in memory instead of numpy failing inside it.  Each is the count of
 # units whose memory reaches RUN_BYTES = 2^36 B (64 GiB), at the peak bytes one
@@ -205,11 +202,27 @@ _LEMMA_LIMITS = {"max_states": 2, "max_members": 1, "max_blocks": 1, "max_len": 
 # kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256; the
 # KDE takes its queries in chunks of ELEMENT_BUDGET / 4, whose temporaries add
 # a fixed 22 MB at most, measured with 2^18 queries on 2^20 samples).
+#
+# A verify-lemmas instance was measured the same way at 2-16 members with
+# one limit at 10^5 and 4 * 10^5 and the others at their floors: 16 B a
+# member a state of the tables (max_states), 183 B plus 64 B a member a
+# block (max_blocks) and 13 B plus 25 B a member a block state (max_len
+# per block, max_blocks * max_len in all).  The caps take max_members at
+# its largest, EXACT_COVER_CAP.
 RUN_BYTES = 2 ** 36
 MAX_STEPS = RUN_BYTES // 89
 MAX_ITEMS = RUN_BYTES // 196
 MAX_LEVELS = RUN_BYTES // 531
 MAX_GRID = RUN_BYTES // 38
+MAX_LEMMA_STATES = RUN_BYTES // (16 * EXACT_COVER_CAP)
+MAX_LEMMA_BLOCKS = RUN_BYTES // (183 + 64 * EXACT_COVER_CAP)
+MAX_LEMMA_BLOCK_STATES = RUN_BYTES // (13 + 25 * EXACT_COVER_CAP)
+
+# Least and largest value of each verify-lemmas instance limit: an instance
+# needs two states, and max_len's cap, MAX_LEMMA_BLOCK_STATES // max_blocks,
+# is checked once max_blocks is valid.
+_LEMMA_LIMITS = {"max_states": (2, MAX_LEMMA_STATES), "max_members": (1, EXACT_COVER_CAP),
+                 "max_blocks": (1, MAX_LEMMA_BLOCKS), "max_len": (1, None)}
 
 
 def _size_errors(path: str, value, cap: int) -> list:
@@ -347,13 +360,20 @@ def validate(config) -> list:
         errs += _size_errors("n_u", cfg["n_u"], MAX_LEVELS)
     if exp == "verify-lemmas":
         errs += _size_errors("trials", cfg.get("trials"), MAX_ITEMS)
-        for name, least in _LEMMA_LIMITS.items():
-            if not _int_at_least(cfg[name], least):
-                errs.append(f"{name} must be an integer >= {least}, got {cfg[name]!r}")
-        members = cfg["max_members"]
-        if _int_at_least(members, 1) and members > EXACT_COVER_CAP:
-            errs.append(f"max_members must be at most {EXACT_COVER_CAP} for exact covers, "
-                        f"got {members!r}")
+        why = {"max_members": " for exact covers"}
+        for name, (least, cap) in _LEMMA_LIMITS.items():
+            value = cfg[name]
+            if not _int_at_least(value, least):
+                errs.append(f"{name} must be an integer >= {least}, got {value!r}")
+            elif cap is not None and value > cap:
+                errs.append(f"{name} must be at most {cap}{why.get(name, '')}, got {value!r}")
+        blocks, length = cfg["max_blocks"], cfg["max_len"]
+        if _int_at_least(blocks, 1) and blocks <= MAX_LEMMA_BLOCKS and _int_at_least(length, 1):
+            cap = MAX_LEMMA_BLOCK_STATES // blocks
+            if length > cap:
+                errs.append(f"max_len must be at most {cap} with max_blocks = {blocks} "
+                            f"(MAX_LEMMA_BLOCK_STATES = {MAX_LEMMA_BLOCK_STATES} block states "
+                            f"in all), got {length!r}")
         eps_grid = cfg["eps_grid"]
         if not isinstance(eps_grid, list) or not eps_grid:
             errs.append(f"eps_grid must be a non-empty list, got {eps_grid!r}")

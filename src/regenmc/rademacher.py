@@ -93,32 +93,27 @@ def _signed_sups(values: np.ndarray, total: int, sign_rows) -> np.ndarray:
 def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
     """``sign_rows`` for ``_signed_sups`` read off ``bitgen``'s raw 64-bit words.
 
-    Successive calls give the signs that successive
-    ``Generator.integers(0, 2, size=(hi - lo, n)) * 2 - 1`` calls on the same
-    fresh generator give.  numpy takes each such value from the top bit of
-    one 32-bit half of a raw word, the low half first, by Lemire's method,
-    which never rejects at a range of two.  When a slice has an odd element
-    count, numpy keeps the unused half buffered in the bit generator for its
-    next draw; here it is kept as ``spare`` and starts the next slice.
+    Each sign takes one bit of the raw stream, so a word gives 64 signs: the
+    j-th sign of the chunk, counted row by row, is bit j % 64 of word j // 64,
+    least significant bit first, +1 where it is set and -1 where it is clear.
+    A slice draws the fewest whole words its signs need; the bits it leaves
+    over (at most 63) are kept as ``spare`` and start the next slice, so the
+    signs do not depend on how the chunk is sliced.
     """
-    spare = np.empty(0, np.float32)
+    spare = np.empty(0, np.uint8)
 
     def sign_rows(lo: int, hi: int, dtype) -> np.ndarray:
         nonlocal spare
         k = (hi - lo) * n
-        c = len(spare)
-        # As little-endian uint32 pairs each word's low half comes first.
-        halves = bitgen.random_raw((k - c + 1) // 2).astype("<u8", copy=False).view("<u4")
-        # Keep each half's top bit and xor in the bits of -1.0f: read as
-        # float32, a set bit gives 0x3F800000 = +1.0 and a clear one -1.0.
-        halves &= 0x80000000
-        halves ^= 0xBF800000
-        fresh = halves.view("<f4")
-        if c:
-            signs = np.concatenate((spare, fresh[:k - c]), dtype=dtype)
-        else:
-            signs = fresh[:k].astype(dtype, copy=False)
-        spare = fresh[k - c:].copy()
+        c = min(len(spare), k)
+        words = bitgen.random_raw(-(-(k - c) // 64)).astype("<u8", copy=False)
+        fresh = np.unpackbits(words.view(np.uint8), bitorder="little")
+        signs = np.empty(k, dtype)
+        signs[:c] = spare[:c]
+        signs[c:] = fresh[:k - c]
+        spare = np.concatenate((spare[c:], fresh[k - c:]))
+        signs *= 2
+        signs -= 1
         return signs.reshape(hi - lo, n)
 
     return sign_rows
@@ -130,8 +125,9 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     Sign vectors are drawn in fixed-size chunks from stream(seed, chunk_index),
     so the result is deterministic given (seed, n_mc, chunk size) and invariant
     to how chunks would be distributed across workers.  Within a chunk the
-    signs are drawn in row slices from the chunk's stream; they are the signs
-    ``integers(0, 2, size=(c, n)) * 2 - 1`` would draw from it at once.
+    signs are drawn in row slices from the chunk's stream, one raw bit a sign
+    (see ``_raw_sign_rows``); they are the c x n signs that the chunk's first
+    c * n raw bits give, however the chunk is sliced.
     """
     m, n = values.shape
     total = 0.0

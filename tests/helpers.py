@@ -248,6 +248,9 @@ def byte_keyed_merge(points, weights):
 def reference_signed_sup_mc(values, n_mc, seed):
     """Reference sign Monte Carlo: each chunk's whole sign matrix drawn and multiplied at once.
 
+    A chunk's c x n signs are its stream's first c * n raw bits, least
+    significant bit of each word first, row by row.
+
     Returns (mean, mc_std_error).
     """
     m, n = values.shape
@@ -257,8 +260,9 @@ def reference_signed_sup_mc(values, n_mc, seed):
     chunk_index = 0
     while done < n_mc:
         c = min(SIGN_CHUNK, n_mc - done)
-        rng = stream(seed, chunk_index)
-        signs = rng.integers(0, 2, size=(c, n)) * 2 - 1
+        words = stream(seed, chunk_index).bit_generator.random_raw(-(-c * n // 64))
+        bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:c * n]
+        signs = bits.astype(np.int64).reshape(c, n) * 2 - 1
         sups = np.abs(signs @ values.T).max(axis=1)
         total += sups.sum()
         total_sq += (sups ** 2).sum()

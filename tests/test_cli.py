@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from regenmc import cli
-from regenmc.cli import MAX_GRID, MAX_ITEMS, MAX_LEVELS, MAX_STEPS, main, run, validate
+from regenmc.cli import (MAX_GRID, MAX_ITEMS, MAX_LEMMA_BLOCK_STATES, MAX_LEMMA_BLOCKS,
+                         MAX_LEMMA_STATES, MAX_LEVELS, MAX_STEPS, main, run, validate)
 
 from .helpers import child_env, strict_loads
 
@@ -326,8 +327,34 @@ def test_validate_refuses_a_kde_grid_too_big_to_hold(key, value, message):
     assert validate(cfg) == [message]
 
 
+# At 10^12 each of these ran out of memory inside the run.
+@pytest.mark.parametrize("key,value,message", [
+    ("max_states", 10 ** 12, f"max_states must be at most {MAX_LEMMA_STATES}, got {10 ** 12}"),
+    ("max_blocks", 10 ** 12, f"max_blocks must be at most {MAX_LEMMA_BLOCKS}, got {10 ** 12}"),
+    ("max_len", 10 ** 12,
+     f"max_len must be at most {MAX_LEMMA_BLOCK_STATES // 5} with max_blocks = 5 "
+     f"(MAX_LEMMA_BLOCK_STATES = {MAX_LEMMA_BLOCK_STATES} block states in all), got {10 ** 12}"),
+])
+def test_validate_refuses_lemma_instances_too_big_to_hold(key, value, message):
+    cfg = load("verify_lemmas_tiny.json")
+    assert validate(cfg) == []
+    cfg[key] = value
+    assert validate(cfg) == [message]
+
+
+@pytest.mark.parametrize("blocks", [1000, MAX_LEMMA_BLOCKS])
+def test_validate_caps_max_len_by_the_block_count(blocks):
+    cfg = dict(load("verify_lemmas_tiny.json"), max_blocks=blocks)
+    cap = MAX_LEMMA_BLOCK_STATES // blocks
+    assert validate(dict(cfg, max_len=cap)) == []
+    assert validate(dict(cfg, max_len=cap + 1)) == [
+        f"max_len must be at most {cap} with max_blocks = {blocks} (MAX_LEMMA_BLOCK_STATES = "
+        f"{MAX_LEMMA_BLOCK_STATES} block states in all), got {cap + 1}"]
+
+
 @pytest.mark.parametrize("name,key,value", [
     ("simulate_tiny.json", "n", MAX_STEPS),
+    ("verify_lemmas_tiny.json", "max_states", MAX_LEMMA_STATES),
     ("bounds_tiny.json", "n_grid", [256, 512, MAX_STEPS]),
     ("kde_rate_tiny.json", "replications", MAX_ITEMS),
     ("verify_lemmas_tiny.json", "trials", MAX_ITEMS),

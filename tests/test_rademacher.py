@@ -228,24 +228,66 @@ def _multiplied_signs(monkeypatch, values, n_mc, seed):
 
 
 @pytest.mark.parametrize("n,n_mc", [
-    (20_001, 35),               # 13-, 13- and 9-row slices of odd width: carried halves
+    (20_001, 35),               # 13-, 13- and 9-row slices of odd width: carried bits
     (1001, SIGN_CHUNK + 3),     # odd 261-row slices, then a chunk boundary
     (7, 5),                     # a total below SLICE_FLOOR
 ])
 @pytest.mark.parametrize("fill,dtype", [(1.0, np.float32), (0.5, np.float64)])
-def test_raw_word_signs_equal_integers_draw(monkeypatch, n, n_mc, fill, dtype):
-    # The signs are read off the bit generator's raw words on the strength of
-    # how numpy's integers(0, 2) uses them.  If numpy changes its
-    # bounded-integer method or its half-word order, this fails before any
-    # digest moves.  Integer values take float32 signs, others float64.
+def test_signs_are_the_raw_bits_low_bit_first(monkeypatch, n, n_mc, fill, dtype):
+    # Sign j of a chunk, row by row, is bit j % 64 of the chunk's raw word
+    # j // 64, the least significant bit first.  The bits are taken here by
+    # shifts, not by unpackbits, so a numpy change to unpackbits' bit order
+    # fails this before any digest moves.  Integer values take float32 signs,
+    # others float64.
     seed = 17
     chunks = _multiplied_signs(monkeypatch, np.full((2, n), fill), n_mc, seed)
     assert len(chunks) == -(-n_mc // SIGN_CHUNK)
     for i, signs in enumerate(chunks):
         c = min(SIGN_CHUNK, n_mc - i * SIGN_CHUNK)
-        drawn = stream(seed, i).integers(0, 2, size=(c, n)) * 2 - 1
+        words = stream(seed, i).bit_generator.random_raw(-(-c * n // 64))
+        bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
         assert signs.dtype == dtype
-        assert np.array_equal(signs, drawn)
+        assert np.array_equal(signs, bits.astype(np.int64).ravel()[:c * n].reshape(c, n) * 2 - 1)
+
+
+def test_sign_stream_raw_words_pinned():
+    # The raw words the signs of stream(17, 0) and stream(17, 1) start from.
+    # A numpy change to the PCG64 output, its seeding or random_raw fails
+    # this before any digest moves.
+    assert stream(17, 0).bit_generator.random_raw(2).tolist() == [0xBA6F45ACE82DBB1B,
+                                                                   0x8C1CDC91DE747E5E]
+    assert stream(17, 1).bit_generator.random_raw(1).tolist() == [0x33B2CFAA781A7C7E]
+
+
+def test_sign_bits_balanced_and_lag1_independent():
+    # 10^7 signs of one chunk's stream, drawn in 101-row slices of odd
+    # width, so every slice after the first starts with carried bits.  For
+    # i.i.d. fair signs both the count of +1 and the count of equal
+    # neighbours are Binomial(N, 1/2); each must lie within 5 standard
+    # deviations, sqrt(N) / 2, of N / 2 (a false alarm has probability below
+    # 10^-6).
+    n, rows = 9_901, 101
+    sign_rows = rademacher._raw_sign_rows(stream(23, 0).bit_generator, n)
+    signs = np.concatenate([sign_rows(lo, lo + rows, np.float32).ravel()
+                            for lo in range(0, 10 * rows, rows)])
+    total = len(signs)
+    assert total >= 10 ** 7
+    plus = int((signs > 0).sum())
+    equal = int((signs[1:] == signs[:-1]).sum())
+    assert abs(plus - total / 2) <= 5 * math.sqrt(total) / 2
+    assert abs(equal - (total - 1) / 2) <= 5 * math.sqrt(total - 1) / 2
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sign_mc_within_4_se_of_exhaustive(seed):
+    # Criterion 5's oracle on random value matrices: reals (float64 signs)
+    # on even seeds and small integers (float32 signs) on odd ones.
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+    values = rng.uniform(-1, 1, (m, n)) if seed % 2 == 0 else rng.integers(-9, 10, (m, n))
+    exact = exhaustive_signed_sup(values)
+    est = _signed_sup_mc(values, 20_000, seed)
+    assert abs(est.mean - exact) <= 4 * max(est.mc_std_error, 1e-12)
 
 
 @pytest.mark.parametrize("total,width", [(0, 10), (5, 10), (2048, 140_000), (2048, 3000),
@@ -274,9 +316,10 @@ def test_exhaustive_sliced_equals_whole_enumeration(n):
 
 def test_sign_mc_memory_bounded_by_budget():
     # A slice holds at most (step + SLICE_FLOOR - 1) rows, so at most
-    # ELEMENT_BUDGET + SLICE_FLOOR * n elements.  Its raw words (4 bytes an
-    # element) and float signs (8 bytes) fit in three slice-sized 8-byte
-    # arrays, next to a possible copy of the value matrix and the sups.
+    # ELEMENT_BUDGET + SLICE_FLOOR * n elements.  Its raw words (1/8 byte an
+    # element), unpacked bits (1 byte) and float signs (8 bytes) fit in three
+    # slice-sized 8-byte arrays, next to a possible copy of the value matrix
+    # and the sups.
     # A whole 2048-row chunk needs two 2048 x n arrays, 655 MB here.
     m, n, n_mc = 10, 20_000, 2048
     values = np.random.default_rng(0).uniform(-1, 1, (m, n))
@@ -299,6 +342,23 @@ def test_bounds_peak_rss_independent_of_sign_draws(tmp_path):
            "mode": "em", "lambda": 0.178, "constants": {"M_const": 1.0}}
     code, peak_mb = cli_peak_rss_mb(cfg, tmp_path)
     assert code in (0, 2)
+    assert peak_mb < 400
+
+
+@pytest.mark.stress
+def test_block_bounds_at_ten_times_n_grid_passes_within_rss_bound(tmp_path):
+    # The benchmark's block-bounds config with every n_grid entry times 10,
+    # about 200,000 complete blocks at the largest n.  Its peak RSS was
+    # 236 MB, the chain and its class values at n = 655360; the sign Monte
+    # Carlo holds one slice of signs at a time.
+    cfg = {"experiment": "bounds", "seed": 1,
+           "model": {"kind": "doeblin_uniform", "delta": 0.3, "width": 0.25},
+           "class": {"kind": "halfline", "lo": 0.05, "hi": 0.95, "size": 10},
+           "n_grid": [10240, 40960, 163840, 655360], "replications": 5, "n_mc": 2000,
+           "mode": "em", "lambda": 0.178, "exponent_range": [0.45, 0.60],
+           "constants": {"M_const": 1.0}}
+    code, peak_mb = cli_peak_rss_mb(cfg, tmp_path)
+    assert code == 0
     assert peak_mb < 400
 
 
