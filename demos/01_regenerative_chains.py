@@ -56,7 +56,7 @@ stats = regen_stats(blocks)
 print("\nmean block length:", blocks.lengths.mean(), "(geometric mean = 1/0.3)")
 print("tail rate estimate:", stats.tail_rate()[0], "(truth -log 0.7 = 0.357)")
 print("empirical MGF at 0.15:", stats.mgf(0.15))
-print("suggested safe MGF argument:", stats.suggested_lambda())
+print("suggested safe MGF argument:", 0.5 * stats.tail_rate()[0])
 
 # Forward splitting draws the flag first and then samples the matching branch
 # (fresh draw from the minorizing measure, or the residual kernel).  Both

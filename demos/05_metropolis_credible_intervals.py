@@ -37,8 +37,8 @@ blocks = extract_blocks(traj)
 print(f"\nflags per step: {traj.regen_flags.mean():.4f} "
       f"(delta * small-set mass = {cert.delta * cert.psi_mass:.4f})")
 stats = regen_stats(blocks)
-print("block-length MGF finite at", stats.suggested_lambda(), "->",
-      stats.mgf(stats.suggested_lambda()))
+lam = 0.5 * stats.tail_rate()[0]
+print("block-length MGF finite at", lam, "->", stats.mgf(lam))
 
 # The blocks estimate stationary quantities without burn-in bookkeeping.
 f = lambda s: (np.asarray(s)[:, 0] <= 0.3).astype(float)

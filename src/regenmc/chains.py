@@ -251,12 +251,6 @@ class Trajectory:
         """0 for finite label states, d for vector states."""
         return 0 if self.states.ndim == 1 and np.issubdtype(self.states.dtype, np.integer) else self.states.shape[1]
 
-    def values_1d(self) -> np.ndarray:
-        """Coordinate 0 as a float vector (the labels, for finite chains)."""
-        if self.dim == 0:
-            return self.states.astype(float)
-        return self.states[:, 0]
-
     def to_csv(self, path):
         d = self.dim
         with open(path, "w") as fh:

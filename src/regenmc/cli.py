@@ -209,11 +209,17 @@ def _center_errors(center, target) -> list:
 # block (max_blocks) and 13 B plus 25 B a member a block state (max_len
 # per block, max_blocks * max_len in all).  The caps take max_members at
 # its largest, EXACT_COVER_CAP.
+#
+# A class evaluated along a chain (rademacher and bounds) holds about 26 B
+# (rademacher) and 28 B (bounds) a member-state at 100 and 400 members and
+# n = 2 * 10^4 and 4 * 10^4; members times n (the largest n of n_grid) is
+# capped at the larger.
 RUN_BYTES = 2 ** 36
 MAX_STEPS = RUN_BYTES // 89
 MAX_ITEMS = RUN_BYTES // 196
 MAX_LEVELS = RUN_BYTES // 531
 MAX_GRID = RUN_BYTES // 38
+MAX_MEMBER_STATES = RUN_BYTES // 28
 MAX_LEMMA_STATES = RUN_BYTES // (16 * EXACT_COVER_CAP)
 MAX_LEMMA_BLOCKS = RUN_BYTES // (183 + 64 * EXACT_COVER_CAP)
 MAX_LEMMA_BLOCK_STATES = RUN_BYTES // (13 + 25 * EXACT_COVER_CAP)
@@ -338,6 +344,12 @@ def validate(config) -> list:
             elif width < model.kernel.n_states:
                 errs.append(f"class.tables rows must cover the model's "
                             f"{model.kernel.n_states} states, got {width} entries")
+        n, steps = ((cfg.get("n"), "n =") if exp == "rademacher"
+                    else (max(sizes) if sizes and not bad else None, "n_grid reaches"))
+        if (cls is not None and _int_at_least(n, 1) and n <= MAX_STEPS
+                and cls.size * n > MAX_MEMBER_STATES):
+            errs.append(f"class has {cls.size} members and {steps} {n}: {cls.size * n} "
+                        f"member-states, above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}")
     if "slope_tolerance" in reads:
         tol = cfg["slope_tolerance"]
         if not (_finite(tol) and tol >= 0):
@@ -499,15 +511,10 @@ def _lemma_trial(config, task):
     eps_grid = config["eps_grid"]
     # one truncation level per eps, drawn in grid order
     truncs = [int(rng.integers(1, config["max_len"] + 1)) for _ in eps_grid]
-    # each distinct level is checked once, over the eps values that drew it
-    truncated = {}
-    for t in set(truncs):
-        grid = [eps for eps, u in zip(eps_grid, truncs) if u == t]
-        truncated[t] = iter(covering_checks(cls, bm, grid, t, "exact"))
-    lifted = covering_checks(cls, bm, eps_grid, None, "exact")
+    k = len(eps_grid)
+    checks = covering_checks(cls, bm, eps_grid * 2, [None] * k + truncs, "exact")
     rows = []
-    for eps, trunc, c1 in zip(eps_grid, truncs, lifted):
-        c2 = next(truncated[trunc])
+    for eps, trunc, c1, c2 in zip(eps_grid, truncs, checks, checks[k:]):
         rows.append((trial, eps, "lift", c1.lhs, c1.rhs, c1.holds))
         rows.append((trial, eps, f"trunc{trunc}", c2.lhs, c2.rhs, c2.holds))
     return rows
@@ -518,11 +525,12 @@ def _run_verify_lemmas(config, out, jobs):
     all_rows = pool_map(partial(_lemma_trial, config), tasks, jobs)
     n_checks = 0
     n_holds = 0
+    eps_text = {eps: format(eps, ".17g") for eps in config["eps_grid"]}
     with open(out / "lemma_checks.csv", "w") as fh:
         fh.write("instance,eps,side,lhs,rhs,pass\n")
         for rows in all_rows:
             for trial, eps, side, lhs, rhs, holds in rows:
-                fh.write(f"{trial},{format(eps, '.17g')},{side},{lhs},"
+                fh.write(f"{trial},{eps_text[eps]},{side},{lhs},"
                          f"{'' if rhs is None else rhs},{int(holds)}\n")
                 n_checks += 1
                 n_holds += int(holds)

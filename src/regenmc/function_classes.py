@@ -206,42 +206,74 @@ def _exact_cover(masks) -> int:
     return best[full]
 
 
+def _check_covering_args(eps_grid, method):
+    if not all(eps > 0 for eps in eps_grid):
+        raise ValueError("eps must be positive")
+    if method not in ("greedy", "exact"):
+        raise ValueError(f"unknown covering method {method!r}")
+
+
+class _CoverCounter:
+    """Sizes of eps-covers of the rows of one value matrix in L2(weights), at any eps.
+
+    It keeps only distances: in greedy mode the m x m matrix, in exact mode
+    the rows of the deduplicated members, their sorted distinct distances and
+    each cover solved so far.
+    """
+
+    def __init__(self, values, weights, method: str):
+        dist = _distance_matrix(values, weights)
+        self.method = method
+        if method == "greedy":
+            self.dist = dist
+            return
+        rows = dist.tolist()
+        keep = _dedup(rows)
+        if len(keep) > EXACT_COVER_CAP:
+            raise ValueError(f"exact covering limited to {EXACT_COVER_CAP} distinct members "
+                             f"(got {len(keep)}); use greedy mode")
+        self.rows = [[rows[i][j] for j in keep] for i in keep]
+        self.levels = sorted({d for row in self.rows for d in row})
+        # a ball of radius r about member i holds every member once r >= max_j d_ij
+        self.one_ball = min(max(row) for row in self.rows)
+        self.solved = {}
+
+    def counts(self, eps_grid) -> list:
+        # covering a ball of radius r allows ties at the boundary
+        radii = [eps * (1.0 + 1e-12) + 1e-300 for eps in eps_grid]
+        if self.method == "greedy":
+            return [_greedy_cover(self.dist, radius) for radius in radii]
+        # Which members each ball holds changes only where the radius passes a
+        # pairwise distance, so the cover is solved once per number of distinct
+        # distances within the radius.
+        counts = []
+        for radius in radii:
+            level = bisect.bisect_right(self.levels, radius)
+            if level not in self.solved:
+                self.solved[level] = self._exact(radius)
+            counts.append(self.solved[level])
+        return counts
+
+    def _exact(self, radius) -> int:
+        if radius >= self.one_ball:
+            return 1
+        if radius < self.levels[1]:   # the least distance between two members
+            return len(self.rows)
+        return _exact_cover([sum(1 << j for j, d in enumerate(row) if d <= radius)
+                             for row in self.rows])
+
+
 def covering_numbers(cls, measure, eps_grid, method: str) -> list:
     """Sizes of eps-covers of the class in L2(measure), centers at members, per eps.
 
     ``greedy`` picks the first uncovered member as each new center, yielding a
     value G with exactN(eps) <= G <= exactN(eps/2).  ``exact`` solves minimum
-    set cover over deduplicated members (class size <= 16).  One distance
-    matrix serves the whole grid.
+    set cover over deduplicated members (class size <= 16); radii that hold the
+    same pairwise distances share one solve.  One distance matrix serves the
+    whole grid.
     """
-    if not all(eps > 0 for eps in eps_grid):
-        raise ValueError("eps must be positive")
-    if method not in ("greedy", "exact"):
-        raise ValueError(f"unknown covering method {method!r}")
-    dist = _distance_matrix(*_value_matrix(cls, measure))
-    # covering a ball of radius r allows ties at the boundary
-    radii = [eps * (1.0 + 1e-12) + 1e-300 for eps in eps_grid]
-    if method == "greedy":
-        return [_greedy_cover(dist, radius) for radius in radii]
-    rows = dist.tolist()
-    keep = _dedup(rows)
-    if len(keep) > EXACT_COVER_CAP:
-        raise ValueError(f"exact covering limited to {EXACT_COVER_CAP} distinct members "
-                         f"(got {len(keep)}); use greedy mode")
-    rows = [[rows[i][j] for j in keep] for i in keep]
-    # Which members each ball holds changes only where the radius passes a
-    # pairwise distance, so the cover is solved once per number of distinct
-    # distances within the radius.
-    levels = sorted({d for row in rows for d in row})
-    solved = {}
-    counts = []
-    for radius in radii:
-        level = bisect.bisect_right(levels, radius)
-        if level not in solved:
-            solved[level] = _exact_cover([sum(1 << j for j, d in enumerate(row) if d <= radius)
-                                          for row in rows])
-        counts.append(solved[level])
-    return counts
+    _check_covering_args(eps_grid, method)
+    return _CoverCounter(*_value_matrix(cls, measure), method).counts(eps_grid)
 
 
 def covering_number(cls, measure, eps: float, method: str = "greedy") -> int:
@@ -297,31 +329,54 @@ class CoveringCheck:
     rhs_radius: float
 
 
-def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid,
-                    trunc: Optional[float], method: str) -> list:
-    """Covering comparisons of the lift (``trunc`` None) or truncated lift, per eps.
+def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid, truncs,
+                    method: str) -> list:
+    """Covering comparisons of the lift or a truncated lift, one per (eps, trunc) pair.
 
-    The left side covers the lifted class under the block measure at radius
-    eps * ||ell||, or eps * trunc when truncated; the right side covers the
-    base class under the lifted state measure (restricted to surviving blocks)
-    at radius eps.  Each side is one ``covering_numbers`` pass over the grid.
-    Greedy mode upper-bounds the left side, so ``holds`` False is conclusive
-    only in exact mode.  If truncation kills every block the left class is {0}
-    and the bound holds trivially.
+    ``truncs`` holds one truncation level per eps: None for the plain lift f',
+    L for the truncated lift f' 1{length <= L}.  The left side covers that
+    lift under the block measure at radius eps * ||ell||, or eps * L when
+    truncated; the right side covers the base class under the lifted state
+    measure of the surviving blocks at radius eps.
+
+    Pairs whose levels keep the same blocks share their lift values and
+    lifted measure, so each such set of blocks is covered in one pass per
+    side; in exact mode the radii of a pass, lift and truncations alike, share
+    each cover they solve.  Greedy mode upper-bounds the left side, so
+    ``holds`` False is conclusive only in exact mode.  If truncation kills every block the left
+    class is {0} and the bound holds trivially (lhs 1, rhs None).
     """
-    scale = block_measure.ell_norm() if trunc is None else trunc
-    lhs_radii = [eps * scale for eps in eps_grid]
-    if trunc is None:
-        lhs_eps = lhs_radii
-    elif np.any(block_measure.lengths <= trunc):
-        lhs_eps = [max(r, 1e-300) for r in lhs_radii]
-    else:
-        return [CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=eps)
-                for eps, r in zip(eps_grid, lhs_radii)]
-    lhs = covering_numbers(LiftedClass(cls, trunc=trunc), block_measure, lhs_eps, method)
-    rhs = covering_numbers(cls, lift_measure(block_measure, trunc=trunc), eps_grid, method)
-    return [CoveringCheck(holds=left <= right, lhs=left, rhs=right, lhs_radius=r, rhs_radius=eps)
-            for eps, r, left, right in zip(eps_grid, lhs_radii, lhs, rhs)]
+    if len(truncs) != len(eps_grid):
+        raise ValueError(f"one trunc per eps required, got {len(truncs)} for {len(eps_grid)}")
+    _check_covering_args(eps_grid, method)
+    lengths = block_measure.lengths
+    ell = block_measure.ell_norm()
+    # L keeps the blocks of length <= L, so two levels keep the same blocks
+    # exactly when they keep as many; None keeps them all.
+    kept = {t: len(lengths) if t is None else int(np.count_nonzero(lengths <= t))
+            for t in dict.fromkeys(truncs)}
+    groups = {}
+    for i, t in enumerate(truncs):
+        groups.setdefault(kept[t], []).append(i)
+    checks = [None] * len(truncs)
+    for n_kept, pairs in groups.items():
+        grid = [eps_grid[i] for i in pairs]
+        lhs_radii = [e * (ell if truncs[i] is None else truncs[i]) for e, i in zip(grid, pairs)]
+        if n_kept == 0:
+            for i, e, r in zip(pairs, grid, lhs_radii):
+                checks[i] = CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=e)
+            continue
+        # a level that keeps every block leaves the lift's values as they are
+        trunc = None if n_kept == len(lengths) else truncs[pairs[0]]
+        lhs = _CoverCounter(LiftedClass(cls, trunc).evaluate(block_measure),
+                            block_measure.weights, method).counts(
+            [r if truncs[i] is None else max(r, 1e-300) for r, i in zip(lhs_radii, pairs)])
+        q = lift_measure(block_measure, trunc=trunc)
+        rhs = _CoverCounter(cls.evaluate(q.points), q.weights, method).counts(grid)
+        for i, e, r, left, right in zip(pairs, grid, lhs_radii, lhs, rhs):
+            checks[i] = CoveringCheck(holds=left <= right, lhs=left, rhs=right, lhs_radius=r,
+                                      rhs_radius=e)
+    return checks
 
 
 def check_lifted_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure,
@@ -332,7 +387,7 @@ def check_lifted_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure
     measure never needs more balls than an eps-cover of the base class under
     the lifted state measure; see ``covering_checks``.
     """
-    return covering_checks(cls, block_measure, [eps], None, method)[0]
+    return covering_checks(cls, block_measure, [eps], [None], method)[0]
 
 
 def check_truncated_covering_bound(cls: EvaluableClass, block_measure: BlockMeasure,
@@ -342,7 +397,7 @@ def check_truncated_covering_bound(cls: EvaluableClass, block_measure: BlockMeas
 
     The left radius is eps * trunc; see ``covering_checks``.
     """
-    return covering_checks(cls, block_measure, [eps], trunc, method)[0]
+    return covering_checks(cls, block_measure, [eps], [trunc], method)[0]
 
 
 def lift_second_moment_gap(cls: EvaluableClass, block_measure: BlockMeasure) -> float:

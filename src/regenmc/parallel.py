@@ -8,7 +8,6 @@ experiments build inside one work item.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -26,6 +25,8 @@ def pool_map(fn, items, jobs: int = 1):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
 

@@ -302,11 +302,6 @@ class RegenStats:
         slope = np.polyfit(ks, np.log(surv), 1)[0]
         return float(-slope), int(len(ks))
 
-    def suggested_lambda(self) -> float:
-        """Half of the estimated tail rate; a safe MGF argument, never auto-applied."""
-        rate, _ = self.tail_rate()
-        return 0.5 * rate if np.isfinite(rate) else float("nan")
-
     def to_json(self) -> str:
         rate, npts = self.tail_rate()
         payload = {

@@ -63,8 +63,8 @@ def test_criterion_02_splitting_preserves_marginal():
     passes_doeblin = 0
     model = wrapped_doeblin_chain(0.3, 0.25)
     for s in range(20):
-        a = simulate_split_retrospective(model, 10**4, seed=200 + s).values_1d()[::10]
-        b = simulate(model, 10**4, seed=800 + s).values_1d()[::10]
+        a = simulate_split_retrospective(model, 10**4, seed=200 + s).states[::10, 0]
+        b = simulate(model, 10**4, seed=800 + s).states[::10, 0]
         passes_doeblin += ks_2samp(a, b).pvalue > 0.01
     target = uniform_target()
     prop = UniformStep(0.25)
@@ -110,8 +110,11 @@ def test_criterion_04_covering_comparisons():
         trunc = int(rng.integers(1, 5))
         # one pass per side over the whole grid; test_function_classes pins it to
         # the single-eps checks
-        holds_lift += sum(c.holds for c in covering_checks(cls, bm, eps_grid, None, "exact"))
-        holds_trunc += sum(c.holds for c in covering_checks(cls, bm, eps_grid, trunc, "exact"))
+        grid = len(eps_grid)
+        holds_lift += sum(c.holds for c in covering_checks(cls, bm, eps_grid, [None] * grid,
+                                                           "exact"))
+        holds_trunc += sum(c.holds for c in covering_checks(cls, bm, eps_grid, [trunc] * grid,
+                                                            "exact"))
         total += len(eps_grid)
     elapsed = time.monotonic() - t0
     ok = holds_lift == total and holds_trunc == total and elapsed < 120.0

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from regenmc import cli
 from regenmc.cli import (MAX_GRID, MAX_ITEMS, MAX_LEMMA_BLOCK_STATES, MAX_LEMMA_BLOCKS,
-                         MAX_LEMMA_STATES, MAX_LEVELS, MAX_STEPS, main, run, validate)
+                         MAX_LEMMA_STATES, MAX_LEVELS, MAX_MEMBER_STATES, MAX_STEPS, main, run,
+                         validate)
 
 from .helpers import child_env, strict_loads
 
@@ -352,10 +354,39 @@ def test_validate_caps_max_len_by_the_block_count(blocks):
         f"{MAX_LEMMA_BLOCK_STATES} block states in all), got {cap + 1}"]
 
 
+# Each would need about 56 TB at 28 B a member-state.
+@pytest.mark.parametrize("name,key,value,message", [
+    ("rademacher_tiny.json", "n", 10 ** 7,
+     f"class has 200000 members and n = {10 ** 7}: {2 * 10 ** 12} member-states, "
+     f"above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}"),
+    ("bounds_tiny.json", "n_grid", [256, 512, 10 ** 7],
+     f"class has 200000 members and n_grid reaches {10 ** 7}: {2 * 10 ** 12} member-states, "
+     f"above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}"),
+])
+def test_validate_refuses_a_class_too_big_for_the_chain(name, key, value, message):
+    cfg = load(name)
+    cfg["class"]["size"] = 200_000
+    assert validate(cfg) == []
+    cfg[key] = value
+    assert validate(cfg) == [message]
+    cfg["class"]["size"] = MAX_MEMBER_STATES // 10 ** 7
+    assert validate(cfg) == []
+
+
+def test_validate_accepts_the_block_bounds_workload():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert validate(workloads.config("block-bounds", 1)) == []
+
+
 @pytest.mark.parametrize("name,key,value", [
     ("simulate_tiny.json", "n", MAX_STEPS),
     ("verify_lemmas_tiny.json", "max_states", MAX_LEMMA_STATES),
-    ("bounds_tiny.json", "n_grid", [256, 512, MAX_STEPS]),
+    # the tiny class has 5 members
+    ("bounds_tiny.json", "n_grid", [256, 512, MAX_MEMBER_STATES // 5]),
+    ("rademacher_tiny.json", "n", MAX_MEMBER_STATES // 5),
     ("kde_rate_tiny.json", "replications", MAX_ITEMS),
     ("verify_lemmas_tiny.json", "trials", MAX_ITEMS),
     ("mh_credible_tiny.json", "n_u", MAX_LEVELS),
@@ -703,3 +734,14 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process loads multiprocessing, 10-17 ms of every start,
+    # and only a run with jobs > 1 uses it
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, regenmc.cli; "
+                           "print('concurrent.futures.process' in sys.modules)"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

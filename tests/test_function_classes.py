@@ -24,6 +24,7 @@ from regenmc import (
     table_class,
 )
 from regenmc.cli import _lemma_trial
+import regenmc.function_classes as fc
 from regenmc.function_classes import TableFunction, _distance_matrix
 from regenmc.kde import box_kernel, epanechnikov_kernel
 from regenmc.parallel import ELEMENT_BUDGET
@@ -167,9 +168,9 @@ def test_covering_checks_equal_per_eps_reference():
                     expected = [reference_covering_check(cls, bm, e, trunc, method) for e in grid]
                 except ValueError as exc:
                     with pytest.raises(ValueError, match=str(exc)):
-                        covering_checks(cls, bm, grid, trunc, method)
+                        covering_checks(cls, bm, grid, [trunc] * len(grid), method)
                     continue
-                got = covering_checks(cls, bm, grid, trunc, method)
+                got = covering_checks(cls, bm, grid, [trunc] * len(grid), method)
                 assert [(c.lhs, c.rhs, c.holds) for c in got] == expected
                 assert [c.rhs_radius for c in got] == grid
                 scale = bm.ell_norm() if trunc is None else trunc
@@ -180,6 +181,42 @@ def test_covering_checks_equal_per_eps_reference():
                     single = [check_truncated_covering_bound(cls, bm, e, trunc, method)
                               for e in grid]
                 assert single == got
+
+
+def test_covering_checks_with_mixed_levels_equal_per_pair_reference(monkeypatch):
+    rng = np.random.default_rng(33)
+    matrices = []
+    distance_matrix = fc._distance_matrix
+    monkeypatch.setattr(fc, "_distance_matrix",
+                        lambda values, weights: matrices.append(1) or distance_matrix(values, weights))
+    for _ in range(60):
+        cls, bm = random_instance(rng, max_members=8, max_blocks=6, max_len=5)
+        q = lift_measure(bm)
+        base = _grid_with_ties(rng, reference_distance_matrix(cls.evaluate(q.points), q.weights))
+        longest = int(bm.lengths.max())
+        # None, 0 (no block survives), partial levels and levels that keep every block
+        levels = [None, 0, 1, 2, 2.5, longest, longest + 1]
+        truncs = [levels[i] for i in rng.integers(0, len(levels), len(base))]
+        # repeated eps under other levels
+        grid, truncs = base + base[:3], truncs + [None, longest, 1]
+        survivors = {tuple(np.flatnonzero(bm.lengths <= (np.inf if t is None else t)))
+                     for t in truncs} - {()}
+        for method in ("exact", "greedy"):
+            matrices.clear()
+            got = covering_checks(cls, bm, grid, truncs, method)
+            assert [(c.lhs, c.rhs, c.holds) for c in got] == [
+                reference_covering_check(cls, bm, e, t, method) for e, t in zip(grid, truncs)]
+            assert [c.rhs_radius for c in got] == grid
+            assert [c.lhs_radius for c in got] == [
+                e * (bm.ell_norm() if t is None else t) for e, t in zip(grid, truncs)]
+            # one distance matrix per side for each set of surviving blocks
+            assert len(matrices) == 2 * len(survivors)
+
+
+def test_covering_checks_need_one_trunc_per_eps():
+    cls, bm = random_instance(np.random.default_rng(34))
+    with pytest.raises(ValueError, match="one trunc per eps required, got 1 for 2"):
+        covering_checks(cls, bm, [0.5, 1.0], [None], "exact")
 
 
 def test_covering_numbers_exact_cap_error_matches_reference():

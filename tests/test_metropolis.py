@@ -334,7 +334,7 @@ def test_mgf_finite_for_every_builtin_configuration():
         cert = build_minorization(target, prop)
         traj = mh_chain_regen(target, prop, cert, 150_000, seed=10)
         stats = regen_stats(extract_blocks(traj))
-        lam = stats.suggested_lambda()
+        lam = 0.5 * stats.tail_rate()[0]
         assert np.isfinite(lam) and lam > 0
         _, reliable = stats.mgf(lam)
         assert reliable

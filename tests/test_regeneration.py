@@ -74,8 +74,8 @@ def test_retrospective_marginal_matches_plain_simulation():
     stride = 10
     failures = 0
     for s in range(20):
-        a = simulate_split_retrospective(model, 10_000, seed=300 + s).values_1d()[::stride]
-        b = simulate(model, 10_000, seed=900 + s).values_1d()[::stride]
+        a = simulate_split_retrospective(model, 10_000, seed=300 + s).states[::stride, 0]
+        b = simulate(model, 10_000, seed=900 + s).states[::stride, 0]
         if ks_2samp(a, b).pvalue <= 0.01:
             failures += 1
     assert failures <= 2
