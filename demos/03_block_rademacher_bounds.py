@@ -10,7 +10,6 @@ import numpy as np
 
 from regenmc import (
     block_rademacher_bound_em,
-    block_variance_proxy,
     compare_bound_vs_empirical,
     empirical_block_rademacher,
     empirical_rademacher_iid,
@@ -53,7 +52,9 @@ print("\npointwise bound:",
 
 # The block bound truncates at a block length L and pays a remainder for the
 # truncated tail; a grid optimizer picks L for the bound as a function of L.
-sig = math.sqrt(block_variance_proxy(cls, blocks))
+# Its variance proxy sigma'^2 is the largest member mean of f'(B)^2, which
+# the block estimate carries as mean_sq.
+sig = math.sqrt(blk.mean_sq.max())
 taus = blocks.lengths.astype(float)
 lam = 0.15
 em_bound = partial(block_rademacher_bound_em, u=1.0, sigma=sig, c=25.0, v=2.0,

@@ -117,29 +117,33 @@ class WrappedMixtureKernel:
 
     def sample_path(self, x0, n, rng):
         x0 = float(np.ravel(x0)[0])
-        if n == 1:
-            return np.array([[x0]])
         m = n - 1
         fresh = rng.random(m) < self.delta
-        psi = rng.random(m)
+        # Step i lands at (psi[a] + csum[i]) - csum[a] for its last fresh
+        # step a.  Slot 0 of psi and csum holds x0 and 0.0, the a of every
+        # step before the first fresh one.  inc, spent once summed, holds the
+        # gathered csum[a] and then floor(v).
+        psi = np.empty(n)
+        psi[0] = x0
+        rng.random(m, out=psi[1:])
         inc = rng.uniform(-self.width, self.width, m)
-        idx = np.arange(m)
-        anchor = np.maximum.accumulate(np.where(fresh, idx, -1))
-        csum = np.cumsum(inc)
-        safe = np.maximum(anchor, 0)
-        start_val = np.where(anchor >= 0, psi[safe], x0)
-        start_base = np.where(anchor >= 0, csum[safe], 0.0)
-        out = np.empty(n)
-        out[0] = x0
+        csum = np.empty(n)
+        csum[0] = 0.0
+        np.cumsum(inc, out=csum[1:])
+        anchor = np.arange(1, n) * fresh
+        np.maximum.accumulate(anchor, out=anchor)
+        out = psi[anchor]
+        out += csum[1:]
+        out -= np.take(csum, anchor, out=inc)
         # v - floor(v) equals v % 1.0 bit for bit: the exact fraction for
         # v >= 0, one rounding of the same real 1 - f for v < 0, +0.0 for a
-        # zero result.  It skips np.remainder's sign and divmod handling;
-        # wrapping in place keeps one step-sized temporary.  For v in
-        # [-2^-54, 0) that rounding gives 1.0, the point 0 of the circle.
-        out[1:] = start_val + csum - start_base
-        out[1:] -= np.floor(out[1:])
-        out[1:][out[1:] == 1.0] = 0.0
-        return out.reshape(n, 1)
+        # zero result.  It skips np.remainder's sign and divmod handling.
+        # For v in [-2^-54, 0) that rounding gives 1.0, the point 0 of the
+        # circle.
+        out -= np.floor(out, out=inc)
+        out[out == 1.0] = 0.0
+        psi[1:] = out
+        return psi.reshape(n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +270,6 @@ class Trajectory:
                     row = [format(v, ".17g") for v in self.states[i]]
                 row.append("" if flags is None else str(int(flags[i])))
                 fh.write(",".join(row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            fh.readline()
-            n, d, seed, model_id = fh.readline().rstrip("\n").split(",", 3)
-            n, d, seed = int(n), int(d), int(seed)
-            fh.readline()
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, found {len(rows)}")
-        flag_col = [r[-1] for r in rows]
-        flags = None if flag_col[0] == "" else np.array([c == "1" for c in flag_col])
-        if d == 0:
-            states = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        else:
-            states = np.array([[float(v) for v in r[:d]] for r in rows])
-        return cls(states=states, regen_flags=flags, seed=seed, model_id=model_id)
 
 
 # ---------------------------------------------------------------------------

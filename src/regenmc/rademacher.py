@@ -42,6 +42,7 @@ class RademacherEstimate:
     mean: float
     mc_std_error: float
     n_data: int
+    mean_sq: np.ndarray     # per member, the mean of its squared values
 
 
 def _row_slices(total: int, width: int):
@@ -60,13 +61,15 @@ def _row_slices(total: int, width: int):
 
 
 def _exact_in_float32(values: np.ndarray) -> bool:
-    """Whether float32 sums of +-values[f, k] over any signs equal float64's.
+    """Whether the float32 bit path gives every signed sum of values[f, k] exactly.
 
-    They do when every value is an integer and each row's sum of |v| is at
-    most 2^24: every partial sum of +-v, in any order or blocking, is then an
-    integer of magnitude at most 2^24, which float32 holds exactly.  So no
-    step of the float32 matmul rounds, fused multiply-adds included, and
-    neither would float64's.  NaN and inf fail the sum test.
+    It does when every value is an integer and each row's sum of |v| is at
+    most 2^24.  Every partial sum of b_k v_k with 0/1 bits b, in any order or
+    blocking, is then an integer of magnitude at most 2^24, which float32
+    holds exactly, fused multiply-adds included; so are 2 (b . v), at most
+    2^25, and the row sum.  Their difference, the signed sum, is an integer
+    of magnitude at most 2^24, so the one subtraction does not round either.
+    NaN and inf fail the sum test.
     """
     v = np.asarray(values, dtype=float)
     return bool((np.abs(v).sum(axis=1) <= 2.0 ** 24).all() and np.array_equal(v, np.rint(v)))
@@ -75,18 +78,28 @@ def _exact_in_float32(values: np.ndarray) -> bool:
 def _signed_sups(values: np.ndarray, total: int, sign_rows) -> np.ndarray:
     """max_f |sum_k s_k values[f, k]| for each of ``total`` sign rows.
 
-    ``sign_rows(lo, hi, dtype)`` returns rows lo..hi-1 of the +-1 sign
-    matrix in ``dtype``; the matrix is never built whole.  Values whose sums
-    are exact in float32 are multiplied in float32; any others in float64,
-    as ``signs @ values.T`` with float64 signs.
+    ``sign_rows(lo, hi, dtype)`` returns rows lo..hi-1 of the 0/1 bit
+    matrix in ``dtype``, a bit b standing for the sign s = 2b - 1; the
+    matrix is never built whole.  Values whose sums are exact in float32
+    are multiplied as bits, in float32, and each signed sum is formed as
+    2 (b . v) - sum_k v_k on the small rows x members product.  Any others
+    take float64, where the rounding depends on the operand: their bits are
+    turned into +-1 signs in place and multiplied as ``signs @ values.T``.
     """
-    if _exact_in_float32(values):
-        dtype, operand = np.float32, np.ascontiguousarray(values.T, dtype=np.float32)
-    else:
-        dtype, operand = np.float64, values.T
+    exact = _exact_in_float32(values)
+    if exact:
+        operand = np.ascontiguousarray(values.T, dtype=np.float32)
+        row_sums = operand.sum(axis=0)
     sups = np.empty(total)
     for lo, hi in _row_slices(total, values.shape[1]):
-        sups[lo:hi] = np.abs(sign_rows(lo, hi, dtype) @ operand).max(axis=1)
+        if exact:
+            sums = 2 * (sign_rows(lo, hi, np.float32) @ operand) - row_sums
+        else:
+            signs = sign_rows(lo, hi, np.float64)
+            signs *= 2
+            signs -= 1
+            sums = signs @ values.T
+        sups[lo:hi] = np.abs(sums).max(axis=1)
     return sups
 
 
@@ -96,9 +109,10 @@ def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
     Each sign takes one bit of the raw stream, so a word gives 64 signs: the
     j-th sign of the chunk, counted row by row, is bit j % 64 of word j // 64,
     least significant bit first, +1 where it is set and -1 where it is clear.
-    A slice draws the fewest whole words its signs need; the bits it leaves
-    over (at most 63) are kept as ``spare`` and start the next slice, so the
-    signs do not depend on how the chunk is sliced.
+    The rows hold the bits themselves, 0 or 1, as ``np.unpackbits`` gives
+    them.  A slice draws the fewest whole words its signs need; the bits it
+    leaves over (at most 63) are kept as ``spare`` and start the next slice,
+    so the signs do not depend on how the chunk is sliced.
     """
     spare = np.empty(0, np.uint8)
 
@@ -112,8 +126,6 @@ def _raw_sign_rows(bitgen: np.random.BitGenerator, n: int):
         signs[:c] = spare[:c]
         signs[c:] = fresh[:k - c]
         spare = np.concatenate((spare[c:], fresh[k - c:]))
-        signs *= 2
-        signs -= 1
         return signs.reshape(hi - lo, n)
 
     return sign_rows
@@ -144,7 +156,7 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     mean = total / n_mc
     var = max(total_sq / n_mc - mean ** 2, 0.0)
     return RademacherEstimate(mean=float(mean), mc_std_error=float(np.sqrt(var / n_mc)),
-                              n_data=n)
+                              n_data=n, mean_sq=(values ** 2).mean(axis=1))
 
 
 def exhaustive_signed_sup(values: np.ndarray) -> float:
@@ -153,8 +165,8 @@ def exhaustive_signed_sup(values: np.ndarray) -> float:
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration limited to {EXHAUSTIVE_CAP} data points")
     bits = np.arange(n)
-    sups = _signed_sups(values, 2 ** n, lambda lo, hi, dtype: np.array([-1, 1], dtype)[
-        (np.arange(lo, hi)[:, None] >> bits) & 1])
+    sups = _signed_sups(values, 2 ** n, lambda lo, hi, dtype: (
+        (np.arange(lo, hi)[:, None] >> bits) & 1).astype(dtype))
     return float(sups.mean())
 
 
@@ -174,24 +186,17 @@ def empirical_block_rademacher(cls: EvaluableClass, blocks: BlockSet, n_mc: int,
 
     Signs attach to whole blocks; member values are the block sums f'(B_k).
     With all blocks of length one this reproduces the plain estimate on the
-    underlying points bit for bit (same sign stream, same arithmetic).
+    underlying points bit for bit (same sign stream, same arithmetic).  The
+    estimate's ``mean_sq`` holds each member's mean of f'(B)^2 over the
+    complete blocks; its maximum is the plug-in for the squared blockwise
+    variance proxy, whose square root the bound calculators take as
+    ``sigma``.
     """
     if blocks.n_complete == 0:
         raise ValueError("no complete blocks")
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     return _signed_sup_mc(blocks.block_values(cls.evaluate), n_mc, seed)
-
-
-def block_variance_proxy(cls: EvaluableClass, blocks: BlockSet) -> float:
-    """Plug-in for the squared blockwise variance proxy.
-
-    Sup over members of the empirical mean of f'(B)^2 over complete blocks;
-    the bound calculators take its square root as ``sigma``.
-    """
-    if blocks.n_complete == 0:
-        raise ValueError("no complete blocks")
-    return float((blocks.block_values(cls.evaluate) ** 2).mean(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +340,11 @@ class BoundReport:
 
 
 def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
-    """(estimate, block lengths, member means of f'^2), or None without complete blocks."""
+    """(estimate, block lengths), or None without complete blocks."""
     blocks = extract_blocks(simulate_split_retrospective(model, n, task_seed))
     if blocks.n_complete == 0:
         return None
-    est = empirical_block_rademacher(cls, blocks, n_mc, sign_seed)
-    return est, blocks.lengths, (blocks.block_values(cls.evaluate) ** 2).mean(axis=1)
+    return empirical_block_rademacher(cls, blocks, n_mc, sign_seed), blocks.lengths
 
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
@@ -370,7 +374,8 @@ def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
         done = [res for res in results if res is not None]
         if not done:
             raise RuntimeError(f"no complete blocks at n={n}")
-        estimates, taus, sig_sqs = zip(*done)
+        estimates, taus = zip(*done)
+        sig_sqs = [e.mean_sq for e in estimates]
         emp = float(np.mean([e.mean for e in estimates]))
         mc_err = float(np.sqrt(np.mean([e.mc_std_error ** 2 for e in estimates]) / len(estimates)))
         tau_all = np.concatenate(taus).astype(float)

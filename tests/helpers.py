@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import kstwobign
 
+from regenmc.chains import Trajectory
 from regenmc.function_classes import (DEDUP_TOL, EXACT_COVER_CAP, BlockMeasure, LiftedClass,
                                       lift_measure, table_class)
 from regenmc.kde import QUAD_TOL
@@ -102,6 +103,48 @@ def reference_wrapped_path(kernel, x0, n, rng):
     out[1:] = (start_val + csum - start_base) % 1.0
     out[out == 1.0] = 0.0
     return out.reshape(n, 1)
+
+
+def reference_anchor_path(kernel, x0, n, rng):
+    """Reference Doeblin sampler path: each step's last fresh index found with a -1
+    sentinel, read through ``np.where``, and the wrap taken with ``v - floor(v)``."""
+    x0 = float(np.ravel(x0)[0])
+    if n == 1:
+        return np.array([[x0]])
+    m = n - 1
+    fresh = rng.random(m) < kernel.delta
+    psi = rng.random(m)
+    inc = rng.uniform(-kernel.width, kernel.width, m)
+    anchor = np.maximum.accumulate(np.where(fresh, np.arange(m), -1))
+    csum = np.cumsum(inc)
+    safe = np.maximum(anchor, 0)
+    start_val = np.where(anchor >= 0, psi[safe], x0)
+    start_base = np.where(anchor >= 0, csum[safe], 0.0)
+    out = np.empty(n)
+    out[0] = x0
+    out[1:] = start_val + csum - start_base
+    out[1:] -= np.floor(out[1:])
+    out[1:][out[1:] == 1.0] = 0.0
+    return out.reshape(n, 1)
+
+
+def trajectory_from_csv(path):
+    """Reference reader of ``Trajectory.to_csv``: header lines, then one row a state."""
+    with open(path) as fh:
+        fh.readline()
+        n, d, seed, model_id = fh.readline().rstrip("\n").split(",", 3)
+        n, d, seed = int(n), int(d), int(seed)
+        fh.readline()
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, found {len(rows)}")
+    flag_col = [r[-1] for r in rows]
+    flags = None if flag_col[0] == "" else np.array([c == "1" for c in flag_col])
+    if d == 0:
+        states = np.array([int(r[0]) for r in rows], dtype=np.int64)
+    else:
+        states = np.array([[float(v) for v in r[:d]] for r in rows])
+    return Trajectory(states=states, regen_flags=flags, seed=seed, model_id=model_id)
 
 
 def member_block_values(blocks, cls):

@@ -17,7 +17,8 @@ from regenmc import (
 )
 from regenmc.chains import CircleMinorization, WrappedMixtureKernel
 
-from .helpers import batch_means_se, discrete_ks_pvalue, reference_wrapped_path
+from .helpers import (batch_means_se, discrete_ks_pvalue, reference_anchor_path,
+                      reference_wrapped_path, trajectory_from_csv)
 
 
 def test_absorbing_identity_kernel():
@@ -45,7 +46,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     traj = simulate_split_retrospective(wrapped_doeblin_chain(0.4, 0.3), 200, seed=9)
     path = tmp_path / "t.csv"
     traj.to_csv(path)
-    back = type(traj).from_csv(path)
+    back = trajectory_from_csv(path)
     assert np.array_equal(back.regen_flags, traj.regen_flags)
     assert np.allclose(back.states, traj.states)
     assert back.seed == traj.seed and back.model_id == traj.model_id
@@ -164,6 +165,21 @@ def test_wrapped_sample_path_equals_remainder_reference(delta, width, x0, n, see
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.5, 1.0])     # rarely, often and always fresh
+@pytest.mark.parametrize("n", [1, 2, 3, 4097])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_wrapped_sample_path_equals_anchor_reference(delta, n, seed):
+    # Byte equality, so a -0.0 where the reference has +0.0 fails too; the
+    # generator must be left where the reference leaves it.
+    kernel = WrappedMixtureKernel(delta, 0.3)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = kernel.sample_path(np.array([0.7]), n, rng)
+    want = reference_anchor_path(kernel, np.array([0.7]), n, ref_rng)
+    assert got.shape == want.shape == (n, 1)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_floor_wrap_equals_remainder_on_edge_values():
     # The Doeblin sampler wraps with v - floor(v) in place of v % 1.0.
     rng = np.random.default_rng(0)
@@ -182,8 +198,11 @@ _NEG_TINY_STEP = -(0.25 + 2.0 ** -54)
 class _ForcedStepRng:
     """Draws no fresh point and returns ``_NEG_TINY_STEP`` as every increment."""
 
-    def random(self, size=None):
-        return np.ones(size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
 
     def uniform(self, low, high, size=None):
         assert low <= _NEG_TINY_STEP <= high

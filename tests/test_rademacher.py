@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from regenmc import (
     Trajectory,
     block_rademacher_bound_em,
     block_rademacher_bound_pm,
-    block_variance_proxy,
     compare_bound_vs_empirical,
     empirical_block_rademacher,
     empirical_rademacher_iid,
@@ -27,9 +28,10 @@ from regenmc import (
     table_class,
     wrapped_doeblin_chain,
 )
-from regenmc import rademacher
+from regenmc import cli, rademacher
 from regenmc.parallel import ELEMENT_BUDGET, pool_map
 from regenmc.rademacher import SIGN_CHUNK, SLICE_FLOOR, _row_slices, _signed_sup_mc
+from regenmc.regeneration import BlockSet
 from regenmc.rng import stream
 
 from .helpers import (cli_peak_rss_mb, reference_exhaustive_signed_sup,
@@ -194,6 +196,20 @@ def test_sign_mc_bit_identical_on_both_matmul_paths(case):
     assert np.array_equal([est.mean, est.mc_std_error], ref, equal_nan=True)
 
 
+@pytest.mark.parametrize("extra,exact", [(0.0, True), (1.0, False)])
+def test_sign_mc_exact_at_the_float32_bound(extra, exact):
+    # Every row's sum of |v| is 2^24 + extra, in mixed and in equal signs.
+    # At 2^24 the bit sums b . v reach 2^24 and 2 (b . v) reaches 2^25, all
+    # exact in float32; at 2^24 + 1 the values take float64.
+    values = np.array([[2.0 ** 23, -2.0 ** 22, 2.0 ** 22 - 1, -1.0 - extra],
+                       [-2.0 ** 23, 2.0 ** 23 - 8, 3.0, -5.0 - extra],
+                       [2.0 ** 23, 2.0 ** 22, 2.0 ** 22 - 2, 2.0 + extra]])
+    assert (np.abs(values).sum(axis=1) == 2.0 ** 24 + extra).all()
+    assert rademacher._exact_in_float32(values) is exact
+    est = _signed_sup_mc(values, SIGN_CHUNK + 50, seed=3)
+    assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, SIGN_CHUNK + 50, 3)
+
+
 @given(m=st.integers(1, 5), n=st.integers(1, 400), cap=st.integers(0, 2 ** 24),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -237,8 +253,9 @@ def test_signs_are_the_raw_bits_low_bit_first(monkeypatch, n, n_mc, fill, dtype)
     # Sign j of a chunk, row by row, is bit j % 64 of the chunk's raw word
     # j // 64, the least significant bit first.  The bits are taken here by
     # shifts, not by unpackbits, so a numpy change to unpackbits' bit order
-    # fails this before any digest moves.  Integer values take float32 signs,
-    # others float64.
+    # fails this before any digest moves.  Integer values are multiplied as
+    # the 0/1 bits themselves, in float32; others as float64 +-1 signs,
+    # which _signed_sups makes from the bits in place.
     seed = 17
     chunks = _multiplied_signs(monkeypatch, np.full((2, n), fill), n_mc, seed)
     assert len(chunks) == -(-n_mc // SIGN_CHUNK)
@@ -246,8 +263,9 @@ def test_signs_are_the_raw_bits_low_bit_first(monkeypatch, n, n_mc, fill, dtype)
         c = min(SIGN_CHUNK, n_mc - i * SIGN_CHUNK)
         words = stream(seed, i).bit_generator.random_raw(-(-c * n // 64))
         bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        bits = bits.astype(np.int64).ravel()[:c * n].reshape(c, n)
         assert signs.dtype == dtype
-        assert np.array_equal(signs, bits.astype(np.int64).ravel()[:c * n].reshape(c, n) * 2 - 1)
+        assert np.array_equal(signs, bits if dtype == np.float32 else bits * 2 - 1)
 
 
 def test_sign_stream_raw_words_pinned():
@@ -381,9 +399,14 @@ def test_empty_inputs_rejected():
 # ---------------------------------------------------------------------------
 
 
+def variance_proxy(cls, blocks):
+    """sigma'^2: the largest member mean of f'(B)^2 the block estimate carries."""
+    return float(empirical_block_rademacher(cls, blocks, 100, seed=0).mean_sq.max())
+
+
 def test_variance_proxy_unit_blocks():
     blocks = extract_blocks(traj_with_flags([1, 1, 1, 1], [True] * 4))
-    assert block_variance_proxy(constant_one_class(), blocks) == 1.0
+    assert variance_proxy(constant_one_class(), blocks) == 1.0
 
 
 def test_variance_proxy_arithmetic():
@@ -391,7 +414,7 @@ def test_variance_proxy_arithmetic():
     traj = traj_with_flags([0, 1, 2, 3], [True, False, True, True])
     blocks = extract_blocks(traj)
     cls = table_class(np.array([[0.0, 1.0, 2.0, 3.0]]))
-    assert block_variance_proxy(cls, blocks) == 9.0
+    assert variance_proxy(cls, blocks) == 9.0
 
 
 def test_variance_proxy_geometric_second_moment():
@@ -399,10 +422,48 @@ def test_variance_proxy_geometric_second_moment():
     traj = simulate_split_retrospective(wrapped_doeblin_chain(delta, 0.25), 200_000, seed=31)
     blocks = extract_blocks(traj)
     cls = halfline_class([2.0])  # constant one on [0, 1): f'(B) = block length
-    proxy = block_variance_proxy(cls, blocks)
+    proxy = variance_proxy(cls, blocks)
     taus_sq = blocks.lengths.astype(float) ** 2
     se = taus_sq.std(ddof=1) / np.sqrt(len(taus_sq))
     assert abs(proxy - (2 - delta) / delta ** 2) <= 4 * se
+
+
+def _count_block_values(monkeypatch):
+    """The complete-block count of every BlockSet.block_values call, in order."""
+    calls = []
+    block_values = BlockSet.block_values
+
+    def counted(self, f):
+        calls.append(self.n_complete)
+        return block_values(self, f)
+
+    monkeypatch.setattr(BlockSet, "block_values", counted)
+    return calls
+
+
+def test_bound_experiment_builds_one_value_matrix_per_replication(monkeypatch):
+    with_blocks = []
+    extract = rademacher.extract_blocks
+
+    def recorded(traj):
+        blocks = extract(traj)
+        with_blocks.append(blocks.n_complete > 0)
+        return blocks
+
+    monkeypatch.setattr(rademacher, "extract_blocks", recorded)
+    calls = _count_block_values(monkeypatch)
+    # At n = 6 some replications end before a second regeneration
+    compare_bound_vs_empirical(wrapped_doeblin_chain(0.3, 0.25), halfline_class([0.3, 0.7]),
+                               [6, 64], 8, seed=2, n_mc=100, mode="pm", m_const=1.0)
+    assert 0 < sum(with_blocks) < len(with_blocks) == 16
+    assert len(calls) == sum(with_blocks)
+
+
+def test_rademacher_run_builds_one_block_value_matrix(monkeypatch, tmp_path):
+    config = json.loads((Path(__file__).parent / "configs" / "rademacher_tiny.json").read_text())
+    calls = _count_block_values(monkeypatch)
+    cli.run(config, tmp_path)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
