@@ -191,51 +191,70 @@ def _center_errors(center, target) -> list:
     return errs
 
 
-# Caps on the integers that size a run, so that validate refuses a run too big
-# to hold in memory instead of numpy failing inside it.  Each is the count of
-# units whose memory reaches RUN_BYTES = 2^36 B (64 GiB), at the peak bytes one
-# unit was measured to hold under tracemalloc: 89 B a chain step of the split
-# simulation (n = 2^20 and 2^22; `n` and each `n_grid` entry), 196 B a work
-# item with its seeds, task and result (10^5 and 4 * 10^5 items;
-# `replications` and `trials`), 531 B a quantile level (`n_u`, in the
-# 3 x 3 chains of tests/configs/mh_credible_tiny.json) and 38 B a point of the
-# kde-rate deviation grid at the largest n (2^18 and 2^20 points, n = 256; the
-# KDE takes its queries in chunks of ELEMENT_BUDGET / 4, whose temporaries add
-# a fixed 22 MB at most, measured with 2^18 queries on 2^20 samples).
-#
-# A verify-lemmas instance was measured the same way at 2-16 members with
-# one limit at 10^5 and 4 * 10^5 and the others at their floors: 16 B a
-# member a state of the tables (max_states), 183 B plus 64 B a member a
-# block (max_blocks) and 13 B plus 25 B a member a block state (max_len
-# per block, max_blocks * max_len in all).  The caps take max_members at
-# its largest, EXACT_COVER_CAP.
-#
-# A class evaluated along a chain (rademacher and bounds) holds about 26 B
-# (rademacher) and 28 B (bounds) a member-state at 100 and 400 members and
-# n = 2 * 10^4 and 4 * 10^4; members times n (the largest n of n_grid) is
-# capped at the larger.
+# The peak bytes of a run, as a sum of terms, so that validate refuses a run
+# too big to hold instead of numpy failing inside it.  Units measured under
+# tracemalloc at two sizes: 89 B a chain step of the split simulation (n = 2^20
+# and 2^22), and 24 B more a step for each mh-credible target coordinate past
+# the first (trunc_gauss held 64, 112 and 160 B a step at d = 2, 4 and 6, n =
+# 2^20 and 2^21); 196 B a work item with its seeds, task and result (10^5 and
+# 4 * 10^5 items); 28 B a member-state of a class along the chain (100 and 400
+# members, n = 2 * 10^4 and 4 * 10^4); 531 B a quantile level (3 x 3 chains of
+# tests/configs/mh_credible_tiny.json); 38 B a kde-rate deviation grid point
+# (2^18 and 2^20 points, n = 256; query chunks add a fixed 22 MB at most); and
+# in a verify-lemmas instance at 2-16 members, with one limit at 10^5 and
+# 4 * 10^5, 16 B a member a table state, 183 B plus 64 B a member a block and
+# 13 B plus 25 B a member a block state, taken at EXACT_COVER_CAP members.
 RUN_BYTES = 2 ** 36
-MAX_STEPS = RUN_BYTES // 89
-MAX_ITEMS = RUN_BYTES // 196
-MAX_LEVELS = RUN_BYTES // 531
-MAX_GRID = RUN_BYTES // 38
-MAX_MEMBER_STATES = RUN_BYTES // 28
-MAX_LEMMA_STATES = RUN_BYTES // (16 * EXACT_COVER_CAP)
-MAX_LEMMA_BLOCKS = RUN_BYTES // (183 + 64 * EXACT_COVER_CAP)
-MAX_LEMMA_BLOCK_STATES = RUN_BYTES // (13 + 25 * EXACT_COVER_CAP)
-
-# Least and largest value of each verify-lemmas instance limit: an instance
-# needs two states, and max_len's cap, MAX_LEMMA_BLOCK_STATES // max_blocks,
-# is checked once max_blocks is valid.
-_LEMMA_LIMITS = {"max_states": (2, MAX_LEMMA_STATES), "max_members": (1, EXACT_COVER_CAP),
-                 "max_blocks": (1, MAX_LEMMA_BLOCKS), "max_len": (1, None)}
 
 
-def _size_errors(path: str, value, cap: int) -> list:
-    """Violations of the run-size integer at ``path``: it must lie in [1, cap]."""
-    if not _int_at_least(value, 1):
-        return [f"{path} must be an integer >= 1, got {value!r}"]
-    return [] if value <= cap else [f"{path} must be at most {cap}, got {value!r}"]
+def peak_bytes(cfg) -> dict:
+    """The bytes each memory term of a valid config's run holds at its peak, as
+    ``{term: (bytes, the keys and values that set it)}``; the run holds their sum."""
+    if cfg["experiment"] == "verify-lemmas":
+        trials, states, blocks = cfg["trials"], cfg["max_states"], cfg["max_blocks"]
+        return {"work items": (196.0 * trials, f"trials = {trials}"),
+                "lemma table states": (16.0 * EXACT_COVER_CAP * states, f"max_states = {states}"),
+                "lemma blocks": ((183.0 + 64 * EXACT_COVER_CAP) * blocks, f"max_blocks = {blocks}"),
+                "lemma block states": ((13.0 + 25 * EXACT_COVER_CAP) * blocks * cfg["max_len"],
+                                       f"max_blocks = {blocks} and max_len = {cfg['max_len']}")}
+    grid = cfg.get("n_grid")
+    n, at = (cfg["n"], "n") if grid is None else (grid[-1], f"n_grid[{len(grid) - 1}]")
+    at = f"{at} = {n}"
+    terms = {"chain steps": (89.0 * n, at)}
+    if grid is not None:
+        reps = cfg["replications"]
+        terms["work items"] = (196.0 * len(grid) * reps,
+                               f"replications = {reps} at {len(grid)} n_grid entries")
+    if "class" in cfg:
+        spec = cfg["class"]
+        listed = [spec[key] for key in ("thresholds", "tables", "centers") if key in spec]
+        members = len(listed[0]) if listed else spec.get("size", _halfline.__defaults__[-1])
+        terms["member-states"] = (28.0 * members * n, f"{members} class members and {at}")
+    if cfg["experiment"] == "kde-rate":
+        beta, scale = cfg["beta"], cfg["bandwidth_scale"]
+        h = KDEConfig(beta=beta, scale=scale).bandwidth(n)
+        # deviation_grid(h) = np.arange(-h, 1 + h + h/8, h/4) has 4/h + 8.5 points, rounded up
+        terms["deviation grid"] = (38.0 * (4.0 / h + 9.5),
+                                   f"beta = {beta!r}, bandwidth_scale = {scale!r} and {at} "
+                                   f"(h = {h!r})")
+    if cfg["experiment"] == "mh-credible":
+        d = cfg["target"].get("d", 1)
+        terms["chain steps"] = ((89.0 + 24 * (d - 1)) * n, f"{at} and target.d = {d}")
+        terms["quantile levels"] = (531.0 * cfg["n_u"], f"n_u = {cfg['n_u']}")
+    return terms
+
+
+# The least value of each integer that sizes a run besides n_grid's: a lemma
+# instance needs two states.
+_LEAST = {"n": 1, "replications": 1, "n_u": 1, "trials": 1, "max_states": 2, "max_members": 1,
+          "max_blocks": 1, "max_len": 1}
+
+
+def _size_errors(path: str, value, least: int) -> list:
+    """Violations of the run-size integer at ``path``: an integer >= ``least`` in float range."""
+    if not _int_at_least(value, least):
+        return [f"{path} must be an integer >= {least}, got {value!r}"]
+    return [] if _finite(value) else [f"{path} must lie within float range, got {value!r}"]
 
 
 def validate(config) -> list:
@@ -250,8 +269,8 @@ def validate(config) -> list:
     errs += [f"{key} is not read by a {exp!r} experiment"
              for key in config if key not in reads and key not in ("experiment", "seed")]
     cfg = settings(config)
-    if "n" in reads:
-        errs += _size_errors("n", cfg.get("n"), MAX_STEPS)
+    errs += [e for key, least in _LEAST.items() if key in reads
+             for e in _size_errors(key, cfg.get(key), least)]
     if "min_blocks" in reads and not _int_at_least(cfg["min_blocks"], 0):
         errs.append(f"min_blocks must be an integer >= 0, got {cfg['min_blocks']!r}")
     model = None
@@ -270,13 +289,12 @@ def validate(config) -> list:
         if len(sizes) < 3:
             errs.append("n_grid must be a list with at least 3 sizes")
         bad = [e for i, n in enumerate(sizes)
-               for e in _size_errors(f"n_grid[{i}]", n, MAX_STEPS)]
+               for e in _size_errors(f"n_grid[{i}]", n, 1)]
         errs += bad
         falls = [] if bad else [i for i in range(1, len(sizes)) if sizes[i] <= sizes[i - 1]]
         if falls:
             errs.append(f"n_grid must be strictly increasing, got n_grid[{falls[0]}] = "
                         f"{sizes[falls[0]]!r} after {sizes[falls[0] - 1]!r}")
-        errs += _size_errors("replications", cfg.get("replications"), MAX_ITEMS)
     if exp == "kde-rate":
         if cfg["kernel"] not in tuple(KERNELS):
             errs.append(f"kernel must be one of {tuple(KERNELS)}, got {cfg['kernel']!r}")
@@ -288,20 +306,12 @@ def validate(config) -> list:
             errs.append(f"beta must be a finite number >= 0, got {beta!r}")
         elif _finite(scale) and scale > 0 and sizes and not bad:
             bandwidth = KDEConfig(beta=beta, scale=scale).bandwidth
-            n = max(sizes)
-            h = bandwidth(n)
-            # the length of deviation_grid(h) = np.arange(-h, 1 + h + h/8, h/4), not built
-            if h == 0.0 or (1.0 + 2.0 * h + h / 8.0) / (h / 4.0) > MAX_GRID:
-                why = ("underflows to 0" if h == 0.0
-                       else f"has a grid over MAX_GRID = {MAX_GRID} points")
-                errs.append(f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth "
-                            f"h = {h!r} at n = {n}, which {why}")
-            n = min(sizes)
-            h = bandwidth(n)
-            if h > 1.0:
-                errs.append(f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth "
-                            f"h = {h!r} at n = {n}, above 1, where the theory rate "
-                            f"sqrt(log(1/h) / (n h)) is undefined")
+            gives = f"beta = {beta!r} and bandwidth_scale = {scale!r} give the bandwidth"
+            if bandwidth(max(sizes)) == 0.0:
+                errs.append(f"{gives} h = 0.0 at n = {max(sizes)}, which underflows to 0")
+            if bandwidth(min(sizes)) > 1.0:
+                errs.append(f"{gives} h = {bandwidth(min(sizes))!r} at n = {min(sizes)}, above 1, "
+                            f"where the theory rate sqrt(log(1/h) / (n h)) is undefined")
     if exp == "bounds":
         if cfg["mode"] not in ("pm", "em"):
             errs.append("mode must be 'pm' or 'em'")
@@ -344,12 +354,6 @@ def validate(config) -> list:
             elif width < model.kernel.n_states:
                 errs.append(f"class.tables rows must cover the model's "
                             f"{model.kernel.n_states} states, got {width} entries")
-        n, steps = ((cfg.get("n"), "n =") if exp == "rademacher"
-                    else (max(sizes) if sizes and not bad else None, "n_grid reaches"))
-        if (cls is not None and _int_at_least(n, 1) and n <= MAX_STEPS
-                and cls.size * n > MAX_MEMBER_STATES):
-            errs.append(f"class has {cls.size} members and {steps} {n}: {cls.size * n} "
-                        f"member-states, above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}")
     if "slope_tolerance" in reads:
         tol = cfg["slope_tolerance"]
         if not (_finite(tol) and tol >= 0):
@@ -369,29 +373,24 @@ def validate(config) -> list:
                 errs.extend(_center_errors(cfg["center"], target))
         # the run supplies the target's dimension; d = 1 stands in when the target is invalid
         errs += _spec("proposal", cfg["proposal"], PROPOSALS, d=getattr(target, "dim", 1))[0]
-        errs += _size_errors("n_u", cfg["n_u"], MAX_LEVELS)
     if exp == "verify-lemmas":
-        errs += _size_errors("trials", cfg.get("trials"), MAX_ITEMS)
-        why = {"max_members": " for exact covers"}
-        for name, (least, cap) in _LEMMA_LIMITS.items():
-            value = cfg[name]
-            if not _int_at_least(value, least):
-                errs.append(f"{name} must be an integer >= {least}, got {value!r}")
-            elif cap is not None and value > cap:
-                errs.append(f"{name} must be at most {cap}{why.get(name, '')}, got {value!r}")
-        blocks, length = cfg["max_blocks"], cfg["max_len"]
-        if _int_at_least(blocks, 1) and blocks <= MAX_LEMMA_BLOCKS and _int_at_least(length, 1):
-            cap = MAX_LEMMA_BLOCK_STATES // blocks
-            if length > cap:
-                errs.append(f"max_len must be at most {cap} with max_blocks = {blocks} "
-                            f"(MAX_LEMMA_BLOCK_STATES = {MAX_LEMMA_BLOCK_STATES} block states "
-                            f"in all), got {length!r}")
+        members = cfg["max_members"]
+        if _int_at_least(members, 1) and members > EXACT_COVER_CAP:
+            errs.append(f"max_members must be at most {EXACT_COVER_CAP} for exact covers, "
+                        f"got {members!r}")
         eps_grid = cfg["eps_grid"]
         if not isinstance(eps_grid, list) or not eps_grid:
             errs.append(f"eps_grid must be a non-empty list, got {eps_grid!r}")
         for i, eps in enumerate(eps_grid if isinstance(eps_grid, list) else []):
             if not (_finite(eps) and eps > 0):
                 errs.append(f"eps_grid[{i}] must be a finite positive number, got {eps!r}")
+    if not errs:
+        terms = peak_bytes(cfg)
+        total = sum(size for size, _ in terms.values())
+        if total > RUN_BYTES:
+            name, (size, keys) = max(terms.items(), key=lambda term: term[1][0])
+            errs.append(f"the run would hold about {total:.3g} B, above RUN_BYTES = {RUN_BYTES} B; "
+                        f"its largest term is the {name}, {size:.3g} B at {keys}")
     return errs
 
 

@@ -27,7 +27,8 @@ def pool_map(fn, items, jobs: int = 1):
         return [fn(it) for it in items]
     # imported here: it loads multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    # the executor forks every worker at its first submit, so fork no more than there is work
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
         return list(ex.map(fn, items))
 
 

@@ -158,10 +158,13 @@ def test_criterion_06_block_bound_domination_and_growth():
     report = compare_bound_vs_empirical(model, cls, [2**k for k in range(8, 15)],
                                         replications=5, seed=606, n_mc=2000,
                                         mode="em", lam=lam, m_const=1.0)
-    dominated = all(report.m_min * r["main_term"] + r["remainder"] >= r["empirical"] - 1e-9
-                    for r in report.rows)
+    # M_min makes m_min * main_term + remainder >= empirical by construction, so
+    # the check is the bound itself at the configured M_const = 1.0
+    ratios = [r["ratio"] for r in report.rows]
+    dominated = report.m_const == 1.0 and all(r["bound"] >= r["empirical"] for r in report.rows)
     ok = dominated and 0.45 <= report.growth_exponent <= 0.60
-    record(6, ok, f"bound with M_min={report.m_min:.4g} dominates at every n; "
+    record(6, ok, f"bound at M_const=1.0 dominates at every n (bound/empirical "
+                  f"{min(ratios):.3g} to {max(ratios):.3g}); "
                   f"growth exponent {report.growth_exponent:.3f} in [0.45, 0.60]")
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,7 @@ from pathlib import Path
 import pytest
 
 from regenmc import cli
-from regenmc.cli import (MAX_GRID, MAX_ITEMS, MAX_LEMMA_BLOCK_STATES, MAX_LEMMA_BLOCKS,
-                         MAX_LEMMA_STATES, MAX_LEVELS, MAX_MEMBER_STATES, MAX_STEPS, main, run,
-                         validate)
+from regenmc.cli import RUN_BYTES, main, peak_bytes, run, settings, validate
 
 from .helpers import child_env, strict_loads
 
@@ -233,18 +232,12 @@ def test_validate_rejects_constants_no_experiment_reads(name, value, tmp_path):
     ("mh_credible_tiny.json", "proposal", {"a": 0.25},
      "proposal.kind must be one of ('uniform_step', 'gaussian_step'), got None"),
     ("mh_credible_tiny.json", "n_u", 0, "n_u must be an integer >= 1, got 0"),
-    ("mh_credible_tiny.json", "n_u", MAX_LEVELS + 1,
-     f"n_u must be at most {MAX_LEVELS}, got {MAX_LEVELS + 1}"),
-    ("simulate_tiny.json", "n", 10 ** 30, f"n must be at most {MAX_STEPS}, got {10 ** 30}"),
-    ("blocks_tiny.json", "n", 2 ** 40, f"n must be at most {MAX_STEPS}, got {2 ** 40}"),
-    ("rademacher_tiny.json", "n", MAX_STEPS + 1,
-     f"n must be at most {MAX_STEPS}, got {MAX_STEPS + 1}"),
-    ("bounds_tiny.json", "n_grid", [256, 512, 2 ** 40],
-     f"n_grid[2] must be at most {MAX_STEPS}, got {2 ** 40}"),
-    ("kde_rate_tiny.json", "replications", MAX_ITEMS + 1,
-     f"replications must be at most {MAX_ITEMS}, got {MAX_ITEMS + 1}"),
-    ("verify_lemmas_tiny.json", "trials", 10 ** 30,
-     f"trials must be at most {MAX_ITEMS}, got {10 ** 30}"),
+    ("simulate_tiny.json", "n", 10 ** 400, f"n must lie within float range, got {10 ** 400}"),
+    ("kde_rate_tiny.json", "n_grid", [256, 512, 10 ** 400],
+     f"n_grid[2] must lie within float range, got {10 ** 400}"),
+    ("kde_rate_tiny.json", "bandwidth_scale", 5e-324,
+     "beta = 0.2 and bandwidth_scale = 5e-324 give the bandwidth h = 0.0 at n = 1024, "
+     "which underflows to 0"),
     ("mh_credible_tiny.json", "center", [0.5, 0.5],
      "center must list one number per coordinate of the 1-d target, got [0.5, 0.5]"),
     ("mh_credible_tiny.json", "center", [1.5],
@@ -312,65 +305,149 @@ def test_validate_names_key_and_value(name, key, value, message, tmp_path):
         run(cfg, tmp_path)
 
 
-@pytest.mark.parametrize("key,value,message", [
+_HALFLINE_200K = {"kind": "halfline", "lo": 0.1, "hi": 0.9, "size": 200_000}
+
+
+# The least value each per-key cap refused before one memory model replaced
+# them (n and n_grid entries above 772128952 steps, replications and trials
+# above 350609575 items, n_u above 129415210 levels, members x n above
+# 2454267026 member-states, max_states above 268435456, max_blocks above
+# 56934114 and max_blocks x max_len above 166390984), the sizes that ran out of
+# memory inside a run, and three runs the caps let through (mh-credible at
+# d = 6, a one-member class along the chain, and kde-rate items summed over
+# its n_grid).  Each is refused with the largest term the model names.
+_OVER = [
+    ("simulate_tiny.json", {"n": 772128953}, "chain steps", "n = 772128953"),
+    ("simulate_tiny.json", {"n": 10 ** 30}, "chain steps", f"n = {10 ** 30}"),
+    ("blocks_tiny.json", {"n": 2 ** 40}, "chain steps", f"n = {2 ** 40}"),
+    ("rademacher_tiny.json", {"n": 772128953}, "member-states",
+     "5 class members and n = 772128953"),
+    ("bounds_tiny.json", {"n_grid": [256, 512, 2 ** 40]}, "member-states",
+     f"5 class members and n_grid[2] = {2 ** 40}"),
+    ("kde_rate_tiny.json", {"replications": 350609576}, "work items",
+     "replications = 350609576 at 3 n_grid entries"),
+    ("verify_lemmas_tiny.json", {"trials": 350609576}, "work items", "trials = 350609576"),
+    ("verify_lemmas_tiny.json", {"trials": 10 ** 30}, "work items", f"trials = {10 ** 30}"),
+    ("mh_credible_tiny.json", {"n_u": 129415211}, "quantile levels", "n_u = 129415211"),
+    ("rademacher_tiny.json", {"class": _HALFLINE_200K, "n": 12272}, "member-states",
+     "200000 class members and n = 12272"),
+    ("rademacher_tiny.json", {"class": _HALFLINE_200K, "n": 10 ** 7}, "member-states",
+     f"200000 class members and n = {10 ** 7}"),
+    ("bounds_tiny.json", {"class": _HALFLINE_200K, "n_grid": [256, 512, 10 ** 7]},
+     "member-states", f"200000 class members and n_grid[2] = {10 ** 7}"),
+    ("verify_lemmas_tiny.json", {"max_states": 268435457}, "lemma table states",
+     "max_states = 268435457"),
+    ("verify_lemmas_tiny.json", {"max_states": 10 ** 12}, "lemma table states",
+     f"max_states = {10 ** 12}"),
+    ("verify_lemmas_tiny.json", {"max_blocks": 56934115}, "lemma block states",
+     "max_blocks = 56934115 and max_len = 4"),
+    ("verify_lemmas_tiny.json", {"max_blocks": 10 ** 12}, "lemma block states",
+     f"max_blocks = {10 ** 12} and max_len = 4"),
+    ("verify_lemmas_tiny.json", {"max_len": 33278197}, "lemma block states",
+     "max_blocks = 5 and max_len = 33278197"),
+    ("verify_lemmas_tiny.json", {"max_len": 10 ** 12}, "lemma block states",
+     f"max_blocks = 5 and max_len = {10 ** 12}"),
+    ("verify_lemmas_tiny.json", {"max_blocks": 56934114, "max_len": 3}, "lemma block states",
+     "max_blocks = 56934114 and max_len = 3"),
     # h = 0.35 * 1024^-3 = 3.3e-10 gives about 1.2e10 grid points
-    ("beta", 3.0, "beta = 3.0 and bandwidth_scale = 0.35 give the bandwidth h = "
-                  "3.2596290111541746e-10 at n = 1024, which has a grid over "
-                  f"MAX_GRID = {MAX_GRID} points"),
-    ("bandwidth_scale", 1e-300, "beta = 0.2 and bandwidth_scale = 1e-300 give the bandwidth "
-                                f"h = 2.4999999999999996e-301 at n = 1024, which has a grid over "
-                                f"MAX_GRID = {MAX_GRID} points"),
-    ("bandwidth_scale", 5e-324, "beta = 0.2 and bandwidth_scale = 5e-324 give the bandwidth "
-                                "h = 0.0 at n = 1024, which underflows to 0"),
+    ("kde_rate_tiny.json", {"beta": 3.0}, "deviation grid",
+     "beta = 3.0, bandwidth_scale = 0.35 and n_grid[2] = 1024 (h = 3.2596290111541746e-10)"),
+    ("kde_rate_tiny.json", {"bandwidth_scale": 1e-300}, "deviation grid",
+     "beta = 0.2, bandwidth_scale = 1e-300 and n_grid[2] = 1024 (h = 2.4999999999999996e-301)"),
+    # h / 4 underflows to 0 here, and 4 / h overflows to inf
+    ("kde_rate_tiny.json", {"beta": 0.0, "bandwidth_scale": 1e-323}, "deviation grid",
+     "beta = 0.0, bandwidth_scale = 1e-323 and n_grid[2] = 1024 (h = 1e-323)"),
+    ("mh_credible_tiny.json", {"target": {"kind": "trunc_gauss", "d": 6},
+                               "n_grid": [128, 256, 7 * 10 ** 8]},
+     "chain steps", "n_grid[2] = 700000000 and target.d = 6"),
+    ("rademacher_tiny.json", {"class": {"kind": "halfline", "size": 1}, "n": 7 * 10 ** 8},
+     "chain steps", "n = 700000000"),
+    ("kde_rate_tiny.json", {"replications": 350609575}, "work items",
+     "replications = 350609575 at 3 n_grid entries"),
+]
+
+
+def _total(cfg):
+    return sum(size for size, _ in peak_bytes(settings(cfg)).values())
+
+
+@pytest.mark.parametrize("name,changes,term,keys", _OVER)
+def test_validate_refuses_a_run_over_run_bytes(name, changes, term, keys, tmp_path):
+    cfg = dict(load(name), **changes)
+    [message] = validate(cfg)
+    match = re.fullmatch(rf"the run would hold about (\S+) B, above RUN_BYTES = {RUN_BYTES} B; "
+                         rf"its largest term is the {term}, \S+ B at {re.escape(keys)}", message)
+    assert match, message
+    assert float(match[1]) == pytest.approx(_total(cfg), rel=1e-2) and _total(cfg) > RUN_BYTES
+    with pytest.raises(ValueError, match="invalid config"):
+        run(cfg, tmp_path)
+
+
+def _with(cfg, key, value):
+    """``cfg`` with ``key`` set to ``value``; for n_grid, its last entry."""
+    return dict(cfg, **{key: cfg[key][:-1] + [value] if key == "n_grid" else value})
+
+
+@pytest.mark.parametrize("name,changes,key", [
+    ("simulate_tiny.json", {}, "n"),
+    ("blocks_tiny.json", {}, "n"),
+    ("rademacher_tiny.json", {}, "n"),
+    ("rademacher_tiny.json", {"class": {"kind": "halfline", "size": 1}}, "n"),
+    ("bounds_tiny.json", {}, "n_grid"),
+    ("bounds_tiny.json", {}, "replications"),
+    ("kde_rate_tiny.json", {}, "n_grid"),
+    ("kde_rate_tiny.json", {}, "replications"),
+    ("mh_credible_tiny.json", {}, "n_grid"),
+    ("mh_credible_tiny.json", {"target": {"kind": "trunc_gauss", "d": 6}}, "n_grid"),
+    ("mh_credible_tiny.json", {}, "n_u"),
+    ("verify_lemmas_tiny.json", {}, "trials"),
+    ("verify_lemmas_tiny.json", {}, "max_states"),
+    ("verify_lemmas_tiny.json", {}, "max_blocks"),
+    ("verify_lemmas_tiny.json", {"max_blocks": 1000}, "max_len"),
 ])
-def test_validate_refuses_a_kde_grid_too_big_to_hold(key, value, message):
-    cfg = load("kde_rate_tiny.json")
-    cfg[key] = value
-    assert validate(cfg) == [message]
+def test_validate_accepts_a_run_just_within_run_bytes(name, changes, key):
+    cfg = dict(load(name), **changes)
+    lo, hi = 1, 2 ** 40     # the largest value the model fits in RUN_BYTES lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _total(_with(cfg, key, mid)) <= RUN_BYTES else (lo, mid)
+    assert validate(_with(cfg, key, lo)) == []
+    [message] = validate(_with(cfg, key, lo + 1))
+    assert message.startswith("the run would hold about ")
 
 
-# At 10^12 each of these ran out of memory inside the run.
-@pytest.mark.parametrize("key,value,message", [
-    ("max_states", 10 ** 12, f"max_states must be at most {MAX_LEMMA_STATES}, got {10 ** 12}"),
-    ("max_blocks", 10 ** 12, f"max_blocks must be at most {MAX_LEMMA_BLOCKS}, got {10 ** 12}"),
-    ("max_len", 10 ** 12,
-     f"max_len must be at most {MAX_LEMMA_BLOCK_STATES // 5} with max_blocks = 5 "
-     f"(MAX_LEMMA_BLOCK_STATES = {MAX_LEMMA_BLOCK_STATES} block states in all), got {10 ** 12}"),
-])
-def test_validate_refuses_lemma_instances_too_big_to_hold(key, value, message):
-    cfg = load("verify_lemmas_tiny.json")
+_MODEL_RSS_SCRIPT = """
+import sys
+from regenmc.cli import main
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+baseline = peak_kb()
+code = main(sys.argv[1:])
+print(code, baseline, peak_kb())
+"""
+
+
+@pytest.mark.stress
+def test_mh_credible_peak_rss_within_the_memory_model(tmp_path):
+    # A 2-d target at n = 2^21, where the model's step term passes 200 MB.
+    # The child reports its own peak RSS (VmHWM, in kB) once numpy and
+    # regenmc are imported, the interpreter baseline, and after the run; its
+    # ru_maxrss would carry this test process's peak across the exec.
+    cfg = dict(load("mh_credible_tiny.json"), target={"kind": "trunc_gauss", "d": 2},
+               n_grid=[2 ** 19, 2 ** 20, 2 ** 21], replications=1)
     assert validate(cfg) == []
-    cfg[key] = value
-    assert validate(cfg) == [message]
-
-
-@pytest.mark.parametrize("blocks", [1000, MAX_LEMMA_BLOCKS])
-def test_validate_caps_max_len_by_the_block_count(blocks):
-    cfg = dict(load("verify_lemmas_tiny.json"), max_blocks=blocks)
-    cap = MAX_LEMMA_BLOCK_STATES // blocks
-    assert validate(dict(cfg, max_len=cap)) == []
-    assert validate(dict(cfg, max_len=cap + 1)) == [
-        f"max_len must be at most {cap} with max_blocks = {blocks} (MAX_LEMMA_BLOCK_STATES = "
-        f"{MAX_LEMMA_BLOCK_STATES} block states in all), got {cap + 1}"]
-
-
-# Each would need about 56 TB at 28 B a member-state.
-@pytest.mark.parametrize("name,key,value,message", [
-    ("rademacher_tiny.json", "n", 10 ** 7,
-     f"class has 200000 members and n = {10 ** 7}: {2 * 10 ** 12} member-states, "
-     f"above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}"),
-    ("bounds_tiny.json", "n_grid", [256, 512, 10 ** 7],
-     f"class has 200000 members and n_grid reaches {10 ** 7}: {2 * 10 ** 12} member-states, "
-     f"above MAX_MEMBER_STATES = {MAX_MEMBER_STATES}"),
-])
-def test_validate_refuses_a_class_too_big_for_the_chain(name, key, value, message):
-    cfg = load(name)
-    cfg["class"]["size"] = 200_000
-    assert validate(cfg) == []
-    cfg[key] = value
-    assert validate(cfg) == [message]
-    cfg["class"]["size"] = MAX_MEMBER_STATES // 10 ** 7
-    assert validate(cfg) == []
+    terms = peak_bytes(settings(cfg))
+    assert terms["chain steps"][0] >= 200e6
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-c", _MODEL_RSS_SCRIPT, "mh-credible",
+                           "--config", str(path), "--out", str(tmp_path / "out")],
+                          env=child_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, baseline_kb, peak_kb = map(int, proc.stdout.split()[-3:])
+    assert code in (0, 2)
+    assert peak_kb * 1024 <= baseline_kb * 1024 + sum(size for size, _ in terms.values())
 
 
 def test_validate_accepts_the_block_bounds_workload():
@@ -379,22 +456,6 @@ def test_validate_accepts_the_block_bounds_workload():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     assert validate(workloads.config("block-bounds", 1)) == []
-
-
-@pytest.mark.parametrize("name,key,value", [
-    ("simulate_tiny.json", "n", MAX_STEPS),
-    ("verify_lemmas_tiny.json", "max_states", MAX_LEMMA_STATES),
-    # the tiny class has 5 members
-    ("bounds_tiny.json", "n_grid", [256, 512, MAX_MEMBER_STATES // 5]),
-    ("rademacher_tiny.json", "n", MAX_MEMBER_STATES // 5),
-    ("kde_rate_tiny.json", "replications", MAX_ITEMS),
-    ("verify_lemmas_tiny.json", "trials", MAX_ITEMS),
-    ("mh_credible_tiny.json", "n_u", MAX_LEVELS),
-])
-def test_validate_accepts_run_sizes_at_their_caps(name, key, value):
-    cfg = load(name)
-    cfg[key] = value
-    assert validate(cfg) == []
 
 
 _ODD_VALUES = ["x", None, float("nan"), float("inf"), [], {}, True,

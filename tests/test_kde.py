@@ -28,7 +28,7 @@ from regenmc.kde import (
     deviation_grid,
     occupancy_moment_premise_check,
 )
-from regenmc.cli import MAX_GRID
+from regenmc.cli import RUN_BYTES, peak_bytes
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import stream
 
@@ -228,11 +228,20 @@ def test_kde_evaluate_chunks_queries_beyond_eval_budget():
     assert err <= moment_error_bound(sample, ep, 0.05)
 
 
-@pytest.mark.parametrize("h", [2e-5, 4.0 / MAX_GRID])
+def _grid_edge_h():
+    """The h whose deviation grid alone holds RUN_BYTES at the memory model's cost a point."""
+    h = 1e-3    # beta = 0 makes h = bandwidth_scale at every n
+    cfg = {"experiment": "kde-rate", "n_grid": [256, 512, 1024], "replications": 1,
+           "beta": 0.0, "bandwidth_scale": h}
+    per_point = peak_bytes(cfg)["deviation grid"][0] / len(deviation_grid(h))
+    return 4.0 * per_point / RUN_BYTES
+
+
+@pytest.mark.parametrize("h", [2e-5, _grid_edge_h()])
 def test_kde_evaluate_within_bound_at_small_h_and_large_n(h):
     # n = 2^20 with h = 2e-5, which a kde-rate config with beta = 0.78
-    # reaches, and with h = 4 / MAX_GRID, just below the smallest h that
-    # validate accepts.  A single origin for the whole sample was off by 6e-4
+    # reaches, and with the h whose 4/h grid points alone fill RUN_BYTES, just
+    # below the smallest h that validate accepts.  A single origin for the whole sample was off by 6e-4
     # at h = 2e-5; block origins keep the error within the bound, and the
     # bound within 1 % of the rate.
     n = 2 ** 20

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from regenmc import (
 )
 from regenmc.kde import RateReport, occupancy_moment_premise_check
 from regenmc.metropolis import QuantileSeries
-from regenmc.parallel import fit_loglog_slope, mean_se, replicate, replication_seeds
+from regenmc.parallel import fit_loglog_slope, mean_se, pool_map, replicate, replication_seeds
 from regenmc.rademacher import BoundReport
 from regenmc.rng import child_seed
 
@@ -56,6 +57,34 @@ def test_replicate_second_stream_and_jobs_invariance():
 def test_replicate_requires_a_replication():
     with pytest.raises(ValueError, match="replications"):
         replicate(_seeds, [10], 0, SEED)
+
+
+class _RecordingExecutor:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, n_items, workers", [(4096, 10, 10), (3, 10, 3), (2, 2, 2)])
+def test_pool_map_starts_no_more_workers_than_items(monkeypatch, jobs, n_items, workers):
+    # the executor forks every worker at its first submit, so --jobs 4096 on
+    # verify_lemmas_tiny.json (10 trials) would otherwise fork 4096 processes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+    assert pool_map(abs, range(-n_items, 0), jobs) == list(range(n_items, 0, -1))
+    assert _RecordingExecutor.max_workers == [workers]
 
 
 def test_mean_se_single_value_has_zero_error():
