@@ -24,14 +24,14 @@ rng = np.random.default_rng(0)
 # counts stay polynomial in the inverse radius.
 points = rng.random(200)[:, None]
 cls = halfline_class(np.linspace(0, 1, 41))
-measure = EmpiricalMeasure.uniform(points)
+measure = EmpiricalMeasure(points=points, weights=np.full(len(points), 1 / len(points)))
 for eps in (0.2, 0.4, 0.8):
     print(f"covering count at radius {eps}: "
           f"{covering_number(cls, measure, eps, 'greedy')} (cap 2/eps^2 = {2 / eps**2:.1f})")
 
 # Greedy covers are sandwiched between the exact counts at eps and eps/2.
 small = table_class(rng.uniform(-1, 1, (8, 4)))
-atoms = EmpiricalMeasure.uniform(np.arange(4))
+atoms = EmpiricalMeasure(points=np.arange(4), weights=np.full(4, 0.25))
 for eps in (0.3, 0.6):
     g = covering_number(small, atoms, eps, "greedy")
     lo = covering_number(small, atoms, eps, "exact")

@@ -194,16 +194,20 @@ def _center_errors(center, target) -> list:
 # The peak bytes of a run, as a sum of terms, so that validate refuses a run
 # too big to hold instead of numpy failing inside it.  Units measured under
 # tracemalloc at two sizes: 89 B a chain step of the split simulation (n = 2^20
-# and 2^22), and 24 B more a step for each mh-credible target coordinate past
-# the first (trunc_gauss held 64, 112 and 160 B a step at d = 2, 4 and 6, n =
-# 2^20 and 2^21); 196 B a work item with its seeds, task and result (10^5 and
-# 4 * 10^5 items); 28 B a member-state of a class along the chain (100 and 400
-# members, n = 2 * 10^4 and 4 * 10^4); 531 B a quantile level (3 x 3 chains of
-# tests/configs/mh_credible_tiny.json); 38 B a kde-rate deviation grid point
-# (2^18 and 2^20 points, n = 256; query chunks add a fixed 22 MB at most); and
-# in a verify-lemmas instance at 2-16 members, with one limit at 10^5 and
-# 4 * 10^5, 16 B a member a table state, 183 B plus 64 B a member a block and
-# 13 B plus 25 B a member a block state, taken at EXACT_COVER_CAP members.
+# and 2^22); 431.5 B a step of a blocks run, whose writers hold more a step the
+# more blocks there are (64.0 B at delta = 0.05, 431.5 B at delta = 1; n = 2^18
+# and 2^20); 24 B more a step for each mh-credible target coordinate past the
+# first (trunc_gauss held 64, 112 and 160 B a step at d = 2, 4 and 6, n = 2^20
+# and 2^21); 196 B a work item with its seeds, task and result (10^5 and
+# 4 * 10^5 items); 28 B a member-state of a class along the chain, an upper
+# bound (rademacher and bounds held 17.0 B at delta = 1, where every step ends a
+# block; 100 and 400 members, n = 2 * 10^4 and 4 * 10^4); 531 B a quantile
+# level (3 x 3 chains of tests/configs/mh_credible_tiny.json); 38 B a kde-rate
+# deviation grid point (2^18 and 2^20 points, n = 256; query chunks add a fixed
+# 22 MB at most); and in a verify-lemmas instance at 2-16 members, with one
+# limit at 10^5 and 4 * 10^5, 16 B a member a table state, 183 B plus 64 B a
+# member a block and 13 B plus 25 B a member a block state, taken at
+# EXACT_COVER_CAP members.
 RUN_BYTES = 2 ** 36
 
 
@@ -220,7 +224,7 @@ def peak_bytes(cfg) -> dict:
     grid = cfg.get("n_grid")
     n, at = (cfg["n"], "n") if grid is None else (grid[-1], f"n_grid[{len(grid) - 1}]")
     at = f"{at} = {n}"
-    terms = {"chain steps": (89.0 * n, at)}
+    terms = {"chain steps": ((431.5 if cfg["experiment"] == "blocks" else 89.0) * n, at)}
     if grid is not None:
         reps = cfg["replications"]
         terms["work items"] = (196.0 * len(grid) * reps,

@@ -66,10 +66,21 @@ class EvaluableClass:
         return len(self.members)
 
     def evaluate(self, points) -> np.ndarray:
-        """Member-by-point value matrix, shape (size, n_points)."""
-        vals = np.vstack([np.asarray(f(points), dtype=float) for f in self.members])
-        if np.max(np.abs(vals)) > self.envelope + 1e-9:
-            raise ValueError("member value exceeds the declared envelope")
+        """Member-by-point value matrix, shape (size, n_points).
+
+        A value that is not finite or exceeds the envelope (by more than 1e-9)
+        raises, naming the member and the point.
+        """
+        vals = np.empty((self.size, len(points)))
+        for i, f in enumerate(self.members):
+            vals[i] = f(points)
+        bound = self.envelope + 1e-9
+        # NaN fails both comparisons
+        if vals.size and not (vals.max() <= bound and vals.min() >= -bound):
+            i, j = np.argwhere(~(np.abs(vals) <= bound))[0]
+            raise ValueError(f"member {i} takes {float(vals[i, j])!r} at point "
+                             f"{np.asarray(points)[j].tolist()!r}, outside the declared "
+                             f"envelope {self.envelope!r}")
         return vals
 
 
@@ -81,8 +92,10 @@ class LiftedClass:
     trunc: Optional[float] = None
 
     def evaluate(self, measure: "BlockMeasure") -> np.ndarray:
-        out = block_sums(self.base.evaluate(measure.all_states), measure.offsets[:-1],
-                         measure.offsets[1:])
+        # column-major, the layout the covering reductions have always added in
+        out = np.asfortranarray(block_sums(self.base.evaluate, self.base.size,
+                                           measure.all_states, measure.offsets[:-1],
+                                           measure.offsets[1:]))
         if self.trunc is not None:
             out = out * (measure.lengths <= self.trunc)
         return out
@@ -106,12 +119,6 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _probability_weights(self.weights))
-
-    @classmethod
-    def uniform(cls, points):
-        points = np.asarray(points)
-        n = len(points)
-        return cls(points=points, weights=np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)

@@ -121,14 +121,40 @@ def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def block_sums(values, starts, ends) -> np.ndarray:
-    """Sums over [starts[k], ends[k]) along the last axis: the block-sum lift of each row.
+def block_sums(f, members: int, states, starts, ends) -> np.ndarray:
+    """Sums of a pointwise ``f`` over the blocks [starts[k], ends[k]) of ``states``.
 
-    A prefix sum from zero, differenced at the bounds; each row gets the bits it would alone.
+    ``f`` returns (n,) values, or (members, n) for a class, on n states; the
+    result is (blocks,) or (members, blocks).  Blocks are nonempty and in path
+    order.  ``f`` is evaluated on consecutive slices of ELEMENT_BUDGET //
+    members states, so a run holds one slice and the block sums, not every
+    value along the chain; ``f`` must therefore be pointwise.  Each slice is
+    prefix-summed in place (a view ``f`` returns is copied first) from the
+    running total of the slices before it, which adds in the order of one
+    prefix sum from zero over the whole path; a block takes cs[start] as its
+    start's slice passes and becomes cs[end] - cs[start] as its end's does.
+    Each row gets the bits it would alone.
     """
-    vals = np.asarray(values, dtype=float)
-    cs = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(vals, axis=-1)], axis=-1)
-    return cs[..., ends] - cs[..., starts]
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    width = max(1, ELEMENT_BUDGET // max(members, 1))
+    out = carry = None
+    for lo in range(0, max(len(states), 1), width):   # an empty path is one empty slice
+        hi = min(lo + width, len(states))
+        vals = np.asarray(f(states[lo:hi]), dtype=float)
+        if not vals.flags.owndata:
+            vals = vals.copy()
+        if out is None:
+            # cs[0] = 0.0 is never added to: the sum starts at the first value, keeping a -0.0
+            out = np.zeros(vals.shape[:-1] + (len(starts),))
+        else:
+            vals[..., :1] += carry
+        np.cumsum(vals, axis=-1, out=vals)   # vals[..., j] is now cs[lo + j + 1]
+        a, b = np.searchsorted(starts, [lo, hi], side="right")
+        out[..., a:b] = vals[..., starts[a:b] - lo - 1]
+        a, b = np.searchsorted(ends, [lo, hi], side="right")
+        np.subtract(vals[..., ends[a:b] - lo - 1], out[..., a:b], out=out[..., a:b])
+        carry = vals[..., -1:].copy()
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,13 +202,15 @@ class BlockSet:
             yield self.states[s:e]
 
     def block_values(self, f) -> np.ndarray:
-        """Per-complete-block sums of f over states: the lifted values f'(B_k).
+        """Per-complete-block sums of a pointwise f over states: the lifted values f'(B_k).
 
-        ``f`` may return (n,) or (m, n), e.g. ``EvaluableClass.evaluate``.  Rows
-        are contiguous, so row reductions add as on one function's values.
+        ``f`` may return (n,) or (m, n), e.g. ``EvaluableClass.evaluate``; its
+        values on the first state give m.  See ``block_sums``.  Rows are
+        contiguous, so row reductions add as on one function's values.
         """
-        return np.ascontiguousarray(
-            block_sums(f(self.states), self.complete_bounds[:, 0], self.complete_bounds[:, 1]))
+        members = np.size(f(self.states[:1]))
+        return block_sums(f, members, self.states, self.complete_bounds[:, 0],
+                          self.complete_bounds[:, 1])
 
     def to_json(self) -> str:
         payload = {

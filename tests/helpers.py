@@ -147,6 +147,14 @@ def trajectory_from_csv(path):
     return Trajectory(states=states, regen_flags=flags, seed=seed, model_id=model_id)
 
 
+def whole_block_sums(values, starts, ends):
+    """Reference block sums: one prefix sum from zero along the last axis of every value,
+    differenced at the bounds."""
+    vals = np.asarray(values, dtype=float)
+    cs = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(vals, axis=-1)], axis=-1)
+    return cs[..., ends] - cs[..., starts]
+
+
 def member_block_values(blocks, cls):
     """Reference lifted values over a BlockSet: one prefix sum per member, stacked."""
     rows = []
@@ -158,9 +166,8 @@ def member_block_values(blocks, cls):
 
 def lifted_class_values(lifted, measure):
     """Reference lifted values over a BlockMeasure, truncation included."""
-    vals = lifted.base.evaluate(measure.all_states)
-    cs = np.concatenate([np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1)
-    out = cs[:, measure.offsets[1:]] - cs[:, measure.offsets[:-1]]
+    out = whole_block_sums(lifted.base.evaluate(measure.all_states), measure.offsets[:-1],
+                           measure.offsets[1:])
     if lifted.trunc is not None:
         out = out * (measure.lengths <= lifted.trunc)
     return out

@@ -362,6 +362,9 @@ _OVER = [
      "chain steps", "n_grid[2] = 700000000 and target.d = 6"),
     ("rademacher_tiny.json", {"class": {"kind": "halfline", "size": 1}, "n": 7 * 10 ** 8},
      "chain steps", "n = 700000000"),
+    # a blocks run at delta = 1 holds 431.5 B a step: about 4.4 x RUN_BYTES here
+    ("blocks_tiny.json", {"model": {"kind": "doeblin_uniform", "delta": 1.0}, "n": 7 * 10 ** 8},
+     "chain steps", "n = 700000000"),
     ("kde_rate_tiny.json", {"replications": 350609575}, "work items",
      "replications = 350609575 at 3 n_grid entries"),
 ]
@@ -416,6 +419,18 @@ def test_validate_accepts_a_run_just_within_run_bytes(name, changes, key):
     assert message.startswith("the run would hold about ")
 
 
+def test_blocks_steps_are_charged_the_delta_one_slope():
+    # The writers of a blocks run held 64.0 B a step at delta = 0.05 and 431.5 B
+    # at delta = 1; the split simulation's 89 B let n = 7 * 10^8 through at
+    # delta = 1, at 0.91 x RUN_BYTES by that unit
+    cfg = dict(load("blocks_tiny.json"), model={"kind": "doeblin_uniform", "delta": 1.0})
+    largest = int(RUN_BYTES // 431.5)
+    assert peak_bytes(settings(dict(cfg, n=largest)))["chain steps"][0] == 431.5 * largest
+    assert validate(dict(cfg, n=largest)) == []
+    [message] = validate(dict(cfg, n=largest + 1))
+    assert f"its largest term is the chain steps, {431.5 * (largest + 1):.3g} B at n = " in message
+
+
 _MODEL_RSS_SCRIPT = """
 import sys
 from regenmc.cli import main
@@ -428,26 +443,44 @@ print(code, baseline, peak_kb())
 """
 
 
-@pytest.mark.stress
-def test_mh_credible_peak_rss_within_the_memory_model(tmp_path):
-    # A 2-d target at n = 2^21, where the model's step term passes 200 MB.
-    # The child reports its own peak RSS (VmHWM, in kB) once numpy and
-    # regenmc are imported, the interpreter baseline, and after the run; its
-    # ru_maxrss would carry this test process's peak across the exec.
-    cfg = dict(load("mh_credible_tiny.json"), target={"kind": "trunc_gauss", "d": 2},
-               n_grid=[2 ** 19, 2 ** 20, 2 ** 21], replications=1)
+def _assert_peak_rss_within_the_model(cfg, tmp_path):
+    """Run ``cfg`` in a child process and check its peak RSS against the memory model.
+
+    The child reports its own peak RSS (VmHWM, in kB) once numpy and regenmc
+    are imported, the interpreter baseline, and after the run; its ru_maxrss
+    would carry this test process's peak across the exec.
+    """
     assert validate(cfg) == []
     terms = peak_bytes(settings(cfg))
-    assert terms["chain steps"][0] >= 200e6
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    proc = subprocess.run([sys.executable, "-c", _MODEL_RSS_SCRIPT, "mh-credible",
+    proc = subprocess.run([sys.executable, "-c", _MODEL_RSS_SCRIPT, cfg["experiment"],
                            "--config", str(path), "--out", str(tmp_path / "out")],
                           env=child_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, baseline_kb, peak_kb = map(int, proc.stdout.split()[-3:])
     assert code in (0, 2)
     assert peak_kb * 1024 <= baseline_kb * 1024 + sum(size for size, _ in terms.values())
+    return terms
+
+
+@pytest.mark.stress
+def test_mh_credible_peak_rss_within_the_memory_model(tmp_path):
+    # A 2-d target at n = 2^21, where the model's step term passes 200 MB
+    cfg = dict(load("mh_credible_tiny.json"), target={"kind": "trunc_gauss", "d": 2},
+               n_grid=[2 ** 19, 2 ** 20, 2 ** 21], replications=1)
+    terms = _assert_peak_rss_within_the_model(cfg, tmp_path)
+    assert terms["chain steps"][0] >= 200e6
+
+
+@pytest.mark.stress
+def test_bounds_peak_rss_within_the_memory_model_at_delta_one(tmp_path):
+    # At delta = 1 every step ends a block, so the block sums are members x n
+    # and the member-state term is met at its largest
+    cfg = dict(load("bounds_tiny.json"), model={"kind": "doeblin_uniform", "delta": 1.0},
+               n_grid=[2 ** 18, 2 ** 19, 2 ** 20], replications=1, n_mc=100)
+    terms = _assert_peak_rss_within_the_model(cfg, tmp_path)
+    assert terms["member-states"][0] >= 100e6
 
 
 def test_validate_accepts_the_block_bounds_workload():

@@ -35,6 +35,11 @@ from .helpers import (byte_keyed_merge, cli_peak_rss_mb, lifted_class_values,
                       reference_distance_matrix, reference_lemma_trial, reference_lift_measure)
 
 
+def uniform_measure(points):
+    """Equal weights on ``points``."""
+    return EmpiricalMeasure(points=points, weights=np.full(len(points), 1.0 / len(points)))
+
+
 def random_instance(rng, max_states=4, max_members=6, max_blocks=5, max_len=4):
     n_states = int(rng.integers(2, max_states + 1))
     n_members = int(rng.integers(1, max_members + 1))
@@ -53,7 +58,7 @@ def random_instance(rng, max_states=4, max_members=6, max_blocks=5, max_len=4):
 
 def test_identical_members_cover_with_one_ball():
     cls = table_class(np.ones((3, 2)))
-    measure = EmpiricalMeasure.uniform(np.array([0, 1]))
+    measure = uniform_measure(np.array([0, 1]))
     for eps in (0.01, 0.5, 3.0):
         assert covering_number(cls, measure, eps, "exact") == 1
         assert covering_number(cls, measure, eps, "greedy") == 1
@@ -62,7 +67,7 @@ def test_identical_members_cover_with_one_ball():
 def test_two_point_geometry():
     # members at L2(Q) distance exactly 1 under the uniform two-atom measure
     cls = table_class(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    measure = EmpiricalMeasure.uniform(np.array([0, 1]))
+    measure = uniform_measure(np.array([0, 1]))
     assert covering_number(cls, measure, 0.5, "exact") == 2
     assert covering_number(cls, measure, 1.5, "exact") == 1
     assert covering_number(cls, measure, 1.0, "exact") == 1  # closed balls
@@ -84,7 +89,7 @@ def test_greedy_sandwiched_by_exact():
 
 def test_exact_cover_size_cap():
     cls = table_class(np.eye(20))
-    measure = EmpiricalMeasure.uniform(np.arange(20))
+    measure = uniform_measure(np.arange(20))
     with pytest.raises(ValueError, match="greedy"):
         covering_number(cls, measure, 0.1, "exact")
 
@@ -92,7 +97,7 @@ def test_exact_cover_size_cap():
 def test_covering_requires_positive_radius():
     cls = table_class(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        covering_number(cls, EmpiricalMeasure.uniform(np.array([0, 1])), 0.0)
+        covering_number(cls, uniform_measure(np.array([0, 1])), 0.0)
 
 
 def test_distance_matrix_equals_whole_array_reference():
@@ -221,7 +226,7 @@ def test_covering_checks_need_one_trunc_per_eps():
 
 def test_covering_numbers_exact_cap_error_matches_reference():
     cls = table_class(np.eye(20))
-    measure = EmpiricalMeasure.uniform(np.arange(20))
+    measure = uniform_measure(np.arange(20))
     with pytest.raises(ValueError) as ref:
         reference_covering_number(cls, measure, 0.1, "exact")
     with pytest.raises(ValueError) as got:
@@ -235,7 +240,7 @@ def test_covering_numbers_exact_cap_error_matches_reference():
 def test_covering_numbers_rejects_a_nonpositive_eps_anywhere_in_the_grid(bad):
     cls = table_class(np.ones((2, 2)))
     with pytest.raises(ValueError, match="eps must be positive"):
-        covering_numbers(cls, EmpiricalMeasure.uniform(np.array([0, 1])), [0.5, bad], "exact")
+        covering_numbers(cls, uniform_measure(np.array([0, 1])), [0.5, bad], "exact")
 
 
 @pytest.mark.parametrize("limits", [
@@ -438,7 +443,7 @@ def test_halfline_covering_paper_bound():
     rng = np.random.default_rng(5)
     pts = rng.random(100)[:, None]
     cls = halfline_class(np.linspace(0.0, 1.0, 101))
-    measure = EmpiricalMeasure.uniform(pts)
+    measure = uniform_measure(pts)
     eps = 0.5
     assert covering_number(cls, measure, eps, "greedy") <= 2 * eps ** -2
 
@@ -462,7 +467,7 @@ def test_kernel_class_disjoint_supports():
     k = box_kernel()
     cls = kernel_class(k, h=0.1, centers=[0.2, 0.8])
     pts = np.linspace(0, 1, 501)[:, None]
-    measure = EmpiricalMeasure.uniform(pts)
+    measure = uniform_measure(pts)
     vals = cls.evaluate(pts)
     d_sq = np.sum((vals[0] - vals[1]) ** 2 * measure.weights)
     norms = np.sum(vals ** 2 * measure.weights, axis=1)
@@ -473,7 +478,7 @@ def test_kernel_class_covering_polynomial_growth():
     rng = np.random.default_rng(21)
     k = box_kernel()
     cls = kernel_class(k, h=0.05, centers=np.linspace(0, 1, 50))
-    measure = EmpiricalMeasure.uniform(rng.random(400)[:, None])
+    measure = uniform_measure(rng.random(400)[:, None])
     for eps_rel in (0.25, 0.5, 1.0):
         count = covering_number(cls, measure, eps_rel * cls.envelope, "greedy")
         assert count <= cls.vc_c * eps_rel ** -cls.vc_v
@@ -484,6 +489,34 @@ def test_envelope_violation_detected():
                          vc_c=25.0, vc_v=2.0)
     with pytest.raises(ValueError, match="envelope"):
         cls.evaluate(np.array([1]))
+
+
+@pytest.mark.parametrize("tables,message", [
+    # a NaN in one member used to turn max |value| > envelope False for the whole matrix
+    ([[0.5, np.nan, 0.0], [0.5, 0.0, 5.0]], r"member 0 takes nan at point 1,"),
+    ([[0.5, 0.0, 0.0], [0.5, 0.0, -5.0]], r"member 1 takes -5.0 at point 2,"),
+    ([[0.5, np.inf, 0.0]], r"member 0 takes inf at point 1,"),
+    ([[0.5, 0.0, 0.0], [0.5, -np.inf, 0.0]], r"member 1 takes -inf at point 1,"),
+])
+def test_envelope_check_rejects_non_finite_values_naming_member_and_point(tables, message):
+    cls = EvaluableClass(members=tuple(TableFunction(np.array(t)) for t in tables), envelope=1.0,
+                         vc_c=25.0, vc_v=2.0)
+    with pytest.raises(ValueError, match=message + " outside the declared envelope 1.0"):
+        cls.evaluate(np.array([0, 1, 2]))
+
+
+def test_evaluate_holds_one_value_matrix():
+    # The members fill one (m, n) matrix; a stacked copy of their rows or an
+    # |values| temporary would each add another m x n floats
+    cls = halfline_class(np.linspace(0.05, 0.95, 10))
+    points = np.random.default_rng(0).random((100_000, 1))
+    tracemalloc.start()
+    try:
+        vals = cls.evaluate(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * vals.nbytes
 
 
 def test_vc_floor_warning():

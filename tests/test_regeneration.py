@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,9 +35,11 @@ from regenmc import (
     wrapped_doeblin_chain,
 )
 from regenmc import regeneration
-from regenmc.regeneration import RegenStats
+from regenmc.function_classes import BlockMeasure, LiftedClass, halfline_class, table_class
+from regenmc.regeneration import RegenStats, block_sums
 
-from .helpers import callable_certificate_model, reference_block_bootstrap_se
+from .helpers import (callable_certificate_model, lifted_class_values,
+                      reference_block_bootstrap_se, whole_block_sums)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -281,6 +284,120 @@ def test_complete_blocks_uncorrelated():
         if abs(rho1) > 4 / np.sqrt(len(vals)):
             exceptions += 1
     assert exceptions <= 2
+
+
+# ---------------------------------------------------------------------------
+# Block sums in slices
+# ---------------------------------------------------------------------------
+
+
+def _values_with_signed_zeros(rng, shape):
+    """Floats, small integers, 0.0 and -0.0 mixed, so prefix sums round and keep zero signs."""
+    pick = rng.integers(0, 4, shape)
+    return np.select([pick == 0, pick == 1, pick == 2],
+                     [rng.uniform(-1, 1, shape), rng.integers(-3, 4, shape).astype(float), -0.0],
+                     0.0)
+
+
+def _position_lookup(values):
+    """A pointwise f on states that are path positions: the values at those positions."""
+    return lambda positions: values[..., np.asarray(positions)]
+
+
+def _assert_same_bytes(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@given(n=st.integers(1, 120), members=st.integers(0, 4), budget=st.sampled_from([1, 2, 3, 7, 64]),
+       rate=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_sliced_block_sums_byte_equal_to_the_whole_path_sum(n, members, budget, rate, seed):
+    # members = 0 is an f returning (n,) values; a budget of 1 gives one-state slices
+    rng = np.random.default_rng(seed)
+    values = _values_with_signed_zeros(rng, (members, n) if members else (n,))
+    flags = rng.random(n) < rate
+    blocks = extract_blocks(Trajectory(states=np.arange(n), regen_flags=flags, seed=0,
+                                       model_id="positions"))
+    starts, ends = blocks.complete_bounds[:, 0], blocks.complete_bounds[:, 1]
+    ref = whole_block_sums(values, starts, ends)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regeneration, "ELEMENT_BUDGET", budget)
+        _assert_same_bytes(block_sums(_position_lookup(values), max(members, 1), blocks.states,
+                                      starts, ends), ref)
+        _assert_same_bytes(blocks.block_values(_position_lookup(values)), ref)
+
+
+@pytest.mark.parametrize("flags,budget", [
+    ([0, 0, 0, 0, 0, 0, 0], 3),        # no flag: no complete block
+    ([0, 0, 1, 0, 0, 0, 0], 3),        # one flag: an initial and a trailing segment only
+    ([0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0], 3),   # every bound on a 3-state slice edge
+    ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1], 3),            # no initial segment past the first state
+    ([0, 1, 0, 0, 0, 0, 0, 0, 1, 1], 2),            # a block spanning whole slices, then length 1
+    ([1, 1, 1, 1, 1], 1),              # delta = 1: every block one state long
+])
+@pytest.mark.parametrize("members", [0, 1, 3])
+def test_sliced_block_sums_at_slice_edges_and_segments(flags, budget, members, monkeypatch):
+    # Budget b with m rows gives slices of max(1, b // m) states
+    monkeypatch.setattr(regeneration, "ELEMENT_BUDGET", budget * max(members, 1))
+    flags = np.array(flags, dtype=bool)
+    n = len(flags)
+    values = _values_with_signed_zeros(np.random.default_rng(n + members),
+                                       (members, n) if members else (n,))
+    blocks = extract_blocks(Trajectory(states=np.arange(n), regen_flags=flags, seed=0,
+                                       model_id="positions"))
+    ref = whole_block_sums(values, blocks.complete_bounds[:, 0], blocks.complete_bounds[:, 1])
+    _assert_same_bytes(blocks.block_values(_position_lookup(values)), ref)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 2 ** 18])
+def test_block_sum_from_the_path_start_keeps_the_sign_of_zero(budget, monkeypatch):
+    # -0.0 - 0.0 is -0.0: the first slice's prefix sum starts at the first value,
+    # and the zero before it is joined after the sum
+    monkeypatch.setattr(regeneration, "ELEMENT_BUDGET", budget)
+    values = np.array([-0.0, -0.0, -0.0, 1.0, -0.0])
+    got = block_sums(_position_lookup(values), 1, np.arange(5), [0, 3, 4], [3, 4, 5])
+    _assert_same_bytes(got, whole_block_sums(values, [0, 3, 4], [3, 4, 5]))
+    assert got[0] == 0.0 and np.signbit(got[0])
+
+
+@given(members=st.integers(1, 5), blocks=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       trunc=st.one_of(st.none(), st.integers(1, 6)), budget=st.sampled_from([1, 2, 5, 2 ** 18]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_lifted_class_on_tiny_measures_matches_the_reference(members, blocks, trunc, budget, seed):
+    rng = np.random.default_rng(seed)
+    cls = table_class(_values_with_signed_zeros(rng, (members, 4)))
+    measure = BlockMeasure(blocks=tuple(rng.integers(0, 4, k) for k in blocks),
+                           weights=rng.dirichlet(np.ones(len(blocks))))
+    lifted = LiftedClass(cls, trunc)
+    ref = lifted_class_values(lifted, measure)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regeneration, "ELEMENT_BUDGET", budget)
+        got = lifted.evaluate(measure)
+    _assert_same_bytes(got, ref)
+    # same layout too: row reductions add in the reference's order
+    _assert_same_bytes(np.sum(got ** 2 * measure.weights, axis=1),
+                       np.sum(ref ** 2 * measure.weights, axis=1))
+
+
+def test_block_values_hold_members_times_blocks_not_members_times_steps():
+    # 10 members along 2^20 steps would be 84 MB of values; the block sums are
+    # 0.8 MB and one slice of ELEMENT_BUDGET values is 2 MB
+    n = 2 ** 20
+    flags = np.zeros(n, dtype=bool)
+    flags[::100] = True
+    blocks = extract_blocks(Trajectory(states=np.random.default_rng(0).random((n, 1)),
+                                       regen_flags=flags, seed=0, model_id="cloud"))
+    cls = halfline_class(np.linspace(0.05, 0.95, 10))
+    tracemalloc.start()
+    try:
+        values = blocks.block_values(cls.evaluate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (10, blocks.n_complete)
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
