@@ -41,7 +41,6 @@ from .kde import (
     box_kernel,
     epanechnikov_kernel,
     kde_evaluate,
-    occupancy_moment_premise_check,
     rate_experiment,
     uniform_deviation,
     uniform_smoothed_target,
@@ -89,7 +88,6 @@ from .regeneration import (
     extract_blocks,
     pitman_estimate,
     regen_stats,
-    simulate_split_forward,
     simulate_split_retrospective,
 )
 from .rng import child_seed, stream

@@ -19,8 +19,8 @@ from numpy.typing import ArrayLike
 
 from .rng import stream
 
-# Proposals per residual/rejection draw before a hard error, so that a
-# mis-specified kernel fails loudly instead of hanging.
+# Proposals per draw of a Psi rejection sampler before a hard error, so that
+# a mis-specified certificate fails loudly instead of hanging.
 REJECTION_CAP = 10**6
 
 ROW_SUM_TOL = 1e-12
@@ -155,27 +155,19 @@ class WrappedMixtureKernel:
 class FiniteMinorization:
     """Certificate that P(x, .) >= delta * psi(.) for every label x with ``small[x]`` true.
 
-    The splitters read five members, and any object that has them is a
-    certificate: ``delta``; ``small_set`` and ``psi_density`` over a batch of
-    states; ``psi_sample(rng)``; and ``residual_sample(x, rng)``, a draw from
-    (P(x, .) - delta psi) / (1 - delta), here row x of ``residual``.  Where
-    ``residual`` is None, as at delta = 1, ``residual_sample`` is None too, and
-    forward splitting draws any residual by rejection from P(x, .).
+    A certificate is any object with four members: ``delta``; ``small_set``
+    and ``psi_density`` over a batch of states, which with ``delta`` are all
+    the splitter reads; and ``psi_sample(rng)``, a draw from Psi that starts a
+    chain at a regeneration.
     """
 
     delta: float
     psi: np.ndarray
     small: np.ndarray
-    residual: Optional[np.ndarray]
 
     def __post_init__(self):
         _check_delta(self.delta)
         object.__setattr__(self, "_psi_cum", np.cumsum(self.psi).tolist())
-        if self.residual is None:
-            object.__setattr__(self, "residual_sample", None)
-        else:
-            object.__setattr__(self, "_residual_cum",
-                               [np.cumsum(row).tolist() for row in self.residual])
 
     def small_set(self, x) -> np.ndarray:
         return self.small[np.asarray(x, dtype=int)]
@@ -186,17 +178,13 @@ class FiniteMinorization:
     def psi_sample(self, rng) -> int:
         return bisect.bisect_right(self._psi_cum, rng.random())
 
-    def residual_sample(self, x, rng) -> int:
-        return bisect.bisect_right(self._residual_cum[int(x)], rng.random())
-
 
 @dataclass(frozen=True)
 class CircleMinorization:
-    """Certificate of :class:`WrappedMixtureKernel`: the whole circle is small, Psi is
-    Uniform(0, 1) and the residual adds a wrapped uniform increment from [-width, width]."""
+    """Certificate of :class:`WrappedMixtureKernel`: the whole circle is small and Psi is
+    Uniform(0, 1)."""
 
     delta: float
-    width: float
 
     def __post_init__(self):
         _check_delta(self.delta)
@@ -211,12 +199,6 @@ class CircleMinorization:
 
     def psi_sample(self, rng) -> np.ndarray:
         return np.array([rng.random()])
-
-    def residual_sample(self, x, rng) -> np.ndarray:
-        x = float(np.ravel(x)[0])
-        y = (x + rng.uniform(-self.width, self.width)) % 1.0
-        # v % 1.0 rounds to 1.0 for v in [-2^-54, 0); that is the point 0
-        return np.array([0.0 if y == 1.0 else y])
 
 
 @dataclass(frozen=True)
@@ -377,8 +359,7 @@ def finite_doeblin_chain(delta: float, matrix: ArrayLike, psi: ArrayLike) -> Cha
         raise ValueError(f"psi must be a probability vector over the {kernel.n_states} states, "
                          f"got {psi.tolist()}")
     gap = kernel.matrix - delta * psi[None, :]
-    cert = FiniteMinorization(delta=delta, psi=psi, small=np.ones(kernel.n_states, dtype=bool),
-                              residual=gap / (1.0 - delta) if 0.0 < delta < 1.0 else None)
+    cert = FiniteMinorization(delta=delta, psi=psi, small=np.ones(kernel.n_states, dtype=bool))
     if np.min(gap) < -1e-12:
         x, y = np.unravel_index(np.argmin(gap), gap.shape)
         raise ValueError(
@@ -394,7 +375,7 @@ def wrapped_doeblin_chain(delta: float, width: float = 0.25) -> ChainModel:
     delta and Psi = Uniform(0, 1), and complete-block lengths are geometric.
     """
     kernel = WrappedMixtureKernel(delta, width)
-    cert = CircleMinorization(delta=delta, width=width)
+    cert = CircleMinorization(delta=delta)
     return ChainModel(kernel=kernel, initial_sample=cert.psi_sample, minorization=cert,
                       model_id=f"wrapped_doeblin(delta={delta:g},width={width:g})")
 
@@ -409,7 +390,7 @@ def finite_atom_chain(matrix: ArrayLike, atom: int = 0) -> ChainModel:
     if not 0 <= atom < kernel.n_states:
         raise ValueError(f"atom must be a state in [0, {kernel.n_states}), got {atom!r}")
     cert = FiniteMinorization(delta=1.0, psi=kernel.matrix[atom],
-                              small=np.arange(kernel.n_states) == atom, residual=None)
+                              small=np.arange(kernel.n_states) == atom)
     return ChainModel(kernel=kernel, initial_sample=_ConstantState(atom),
                       minorization=cert, model_id=f"finite_atom(atom={atom})")
 

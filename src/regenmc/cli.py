@@ -30,7 +30,7 @@ from .function_classes import (EXACT_COVER_CAP, BlockMeasure, check_lifted_cover
 from .kde import KDEConfig, KERNELS, rate_experiment
 from .metropolis import (TARGETS, GaussianStep, UniformStep, build_minorization,
                          credible_interval_experiment)
-from .parallel import ELEMENT_BUDGET, pool_map, replication_seeds
+from .parallel import ELEMENT_BUDGET, pool_map, replication_seeds, strict_json
 from .rademacher import (compare_bound_vs_empirical, empirical_block_rademacher,
                          empirical_rademacher_iid)
 from .regeneration import extract_blocks, regen_stats, simulate_split_retrospective
@@ -439,7 +439,7 @@ def _run_rademacher(config, out, jobs):
         "block": {"mean": blk.mean, "mc_std_error": blk.mc_std_error, "n_data": blk.n_data},
         "sigma_prime_sq": float(blk.mean_sq.max()),
     }
-    (out / "rademacher.json").write_text(json.dumps(payload, indent=2))
+    (out / "rademacher.json").write_text(strict_json(payload))
     return (f"iid={iid.mean:.6g}±{iid.mc_std_error:.2g} "
             f"block={blk.mean:.6g}±{blk.mc_std_error:.2g}"), None, \
         {"rademacher.json": out / "rademacher.json"}
@@ -619,6 +619,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate")
     p.add_argument("--config", required=True)
     args = parser.parse_args(argv)
+    if args.command != "validate" and args.jobs < 1:
+        print(f"error: --jobs must be an integer >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
 
     try:
         config = json.loads(Path(args.config).read_text())

@@ -22,15 +22,14 @@ for the box kernel, whose sum is a count, it is bit-identical.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .chains import ChainModel, _ConstantState, simulate
+from .chains import ChainModel, simulate
 from .parallel import ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json, write_csv
-from .regeneration import simulate_split_retrospective
 
 QUAD_TOL = 1e-8
 # Widening and narrowing of each query's window, relative to h + |x|.  It
@@ -392,25 +391,3 @@ def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid
     theory = -(1.0 - config.beta) / 2.0
     return RateReport(rows=rows, slope=slope, slope_se=slope_se, theory_slope=theory)
 
-
-def _first_regeneration(model, horizon, x, task_seed):
-    started = replace(model, initial_sample=_ConstantState(np.array([x])))
-    flags = np.flatnonzero(simulate_split_retrospective(started, horizon, task_seed).regen_flags)
-    return float(flags[0] + 1) if len(flags) else float(horizon)
-
-
-def occupancy_moment_premise_check(model: ChainModel, p: float, x_grid, horizon: int,
-                                   replications: int, seed: int,
-                                   stationary_density: Callable) -> float:
-    """Sup over a state grid of pi(x) * E_x[tau^p], estimated by simulation.
-
-    Restarts the split chain at each grid point and averages the p-th power of
-    the first regeneration time over replications; finiteness and stability of
-    the returned sup support the same-rate regime for the deviation bound.
-    """
-    xs = np.asarray(x_grid, dtype=float)
-    groups = replicate(partial(_first_regeneration, model, horizon), xs, replications, seed)
-    sup_val = 0.0
-    for x, taus in zip(xs, groups):
-        sup_val = max(sup_val, stationary_density(float(x)) * float(np.mean(np.asarray(taus) ** p)))
-    return sup_val

@@ -371,9 +371,6 @@ class Target:
     def marginal_pdf(self, k: int, t):
         return self.coords[k].pdf(t)
 
-    def marginal_cdf(self, k: int, t: float) -> float:
-        return self.coords[k].cdf(t)
-
     def marginal_quantile(self, k: int, u: float) -> float:
         if not 0.0 < u < 1.0:
             raise ValueError(f"u must lie in (0, 1), got {u!r}")
@@ -643,8 +640,7 @@ class MHMinorization:
 
     delta = floor_b * pi(S) / sup_density and Psi has density pi(y) / pi(S) on
     S.  ``grid_hash`` fingerprints the validation grid the certificate passed
-    at construction.  It has no exact residual sampler, so forward splitting
-    draws the residual by rejection from P(x, .).
+    at construction.
     """
 
     target: Target
@@ -654,7 +650,6 @@ class MHMinorization:
     delta: float
     psi_mass: float
     grid_hash: str
-    residual_sample = None
 
     def small_set(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

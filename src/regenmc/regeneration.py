@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ChainModel, REJECTION_CAP, SamplingError, Trajectory, sample_path
+from .chains import ChainModel, Trajectory, sample_path
 from .parallel import ELEMENT_BUDGET, strict_json
 from .rng import stream
 
@@ -25,17 +25,6 @@ RATIO_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _pair_density(kernel, xs, ys, steps):
-    """p(x, y) of observed transitions; ``steps`` are their chain steps, named on failure."""
-    p = np.asarray(kernel.density(xs, ys), dtype=float)
-    bad = np.flatnonzero(p <= 0)
-    if len(bad):
-        j = int(bad[0])
-        raise ValueError(f"observed transition has zero density at step {int(steps[j])} "
-                         f"(x={xs[j]}, y={ys[j]}); invalid kernel density")
-    return p
-
-
 def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajectory:
     """Simulate the chain and draw regeneration flags after seeing each move.
 
@@ -44,7 +33,7 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
     X_i lies in the small set.  One extra hidden state is simulated so the
     final step also gets a flag.  Each Bernoulli ratio is checked to be
     <= 1 + 1e-9; a larger value means the certificate is invalid and raises
-    with the offending pair.
+    with the offending pair, as does an observed move of zero density.
     """
     cert = model.minorization
     rng = stream(seed, 0)
@@ -54,7 +43,11 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
     steps = np.flatnonzero(np.asarray(cert.small_set(xs), dtype=bool))
     probs = np.zeros(n)
     if len(steps):
-        p = _pair_density(model.kernel, xs[steps], ys[steps], steps)
+        p = np.asarray(model.kernel.density(xs[steps], ys[steps]), dtype=float)
+        if np.any(p <= 0):
+            i = int(steps[np.argmax(p <= 0)])
+            raise ValueError(f"observed transition has zero density at step {i} "
+                             f"(x={xs[i]}, y={ys[i]}); invalid kernel density")
         ratio = cert.delta * np.asarray(cert.psi_density(ys[steps]), dtype=float) / p
         if np.any(ratio > 1.0 + RATIO_TOL):
             j = int(np.argmax(ratio))
@@ -65,55 +58,6 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
         probs[steps] = np.minimum(ratio, 1.0)
     flags = stream(seed, 1).random(n) < probs
     return Trajectory(states=ext[:n], regen_flags=flags, seed=seed, model_id=model.model_id)
-
-
-def _residual_draw(model, cert, x, rng, step):
-    if cert.residual_sample is not None:
-        return cert.residual_sample(x, rng)
-    # rejection from P(x, .): accept y with probability 1 - delta psi(y) / p(x, y)
-    xb = np.asarray([x]) if np.ndim(x) == 0 else np.asarray(x)[None, :]
-    for _ in range(REJECTION_CAP):
-        y = sample_path(model.kernel, x, 2, rng)[1]
-        yb = np.asarray([y]) if np.ndim(y) == 0 else np.asarray(y)[None, :]
-        p = float(_pair_density(model.kernel, xb, yb, [step])[0])
-        accept = 1.0 - cert.delta * float(np.asarray(cert.psi_density(yb), dtype=float)[0]) / p
-        if rng.random() < accept:
-            return y
-    raise SamplingError(f"residual rejection sampler exceeded {REJECTION_CAP} proposals at step {step}")
-
-
-def simulate_split_forward(model: ChainModel, n: int, seed: int) -> Trajectory:
-    """Simulate the split chain forward: flags first, next state from the branch.
-
-    When X_i is in the small set, Y_i is Bernoulli(delta); on Y_i = 1 the next
-    state is drawn from Psi, otherwise from the residual kernel
-    (P(X_i, .) - delta Psi(.)) / (1 - delta).  A plain step of the kernel is
-    the second state of a two-state ``sample_path``.  Distributionally
-    equivalent to :func:`simulate_split_retrospective`.
-    """
-    cert = model.minorization
-    rng = stream(seed, 0)
-    rng_flags = stream(seed, 1)
-    x = model.initial_sample(rng)
-    finite = model.finite
-    states = []
-    flags = np.zeros(n, dtype=bool)
-    for i in range(n):
-        states.append(x if finite else np.ravel(np.asarray(x, dtype=float)))
-        batch = np.asarray([x]) if finite else np.asarray(x, dtype=float).reshape(1, -1)
-        in_s = bool(np.asarray(cert.small_set(batch))[0])
-        flag = in_s and rng_flags.random() < cert.delta
-        flags[i] = flag
-        if i == n - 1:
-            break
-        if flag:
-            x = cert.psi_sample(rng)
-        elif in_s:  # never at delta = 1, since the flag's uniform is below 1
-            x = _residual_draw(model, cert, x, rng, i)
-        else:
-            x = sample_path(model.kernel, x, 2, rng)[1]
-    arr = np.asarray(states, dtype=np.int64 if finite else float)
-    return Trajectory(states=arr, regen_flags=flags, seed=seed, model_id=model.model_id)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +123,6 @@ class BlockSet:
     @property
     def lengths(self) -> np.ndarray:
         return self.complete_bounds[:, 1] - self.complete_bounds[:, 0]
-
-    @property
-    def initial(self) -> Optional[np.ndarray]:
-        """States of the initial segment, before the first regeneration."""
-        if self.initial_bounds is None:
-            return None
-        s, e = self.initial_bounds
-        return self.states[s:e]
-
-    @property
-    def trailing(self) -> Optional[np.ndarray]:
-        """States of the trailing segment, after the last regeneration."""
-        if self.trailing_bounds is None:
-            return None
-        s, e = self.trailing_bounds
-        return self.states[s:e]
-
-    def complete_blocks(self):
-        """States of each complete block, in path order."""
-        for s, e in self.complete_bounds:
-            yield self.states[s:e]
 
     def block_values(self, f) -> np.ndarray:
         """Per-complete-block sums of a pointwise f over states: the lifted values f'(B_k).

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -453,7 +453,6 @@ class CallableMinorization:
     psi_sample: Callable
     psi_density: Callable
     small_set: Callable
-    residual_sample: Optional[Callable] = None
 
 
 def _all_true(x):
@@ -476,24 +475,11 @@ def callable_certificate_model(model):
     kind = model.model_id.split("(")[0]
     delta = model.minorization.delta
     if kind == "wrapped_doeblin":
-        width = model.kernel.width
-
-        def wrapped_residual(x, rng):
-            y = (float(np.ravel(x)[0]) + rng.uniform(-width, width)) % 1.0
-            return np.array([0.0 if y == 1.0 else y])
-
-        cert = CallableMinorization(delta, _uniform01_sample, _uniform01_density, _all_true,
-                                    wrapped_residual)
+        cert = CallableMinorization(delta, _uniform01_sample, _uniform01_density, _all_true)
         return replace(model, initial_sample=_uniform01_sample, minorization=cert)
     matrix = model.kernel.matrix
-    residual_sample = None
     if kind == "finite_doeblin":
         psi, small_set = model.minorization.psi, _all_true
-        if delta < 1.0:
-            rows = tuple(tuple(np.cumsum(r)) for r in (matrix - delta * psi[None, :]) / (1.0 - delta))
-
-            def residual_sample(x, rng):
-                return bisect.bisect_right(rows[int(x)], rng.random())
     else:  # finite_atom and two_state start at the atom, which regenerates on every visit
         atom = model.initial_sample.value
         psi = matrix[atom]
@@ -506,6 +492,6 @@ def callable_certificate_model(model):
         return bisect.bisect_right(cum, rng.random())
 
     cert = CallableMinorization(delta, psi_sample, lambda y: psi[np.asarray(y, dtype=int)],
-                                small_set, residual_sample)
+                                small_set)
     start = psi_sample if kind == "finite_doeblin" else model.initial_sample
     return replace(model, initial_sample=start, minorization=cert)

@@ -15,7 +15,7 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
-from regenmc.chains import CircleMinorization, WrappedMixtureKernel
+from regenmc.chains import WrappedMixtureKernel
 
 from .helpers import (batch_means_se, discrete_ks_pvalue, reference_anchor_path,
                       reference_wrapped_path, trajectory_from_csv)
@@ -213,8 +213,3 @@ def test_wrapped_sample_path_maps_one_to_zero():
     path = WrappedMixtureKernel(0.5, 0.3).sample_path(0.25, 3, _ForcedStepRng())
     # v = -2^-54, then -2^-54 - (0.25 + 2^-54): the second step wraps normally
     assert path[1, 0] == 0.0 and 0.0 <= path[2, 0] < 1.0
-
-
-def test_wrapped_residual_sampler_maps_one_to_zero():
-    y = CircleMinorization(0.5, 0.3).residual_sample(np.array([0.25]), _ForcedStepRng())
-    assert y.tolist() == [0.0]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from regenmc import cli
@@ -601,6 +602,19 @@ def test_pm_bounds_at_p_36_finish_with_finite_json(tmp_path):
         assert row["trunc_opt"] < 2.0 ** 30
 
 
+def test_rademacher_with_overflowing_sums_writes_null(tmp_path):
+    # sign sums of +-1e308 entries overflow to inf and their differences to nan
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "experiment": "rademacher", "seed": 7, "model": {"kind": "two_state"}, "n": 200,
+        "n_mc": 100, "class": {"kind": "table", "tables": [[1e308, -1e308], [-1e308, 1e308]]}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["rademacher", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = strict_loads((tmp_path / "out" / "rademacher.json").read_text())
+    assert report["iid"]["mean"] is None and report["block"]["mc_std_error"] is None
+    assert report["sigma_prime_sq"] is None and report["iid"]["n_data"] == 200
+
+
 def test_kde_rate_outputs_shape(tmp_path):
     cfg = load("kde_rate_tiny.json")
     run(cfg, tmp_path)
@@ -670,6 +684,14 @@ def test_main_rejects_a_config_that_is_not_an_object(command, tmp_path, capsys):
     path.write_text("[1]")
     assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err == "error: config must be a JSON object, got [1]\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_main_refuses_jobs_below_one(jobs, tmp_path, capsys):
+    assert main(["simulate", "--config", str(CONFIGS / "simulate_tiny.json"),
+                 "--jobs", jobs, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_main_seed_override(tmp_path):

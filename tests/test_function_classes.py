@@ -581,7 +581,7 @@ def test_lifted_values_bit_identical_to_per_member_reference(kind, n, members, t
         return
     # same row layout too: row reductions add in the reference's order
     assert np.array_equal((got ** 2).mean(axis=1), (ref ** 2).mean(axis=1))
-    bm = BlockMeasure(blocks=tuple(blocks.complete_blocks()),
+    bm = BlockMeasure(blocks=tuple(blocks.states[s:e] for s, e in blocks.complete_bounds),
                       weights=rng.dirichlet(np.ones(blocks.n_complete)))
     lifted = LiftedClass(cls, trunc)
     ref = lifted_class_values(lifted, bm)

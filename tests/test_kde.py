@@ -26,7 +26,6 @@ from regenmc.kde import (
     _prefix_sums,
     _profile_mass,
     deviation_grid,
-    occupancy_moment_premise_check,
 )
 from regenmc.cli import RUN_BYTES, peak_bytes
 from regenmc.parallel import ELEMENT_BUDGET
@@ -431,17 +430,3 @@ def test_grid_refinement_stability():
     d_fine = uniform_deviation(sample, ep, h, fine,
                                uniform_smoothed_target(ep, h, fine))
     assert abs(d_fine - d_coarse) / d_fine < 0.05
-
-
-def test_occupancy_moment_premise_stable():
-    model = wrapped_doeblin_chain(0.5, 0.25)
-    grid = np.linspace(0.05, 0.95, 7)
-    vals = [occupancy_moment_premise_check(model, 3.0, grid, horizon=200,
-                                           replications=200, seed=s,
-                                           stationary_density=lambda x: 1.0)
-            for s in (1, 2)]
-    # geometric(1/2) third moment gives pi(x) E_x[tau^3] = 26 exactly
-    for v in vals:
-        assert np.isfinite(v) and 0 < v
-    assert 0.5 <= vals[0] / vals[1] <= 2.0
-    assert abs(np.mean(vals) - 26.0) / 26.0 < 0.5

@@ -29,7 +29,7 @@ from regenmc import (
 from regenmc import metropolis
 from regenmc.chains import ChainModel, FiniteKernel, FiniteMinorization
 from regenmc.metropolis import TARGETS
-from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_forward
+from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_retrospective
 from regenmc.rng import stream
 
 from .helpers import reference_mh_regen_path, reference_run_mh
@@ -270,9 +270,9 @@ def test_regen_flags_only_inside_small_set():
     assert np.all(cert.small_set(flagged_states))
 
 
-def test_regen_cross_checked_against_discretized_forward_split():
+def test_regen_cross_checked_against_discretized_split():
     # exact finite-bin version of the same sampler: bin the uniform-target
-    # walk, certify the same small set and delta, and split it forward
+    # walk, certify the same small set and delta, and split it
     a, n_bins = 0.2, 50
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -287,14 +287,13 @@ def test_regen_cross_checked_against_discretized_forward_split():
     in_s = (centers >= 0.4) & (centers <= 0.6)
     psi = in_s / in_s.sum()
     delta = 0.5
-    # no residual rows: forward splitting draws the residual by rejection
-    cert = FiniteMinorization(delta=delta, psi=psi, small=in_s, residual=None)
+    cert = FiniteMinorization(delta=delta, psi=psi, small=in_s)
     model = ChainModel(kernel=FiniteKernel(matrix),
                        initial_sample=lambda rng: int(rng.choice(np.flatnonzero(in_s))),
                        minorization=cert, model_id="binned_walk")
     gap = matrix[np.ix_(in_s, in_s)] - delta * psi[in_s][None, :]
     assert gap.min() >= -1e-12
-    disc = simulate_split_forward(model, 100_000, seed=7)
+    disc = simulate_split_retrospective(model, 100_000, seed=7)
     target = uniform_target()
     prop = UniformStep(a)
     cont = mh_chain_regen(target, prop, build_minorization(target, prop), 100_000, seed=8)
@@ -350,7 +349,7 @@ def test_pitman_on_mh_blocks_matches_marginal_mass():
         f = lambda s: (np.asarray(s)[:, 0] <= cut).astype(float)
         est = pitman_estimate(blocks, f)
         se = block_bootstrap_se(blocks, f, seed=12)
-        assert abs(est - float(target.marginal_cdf(0, cut))) <= 3 * se, target.name
+        assert abs(est - float(target.coords[0].cdf(cut))) <= 3 * se, target.name
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def test_truncated_gaussian_quantiles_invert_cdf():
     target = truncated_gaussian_target(mu=0.3, sigma=0.2)
     for u in (0.1, 0.37, 0.5, 0.9):
         q = target.marginal_quantile(0, u)
-        assert float(target.marginal_cdf(0, q)) == pytest.approx(u, abs=1e-10)
+        assert float(target.coords[0].cdf(q)) == pytest.approx(u, abs=1e-10)
 
 
 def test_marginal_quantile_names_a_bad_u():

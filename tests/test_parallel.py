@@ -21,7 +21,7 @@ from regenmc import (
     uniform_target,
     wrapped_doeblin_chain,
 )
-from regenmc.kde import RateReport, occupancy_moment_premise_check
+from regenmc.kde import RateReport
 from regenmc.metropolis import QuantileSeries
 from regenmc.parallel import fit_loglog_slope, mean_se, pool_map, replicate, replication_seeds
 from regenmc.rademacher import BoundReport
@@ -120,15 +120,9 @@ def _growth(monkeypatch):
     supremum_growth_experiment(_boom, halfline_class([0.5]), [0.5], [64, 128, 256], 2, SEED)
 
 
-def _occupancy(monkeypatch):
-    monkeypatch.setattr(kde, "simulate_split_retrospective", _boom)
-    occupancy_moment_premise_check(wrapped_doeblin_chain(0.5, 0.25), 2.0, [0.25, 0.75], 50,
-                                   2, SEED, lambda x: 1.0)
-
-
 @pytest.mark.parametrize("experiment, first_point", [
-    (_rate, "64"), (_credible, "64"), (_bounds, "64"), (_growth, "64"), (_occupancy, "0.25"),
-], ids=["kde-rate", "mh-credible", "bounds", "growth", "occupancy"])
+    (_rate, "64"), (_credible, "64"), (_bounds, "64"), (_growth, "64"),
+], ids=["kde-rate", "mh-credible", "bounds", "growth"])
 def test_worker_failure_names_seed_and_grid_point(monkeypatch, experiment, first_point):
     message = rf"replication with seed {child_seed(SEED, 0, 0)} \(n={first_point}\) failed: boom"
     with pytest.raises(RuntimeError, match=message):

@@ -28,7 +28,6 @@ from regenmc import (
     pitman_estimate,
     regen_stats,
     simulate,
-    simulate_split_forward,
     simulate_split_retrospective,
     two_state_chain,
     uniform_target,
@@ -113,7 +112,7 @@ def test_zero_density_error_names_chain_step_and_pair():
     kernel = _MisreportingKernel(FiniteKernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                                  FiniteKernel(np.array([[0.0, 1.0], [0.0, 1.0]])))
     cert = FiniteMinorization(delta=0.5, psi=np.array([0.5, 0.5]),
-                              small=np.array([False, True]), residual=None)
+                              small=np.array([False, True]))
     model = ChainModel(kernel=kernel, initial_sample=lambda rng: 0, minorization=cert,
                        model_id="misreporting")
     with pytest.raises(ValueError, match=r"zero density at step 1 \(x=1, y=0\)"):
@@ -135,12 +134,12 @@ def _same_split(a, b):
             and np.array_equal(a.regen_flags, b.regen_flags))
 
 
-@pytest.mark.parametrize("split", [simulate_split_forward, simulate_split_retrospective])
 @pytest.mark.parametrize("model", BUILT_IN, ids=lambda m: m.model_id)
-def test_certificate_classes_split_as_the_callable_certificates(model, split):
+def test_certificate_classes_split_as_the_callable_certificates(model):
     reference = callable_certificate_model(model)
     for seed in (0, 17):
-        assert _same_split(split(model, 2000, seed), split(reference, 2000, seed)), seed
+        assert _same_split(simulate_split_retrospective(model, 2000, seed),
+                           simulate_split_retrospective(reference, 2000, seed)), seed
 
 
 @pytest.mark.parametrize("model", BUILT_IN, ids=lambda m: m.model_id)
@@ -148,25 +147,26 @@ def test_built_in_models_round_trip_through_pickle(model):
     # --jobs > 1 sends models to worker processes
     back = pickle.loads(pickle.dumps(model))
     assert back.model_id == model.model_id
-    for split in (simulate_split_forward, simulate_split_retrospective):
-        assert _same_split(split(model, 500, 3), split(back, 500, 3))
+    assert _same_split(simulate_split_retrospective(model, 500, 3),
+                       simulate_split_retrospective(back, 500, 3))
 
 
-def test_forward_delta_one_all_flags():
+def test_retrospective_delta_one_all_flags():
     model = finite_doeblin_chain(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
-    traj = simulate_split_forward(model, 500, seed=4)
+    traj = simulate_split_retrospective(model, 500, seed=4)
     assert traj.regen_flags.all()
 
 
-def test_forward_split_joint_transitions_match_hand_matrix():
+def test_retrospective_split_joint_transitions_match_hand_matrix():
     # enumerate the split-chain transition law from the mixture construction:
     # next X ~ psi on a flag, else the residual row; the new flag is then
-    # Bernoulli(delta) regardless of the state (whole space small)
+    # Bernoulli(delta) regardless of the state (whole space small).  Drawing
+    # each flag after its move gives this same joint law of (X, Y).
     delta, p = 0.3, np.array([[0.5, 0.5], [0.2, 0.8]])
     psi = np.array([0.6, 0.4])
     residual = (p - delta * psi[None, :]) / (1 - delta)
     model = finite_doeblin_chain(delta, p, psi)
-    traj = simulate_split_forward(model, 500_000, seed=21)
+    traj = simulate_split_retrospective(model, 500_000, seed=21)
     xs, ys = traj.states, traj.regen_flags.astype(int)
     counts = np.zeros((2, 2, 2, 2))
     np.add.at(counts, (xs[:-1], ys[:-1], xs[1:], ys[1:]), 1)
@@ -182,31 +182,14 @@ def test_forward_split_joint_transitions_match_hand_matrix():
                     assert abs(observed - expected) <= 4 * se, (x, y, x2, y2)
 
 
-def test_forward_and_retrospective_agree():
-    model = finite_doeblin_chain(0.3, np.array([[0.5, 0.5], [0.2, 0.8]]),
-                                 np.array([0.5, 0.5]))
-    fwd = simulate_split_forward(model, 50_000, seed=6)
-    retro = simulate_split_retrospective(model, 50_000, seed=7)
-    f1, f2 = fwd.regen_flags.mean(), retro.regen_flags.mean()
-    se = np.sqrt(2 * 0.3 * 0.7 / 50_000)
-    assert abs(f1 - f2) <= 3 * se
-    # block-length two-sample tests across seeds
-    failures = 0
-    for s in range(20):
-        t1 = extract_blocks(simulate_split_forward(model, 5000, seed=800 + s)).lengths
-        t2 = extract_blocks(simulate_split_retrospective(model, 5000, seed=1800 + s)).lengths
-        if ks_2samp(t1, t2).pvalue <= 0.01:
-            failures += 1
-    assert failures <= 2
-
-
-def test_forward_split_on_mh_chain_flags_only_small_set_steps():
-    # The MH certificate has no exact residual sampler: off a flag, a step from
-    # the small set is drawn by rejection from P(x, .).
+def test_retrospective_split_on_mh_chain_flags_only_small_set_steps():
+    # A rejected step is an atom of P(x, .) that Psi does not charge, so it
+    # never flags; averaged over the move, a small-set step flags with
+    # probability delta.
     target, proposal = uniform_target(), UniformStep(0.25)
     cert = build_minorization(target, proposal)
     model = ChainModel(MHKernel(target, proposal), cert.psi_sample, cert, "mh")
-    traj = simulate_split_forward(model, 4000, seed=5)
+    traj = simulate_split_retrospective(model, 4000, seed=5)
     assert traj.states.shape == (4000, 1)
     in_s = cert.small_set(traj.states)
     flags = traj.regen_flags
@@ -257,12 +240,8 @@ def test_extract_blocks_edge_flags():
 @settings(max_examples=200, deadline=None)
 def test_block_reconstruction(flags):
     blocks = extract_blocks(_traj_from_flags(flags))
-    pieces = []
-    if blocks.initial_bounds:
-        pieces.append(blocks.initial)
-    pieces.extend(blocks.complete_blocks())
-    if blocks.trailing_bounds:
-        pieces.append(blocks.trailing)
+    bounds = [blocks.initial_bounds, *blocks.complete_bounds.tolist(), blocks.trailing_bounds]
+    pieces = [blocks.states[s:e] for s, e in filter(None, bounds)]
     assert np.array_equal(np.concatenate(pieces), blocks.states)
 
 
