@@ -28,7 +28,8 @@ RATIO_TOL = 1e-9
 def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajectory:
     """Simulate the chain and draw regeneration flags after seeing each move.
 
-    The X-path is generated exactly as :func:`regenmc.chains.simulate`; the
+    The X-path is drawn as in :func:`regenmc.chains.simulate`, from the same
+    stream, and the flags from a stream of their own; the
     flag at step i is Bernoulli(delta * psi(X_{i+1}) / p(X_i, X_{i+1})) when
     X_i lies in the small set.  One extra hidden state is simulated so the
     final step also gets a flag.  Each Bernoulli ratio is checked to be

@@ -157,6 +157,31 @@ def test_retrospective_delta_one_all_flags():
     assert traj.regen_flags.all()
 
 
+FINITE_BUILT_IN = [m for m in BUILT_IN if m.finite]
+
+
+@pytest.mark.parametrize("model", FINITE_BUILT_IN, ids=lambda m: m.model_id)
+def test_finite_split_states_equal_the_plain_simulation(model):
+    # Flags come from their own stream, so they leave the X-path alone.  A
+    # finite path draws one uniform per step, so the hidden extra state only
+    # extends it; the wrapped chain draws its path in blocks and matches in law.
+    for seed in (0, 17):
+        for n in (1, 2, 1000):
+            plain = simulate(model, n, seed).states
+            split = simulate_split_retrospective(model, n, seed).states
+            assert plain.dtype == split.dtype and plain.tobytes() == split.tobytes(), (seed, n)
+
+
+@pytest.mark.parametrize("model", [m for m in FINITE_BUILT_IN if not m.minorization.small.all()],
+                         ids=lambda m: m.model_id)
+def test_atom_chain_flags_exactly_the_atom_visits(model):
+    # delta = 1 and Psi = the atom's row make every flag ratio 1 on the atom
+    atom = model.initial_sample.value
+    traj = simulate_split_retrospective(model, 5000, seed=8)
+    assert traj.regen_flags.any() and not traj.regen_flags.all()
+    assert np.array_equal(traj.regen_flags, traj.states == atom)
+
+
 def test_retrospective_split_joint_transitions_match_hand_matrix():
     # enumerate the split-chain transition law from the mixture construction:
     # next X ~ psi on a flag, else the residual row; the new flag is then
