@@ -51,7 +51,7 @@ print(f"occupation estimate of pi(1): {est:.4f} +- {se:.4f} (truth {5/7:.4f})")
 doeblin = wrapped_doeblin_chain(delta=0.3, width=0.25)
 split = simulate_split_retrospective(doeblin, 200_000, seed=3)
 blocks = extract_blocks(split)
-stats = regen_stats(blocks)
+stats = regen_stats(blocks, min_blocks=30)
 print("\nmean block length:", blocks.lengths.mean(), "(geometric mean = 1/0.3)")
 print("tail rate estimate:", stats.tail_rate()[0], "(truth -log 0.7 = 0.357)")
 print("empirical MGF at 0.15:", stats.mgf(0.15))

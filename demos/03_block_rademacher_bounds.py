@@ -67,7 +67,7 @@ print(f"block bound minimized over L: {best:.1f} at L = {best_l:g} "
 # The full experiment sweeps n, fits the growth exponent (CLT predicts 1/2),
 # and reports the smallest universal constant that keeps the bound on top.
 report = compare_bound_vs_empirical(model, cls, [2**k for k in range(8, 13)],
-                                    replications=3, seed=5, n_mc=1000,
+                                    replications=3, seed=5, n_mc=1000, p=2.0,
                                     mode="em", lam=0.3, m_const=1.0)
 print(f"\ngrowth exponent of the measured complexity: {report.growth_exponent:.3f}")
 print(f"minimal constant for domination: {report.m_min:.4f}")

@@ -36,7 +36,7 @@ traj = mh_chain_regen(target, proposal, cert, 100_000, seed=1)
 blocks = extract_blocks(traj)
 print(f"\nflags per step: {traj.regen_flags.mean():.4f} "
       f"(delta * small-set mass = {cert.delta * cert.psi_mass:.4f})")
-stats = regen_stats(blocks)
+stats = regen_stats(blocks, min_blocks=30)
 lam = 0.5 * stats.tail_rate()[0]
 print("block-length MGF finite at", lam, "->", stats.mgf(lam))
 
@@ -52,7 +52,7 @@ print("\nempirical 10% / 90% quantiles:", *empirical_quantiles(vals, [0.1, 0.9])
 # u in [0.2, 0.8]; the reference exponent is -1/2.
 series = credible_interval_experiment(target, proposal, cert, 0, gamma=0.1,
                                       n_grid=[2**j for j in range(8, 15)],
-                                      replications=10, seed=2)
+                                      replications=10, seed=2, n_u=17)
 print(f"\nsup quantile-error slope: {series.slope:.3f} "
       f"(density floor {series.density_floor})")
 

@@ -562,24 +562,17 @@ class MHKernel:
     def sample_path(self, x0, n, rng):
         """n states from x0: n - 1 increments, then n - 1 acceptance uniforms, then the walk.
 
-        A one-dimensional chain walks on Python floats, which take the same
-        IEEE steps as the 1-element arrays, so its path is bit-identical.
+        ``_walk_floats`` walks the chain, a one-dimensional one on Python
+        floats and a longer one on its coordinate rows.
         """
         incs = self.proposal.sample_increments(rng, n - 1)
         u_acc = rng.random(n - 1)
         states = np.empty((n, self.target.dim))
-        states[0] = x = np.asarray(x0, dtype=float)
+        states[0] = np.asarray(x0, dtype=float)
         if self.target.dim == 1:
             _walk_floats(self.target.coords[0].pdf_scalar, states[:, 0], incs[:, 0], u_acc)
-            return states
-        pdf_point = self.target.pdf_point
-        px = pdf_point(x)
-        for i in range(n - 1):
-            y = x + incs[i]
-            py = pdf_point(y)
-            if px == 0.0 or py >= px or u_acc[i] * px < py:
-                x, px = y, py
-            states[i + 1] = x
+        else:
+            _walk_floats(self.target.pdf_point, states, incs, u_acc)
         return states
 
     def density(self, xs, ys):
@@ -603,17 +596,24 @@ class MHKernel:
 
 
 def _walk_floats(pdf, path, incs, u_acc):
-    """Fill path[1:] with the accept/reject walk from path[0] on Python floats.
+    """Fill path[1:] with the accept/reject walk from path[0].
 
-    The draws are converted with ``tolist`` ELEMENT_BUDGET steps at a time,
-    so the float objects never outnumber one slice.
+    A path of shape (n,) walks on Python floats, which take the same IEEE
+    steps as 1-element arrays, so its path is bit-identical to an array
+    walk; one of shape (n, d) walks on its coordinate rows.  ``pdf`` reads
+    what the walk steps on.  The draws are taken in slices of
+    ELEMENT_BUDGET / (8 d) steps: a boxed float and its list slot take 32
+    bytes where an array element takes 8, so a slice's objects take about
+    as much memory as ELEMENT_BUDGET array elements.
     """
-    x = float(path[0])
+    rows = path.ndim > 1
+    x = path[0] if rows else float(path[0])
     px = pdf(x)
-    for lo in range(0, len(u_acc), ELEMENT_BUDGET):
-        hi = min(lo + ELEMENT_BUDGET, len(u_acc))
+    step = max(1, ELEMENT_BUDGET // (8 * path[0].size))
+    for lo in range(0, len(u_acc), step):
+        hi = min(lo + step, len(u_acc))
         walked = []
-        for z, u in zip(incs[lo:hi].tolist(), u_acc[lo:hi].tolist()):
+        for z, u in zip(incs[lo:hi] if rows else incs[lo:hi].tolist(), u_acc[lo:hi].tolist()):
             y = x + z
             py = pdf(y)
             if px == 0.0 or py >= px or u * px < py:
@@ -808,8 +808,8 @@ def _credible_one(target, proposal, cert, k, us, q_ref, n, task_seed):
 
 def credible_interval_experiment(target: Target, proposal: Proposal,
                                  cert: MHMinorization, k: int, gamma: float,
-                                 n_grid, replications: int, seed: int,
-                                 n_u: int = 17, jobs: int = 1) -> QuantileSeries:
+                                 n_grid, replications: int, seed: int, *,
+                                 n_u: int, jobs: int = 1) -> QuantileSeries:
     """Sup quantile error over u in [2 gamma, 1 - 2 gamma] per chain length.
 
     For each n the sup error is averaged over replications and the log-log

@@ -140,23 +140,41 @@ def _signed_sup_mc(values: np.ndarray, n_mc: int, seed: int) -> RademacherEstima
     signs are drawn in row slices from the chunk's stream, one raw bit a sign
     (see ``_raw_sign_rows``); they are the c x n signs that the chunk's first
     c * n raw bits give, however the chunk is sliced.
+
+    Column k of ``values`` is block k (a data point for the plain estimate).
+    Non-finite values, and signed sums or squares that overflow, raise
+    ValueError naming a member and block: the first non-finite value, else
+    the largest in magnitude.
     """
     m, n = values.shape
+    if not np.isfinite(values).all():
+        raise _overflow(values, "values are not finite")
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk_index = 0
-    while done < n_mc:
-        c = min(SIGN_CHUNK, n_mc - done)
-        sups = _signed_sups(values, c, _raw_sign_rows(stream(seed, chunk_index).bit_generator, n))
-        total += sups.sum()
-        total_sq += (sups ** 2).sum()
-        done += c
-        chunk_index += 1
-    mean = total / n_mc
-    var = max(total_sq / n_mc - mean ** 2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_mc:
+            c = min(SIGN_CHUNK, n_mc - done)
+            sups = _signed_sups(values, c, _raw_sign_rows(stream(seed, chunk_index).bit_generator, n))
+            total += sups.sum()
+            total_sq += (sups ** 2).sum()
+            done += c
+            chunk_index += 1
+        mean = total / n_mc
+        var = max(total_sq / n_mc - mean ** 2, 0.0)
+        mean_sq = (values ** 2).mean(axis=1)
+    if not (math.isfinite(mean) and math.isfinite(var) and np.isfinite(mean_sq).all()):
+        raise _overflow(values, "signed sums or squares overflow")
     return RademacherEstimate(mean=float(mean), mc_std_error=float(np.sqrt(var / n_mc)),
-                              n_data=n, mean_sq=(values ** 2).mean(axis=1))
+                              n_data=n, mean_sq=mean_sq)
+
+
+def _overflow(values: np.ndarray, what: str) -> ValueError:
+    """The error for ``what``, naming the first non-finite value, else the largest one."""
+    size = np.where(np.isfinite(values), np.abs(values), np.inf)
+    f, k = np.unravel_index(np.argmax(size), values.shape)
+    return ValueError(f"{what}: member {f}, block {k} holds {values[f, k]:.6g}")
 
 
 def exhaustive_signed_sup(values: np.ndarray) -> float:
@@ -184,9 +202,13 @@ def empirical_block_rademacher(cls: EvaluableClass, blocks: BlockSet, n_mc: int,
                                seed: int) -> RademacherEstimate:
     """Monte Carlo block Rademacher complexity over the complete blocks.
 
-    Signs attach to whole blocks; member values are the block sums f'(B_k).
-    With all blocks of length one this reproduces the plain estimate on the
-    underlying points bit for bit (same sign stream, same arithmetic).  The
+    Signs attach to whole blocks; member values are the block sums f'(B_k),
+    differences of prefix sums along the chain.  With all blocks of length
+    one these equal the point values when the prefix sums are exact, as for
+    integer values such as the half-line counts, and the estimate then
+    reproduces the plain estimate on the underlying points bit for bit (same
+    sign stream, same arithmetic).  Float values are reproduced only to
+    rounding, each within a few ulps of the largest prefix sum.  The
     estimate's ``mean_sq`` holds each member's mean of f'(B)^2 over the
     complete blocks; its maximum is the plug-in for the squared blockwise
     variance proxy, whose square root the bound calculators take as
@@ -349,8 +371,8 @@ def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
                                replications: int, seed: int, *, m_const: float, mode: str,
-                               n_mc: int = 2000, p: float = 2.0,
-                               lam: Optional[float] = None, jobs: int = 1) -> BoundReport:
+                               n_mc: int, p: float, lam: Optional[float] = None,
+                               jobs: int = 1) -> BoundReport:
     """Measure block complexities on a chain and pit them against the bound.
 
     For each n: the empirical block complexity (mean over replications,

@@ -271,7 +271,7 @@ class RegenStats:
         return strict_json(payload)
 
 
-def regen_stats(blocks: BlockSet, min_blocks: int = 30) -> RegenStats:
+def regen_stats(blocks: BlockSet, min_blocks: int) -> RegenStats:
     """Block-length statistics; warns (never fails) below ``min_blocks`` blocks."""
     tau = blocks.lengths
     if len(tau) == 0:

@@ -156,7 +156,7 @@ def test_criterion_06_block_bound_domination_and_growth():
     cls = halfline_class(np.linspace(0.05, 0.95, 10))
     lam = 0.5 * (-math.log(0.7))
     report = compare_bound_vs_empirical(model, cls, [2**k for k in range(8, 15)],
-                                        replications=5, seed=606, n_mc=2000,
+                                        replications=5, seed=606, n_mc=2000, p=2.0,
                                         mode="em", lam=lam, m_const=1.0)
     # M_min makes m_min * main_term + remainder >= empirical by construction, so
     # the check is the bound itself at the configured M_const = 1.0
@@ -187,7 +187,7 @@ def test_criterion_08_credible_interval_rate():
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
                                           [2**j for j in range(8, 15)],
-                                          replications=20, seed=808)
+                                          replications=20, seed=808, n_u=17)
     monotone = all(r.monotone for r in series.reports)
     elapsed = time.monotonic() - t0
     ok = abs(series.slope - (-0.5)) <= 0.15 and monotone and elapsed < 600.0

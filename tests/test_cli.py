@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from regenmc import cli
@@ -602,17 +601,16 @@ def test_pm_bounds_at_p_36_finish_with_finite_json(tmp_path):
         assert row["trunc_opt"] < 2.0 ** 30
 
 
-def test_rademacher_with_overflowing_sums_writes_null(tmp_path):
-    # sign sums of +-1e308 entries overflow to inf and their differences to nan
+def test_rademacher_with_overflowing_sums_refused(tmp_path, capsys):
+    # sign sums of +-1e308 entries overflow to inf; the run fails, naming where
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "experiment": "rademacher", "seed": 7, "model": {"kind": "two_state"}, "n": 200,
         "n_mc": 100, "class": {"kind": "table", "tables": [[1e308, -1e308], [-1e308, 1e308]]}}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["rademacher", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    report = strict_loads((tmp_path / "out" / "rademacher.json").read_text())
-    assert report["iid"]["mean"] is None and report["block"]["mc_std_error"] is None
-    assert report["sigma_prime_sq"] is None and report["iid"]["n_data"] == 200
+    assert main(["rademacher", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert re.fullmatch(r"error: signed sums or squares overflow: member \d+, block \d+ holds [-+e0-9]+\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "rademacher.json").exists()
 
 
 def test_kde_rate_outputs_shape(tmp_path):

@@ -21,10 +21,8 @@ from regenmc.kde import (
     QUAD_TOL,
     Kernel,
     _box_k0_cdf,
-    _epanechnikov_k0,
     _epanechnikov_k0_cdf,
     _prefix_sums,
-    _profile_mass,
     deviation_grid,
 )
 from regenmc.cli import RUN_BYTES, peak_bytes
@@ -43,51 +41,64 @@ def test_kernel_constants():
 
 def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
-        Kernel(name="bad", k0=lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0), k0_sup=0.7,
-               k0_cdf=_box_k0_cdf, coeffs=(0.7,))
+        Kernel(name="bad", k0_sup=0.7, k0_cdf=_box_k0_cdf, coeffs=(0.7,))
 
 
 def test_kernel_mass_one_percent_off_rejected():
     with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
-        Kernel(name="heavy", k0=lambda t: 1.01 * _epanechnikov_k0(t), k0_sup=0.7575,
-               k0_cdf=_epanechnikov_k0_cdf, coeffs=(0.7575, 0.0, -0.7575))
+        Kernel(name="heavy", k0_sup=0.7575, k0_cdf=_epanechnikov_k0_cdf,
+               coeffs=(0.7575, 0.0, -0.7575))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.5,),
+    (0.75, 0.0, -0.75),
+    (15 / 16, 0.0, -15 / 8, 0.0, 15 / 16),        # biweight
+    (0.7, 0.3),                                   # odd terms carry no mass
+    (0.35, 0.0, 0.45, 0.0, 0.0, 0.0, 0.0, 1.0),
+])
+def test_kernel_mass_agrees_with_adaptive_quadrature(coeffs):
+    exact, _ = quad(lambda t: sum(a * t ** k for k, a in enumerate(coeffs)), -1.0, 1.0,
+                    epsabs=QUAD_TOL / 10)
+    if abs(exact - 1.0) <= QUAD_TOL / 10:
+        Kernel(name="ok", k0_sup=1.0, k0_cdf=_box_k0_cdf, coeffs=coeffs)
+    else:
+        with pytest.raises(ValueError, match=f"integrates to {exact:.10g}, not 1"):
+            Kernel(name="off", k0_sup=1.0, k0_cdf=_box_k0_cdf, coeffs=coeffs)
+
+
+def test_box_profile_equals_its_closed_form_exactly():
+    t = np.linspace(-1.2, 1.2, 24001)
+    assert np.array_equal(box_kernel().k0(t), np.where(np.abs(t) <= 1.0, 0.5, 0.0))
+
+
+def test_epanechnikov_profile_within_eps_of_its_closed_form():
+    t = np.linspace(-1.2, 1.2, 24001)
+    closed = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t ** 2), 0.0)
+    assert np.max(np.abs(epanechnikov_kernel().k0(t) - closed)) <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
-def test_builtin_kernels_have_unit_mass(make):
-    # The rule is exact for both profiles; what is left is the rounding of its 32-term sum.
-    assert abs(_profile_mass(make().k0) - 1.0) <= 32 * np.finfo(float).eps
+def test_profile_is_zero_outside_its_support(make):
+    outside = np.array([1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.001, 1.5, 10.0, 1e300, np.inf, np.nan])
+    kernel = make()
+    assert np.all(kernel.k0(outside) == 0.0) and np.all(kernel.k0(-outside) == 0.0)
 
 
-@pytest.mark.parametrize("k0", [
-    box_kernel().k0,
-    _epanechnikov_k0,
-    lambda t: np.where(np.abs(t) <= 1, 15 / 16 * (1 - np.asarray(t) ** 2) ** 2, 0.0),
-    lambda t: np.where(np.abs(t) <= 1, np.pi / 4 * np.cos(np.pi / 2 * np.asarray(t)), 0.0),
-    lambda t: np.where(np.abs(t) <= 1, 0.7, 0.0),
-])
-def test_profile_mass_agrees_with_adaptive_quadrature(k0):
-    exact, _ = quad(lambda t: float(k0(t)), -1.0, 1.0, epsabs=QUAD_TOL / 10)
-    assert abs(_profile_mass(k0) - exact) <= QUAD_TOL / 10
-
-
-def test_kernel_support_checked():
-    def leaky(t):
-        t = np.abs(np.asarray(t, dtype=float))
-        return np.where(t <= 1.0, 0.5, np.where(t < 1.2, 0.1, 0.0))
-
-    with pytest.raises(ValueError, match=r"0\.1 at t = -1\.0000000000000002"):
-        Kernel(name="leaky", k0=leaky, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5,))
+@pytest.mark.parametrize("make", [box_kernel, epanechnikov_kernel])
+def test_builtin_cdf_is_the_antiderivative_of_the_coefficients(make):
+    kernel = make()
+    anti = np.polynomial.Polynomial(kernel.coeffs).integ(lbnd=-1.0)
+    t = np.linspace(-1.0, 1.0, 4001)
+    assert np.max(np.abs(kernel.k0_cdf(t) - anti(t))) <= 4 * np.finfo(float).eps
+    assert np.all(kernel.k0_cdf(np.array([-3.0, -1.0])) == 0.0)
+    assert np.all(kernel.k0_cdf(np.array([1.0, 3.0])) == 1.0)
 
 
 def test_kernel_coefficients_may_carry_trailing_zeros():
-    Kernel(name="box", k0=box_kernel().k0, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5, 0.0, 0.0))
-
-
-@pytest.mark.parametrize("coeffs", [(0.75, 0.0, -0.75), (0.5 + 1e-9,), (0.5, 1e-12)])
-def test_kernel_coefficients_checked_against_profile(coeffs):
-    with pytest.raises(ValueError, match="differs from its coefficients"):
-        Kernel(name="box", k0=box_kernel().k0, k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=coeffs)
+    padded = Kernel(name="box", k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5, 0.0, 0.0))
+    t = np.linspace(-1.5, 1.5, 301)
+    assert np.array_equal(padded.k0(t), box_kernel().k0(t))
 
 
 def test_single_point_box_evaluation():

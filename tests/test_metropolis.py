@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from regenmc import (
 from regenmc import metropolis
 from regenmc.chains import ChainModel, FiniteKernel, FiniteMinorization
 from regenmc.metropolis import TARGETS
+from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_retrospective
 from regenmc.rng import stream
 
@@ -114,7 +116,7 @@ def test_accepted_move_at_proposal_edge_keeps_positive_density():
 
 
 @given(target=st.sampled_from(sorted(TARGETS)), gaussian=st.booleans(),
-       d=st.sampled_from([1, 2]), x0=st.none() | st.floats(-0.5, 1.5),
+       d=st.sampled_from([1, 2, 3]), x0=st.none() | st.floats(-0.5, 1.5),
        n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 @example(target="bimodal", gaussian=False, d=2, x0=5.0, n=300, seed=1)
@@ -131,20 +133,38 @@ def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, s
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
-def test_float_walk_slices_bit_identical_to_reference_loops(target, monkeypatch):
-    # Both samplers walk n steps; with 7-step slices n in {7, 8, 9, 15} ends on
-    # and next to a slice bound, and n in {1, 2} stays inside the first slice.
-    monkeypatch.setattr(metropolis, "ELEMENT_BUDGET", 7)
-    tgt = TARGETS[target]()
-    prop = UniformStep(0.25)
+@pytest.mark.parametrize("d, budget", [(1, 7), (1, 56), (2, 7), (2, 56), (3, 56)])
+def test_float_walk_slices_bit_identical_to_reference_loops(target, d, budget, monkeypatch):
+    # Slices hold max(1, budget // (8 d)) steps: 1 at budget 7, and 7, 3 and 2
+    # at budget 56 for d = 1, 2, 3.  Both samplers walk n steps, so for each
+    # slicing some n in {7, 8, 9, 15} ends on a slice bound and some next to one.
+    monkeypatch.setattr(metropolis, "ELEMENT_BUDGET", budget)
+    tgt = TARGETS[target](d=d)
+    prop = UniformStep(0.25, d)
     cert = build_minorization(tgt, prop)
     for n in (1, 2, 7, 8, 9, 15, 300):
-        for seed, start in ((n, None), (n + 1, np.array([5.0]))):
+        for seed, start in ((n, None), (n + 1, np.full(d, 5.0))):
             traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
             assert np.array_equal(traj.states,
                                   reference_mh_regen_path(tgt, prop, cert, n, seed, start)), n
             assert np.array_equal(run_mh(tgt, prop, n, seed, x0=start),
                                   reference_run_mh(tgt, prop, n, seed, start)), n
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("d", [1, 2])
+def test_walk_memory_is_its_arrays_and_one_slice(d):
+    # states, increments and uniforms take (2 d + 1) 8 n bytes; the walk's
+    # Python objects add about one slice, ELEMENT_BUDGET array elements' worth
+    n = 2 ** 20
+    kernel = MHKernel(TARGETS["trunc_gauss"](d=d), UniformStep(0.25, d))
+    tracemalloc.start()
+    try:
+        kernel.sample_path(np.full(d, 0.5), n, stream(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * d + 1) * 8 * n + 4 * 8 * ELEMENT_BUDGET
 
 
 def test_out_of_support_proposals_rejected():
@@ -332,7 +352,7 @@ def test_mgf_finite_for_every_builtin_configuration():
         target = make()
         cert = build_minorization(target, prop)
         traj = mh_chain_regen(target, prop, cert, 150_000, seed=10)
-        stats = regen_stats(extract_blocks(traj))
+        stats = regen_stats(extract_blocks(traj), min_blocks=30)
         lam = 0.5 * stats.tail_rate()[0]
         assert np.isfinite(lam) and lam > 0
         _, reliable = stats.mgf(lam)
@@ -474,7 +494,8 @@ def test_credible_interval_experiment_uniform():
     prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
-                                          [2 ** j for j in range(8, 15)], 10, seed=13)
+                                          [2 ** j for j in range(8, 15)], 10, seed=13,
+                                          n_u=17)
     assert series.density_floor == pytest.approx(1.0)
     assert all(r.monotone for r in series.reports)
     # sup error at the largest n within a factor 3 of sqrt(log log n / n)
@@ -489,7 +510,7 @@ def test_credible_interval_truncated_gaussian_reference():
     prop = UniformStep(0.25)
     cert = build_minorization(target, prop)
     series = credible_interval_experiment(target, prop, cert, 0, 0.1,
-                                          [256, 512, 1024], 5, seed=14)
+                                          [256, 512, 1024], 5, seed=14, n_u=17)
     assert all(r.monotone for r in series.reports)
     assert series.rate_checked
 

@@ -107,13 +107,14 @@ def _credible(monkeypatch):
     monkeypatch.setattr(metropolis, "mh_chain_regen", _boom)
     target, prop = uniform_target(), UniformStep(0.25)
     credible_interval_experiment(target, prop, build_minorization(target, prop), 0, 0.1,
-                                 [64, 128, 256], 2, SEED)
+                                 [64, 128, 256], 2, SEED, n_u=17)
 
 
 def _bounds(monkeypatch):
     monkeypatch.setattr(rademacher, "simulate_split_retrospective", _boom)
     compare_bound_vs_empirical(wrapped_doeblin_chain(0.5, 0.25), halfline_class([0.5]),
-                               [64, 128, 256], 2, SEED, mode="pm", m_const=1.0)
+                               [64, 128, 256], 2, SEED, mode="pm", m_const=1.0,
+                               n_mc=2000, p=2.0)
 
 
 def _growth(monkeypatch):

@@ -87,14 +87,40 @@ def test_block_rademacher_two_blocks_enumeration():
     assert abs(est.mean - 2.0) <= 4 * max(est.mc_std_error, 1e-12)
 
 
-def test_block_equals_iid_bitwise_for_unit_blocks():
-    traj = traj_with_flags([2, 0, 1, 3, 2, 1], [True] * 6)
+def _unit_block_chain(n, seed):
+    """A 4-state chain of n steps flagged at every step, and its unit blocks."""
+    traj = traj_with_flags(np.random.default_rng(seed).integers(0, 4, n), [True] * n)
     blocks = extract_blocks(traj)
-    assert np.all(blocks.lengths == 1)
-    cls = table_class(np.random.default_rng(3).uniform(-1, 1, (4, 4)))
+    assert np.all(blocks.lengths == 1) and blocks.n_complete == n - 1
+    return traj, blocks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_equals_iid_bitwise_for_integer_unit_blocks(seed):
+    # integer values have exact prefix sums, so each unit block sum is its point value
+    traj, blocks = _unit_block_chain(2000, seed)
+    cls = table_class(np.random.default_rng(seed).integers(-3, 4, (4, 4)).astype(float))
+    assert np.array_equal(blocks.block_values(cls.evaluate), cls.evaluate(traj.states[1:]))
     blk = empirical_block_rademacher(cls, blocks, 2000, seed=11)
     iid = empirical_rademacher_iid(cls, traj.states[1:], 2000, seed=11)
     assert blk.mean == iid.mean and blk.mc_std_error == iid.mc_std_error
+    assert np.array_equal(blk.mean_sq, iid.mean_sq)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_within_rounding_of_iid_for_float_unit_blocks(seed):
+    traj, blocks = _unit_block_chain(2000, seed)
+    cls = table_class(np.random.default_rng(seed).uniform(-1, 1, (4, 4)))
+    points = cls.evaluate(traj.states[1:])
+    assert not np.array_equal(blocks.block_values(cls.evaluate), points)
+    blk = empirical_block_rademacher(cls, blocks, 2000, seed=11)
+    iid = empirical_rademacher_iid(cls, traj.states[1:], 2000, seed=11)
+    # A unit block sum fl(c_(k+1) - c_k) of computed prefix sums is within
+    # eps (|c_(k+1)| + |v_k|) <= 2 eps sum|v| of its point value v_k, so a
+    # signed sum moves by at most 2 n eps sum|v|, and its rounding by as much.
+    tol = 4 * len(points[0]) * np.finfo(float).eps * np.abs(points).sum(axis=1).max()
+    assert abs(blk.mean - iid.mean) <= tol and abs(blk.mc_std_error - iid.mc_std_error) <= tol
+    assert np.allclose(blk.mean_sq, iid.mean_sq, rtol=0, atol=tol)
 
 
 def test_estimate_monotone_in_class_size():
@@ -178,8 +204,6 @@ _EXACTNESS = {
     "sum-abs-at-2**24": (lambda: np.array([[2.0 ** 23, -2.0 ** 22, 2.0 ** 22 - 1, 1.0],
                                            [3.0, 0.0, -5.0, 7.0]]), True),
     "2**24+1-rounds-in-float32": (lambda: np.array([[2.0 ** 24, 1.0]]), False),
-    "nan": (lambda: np.array([[np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]]), False),
-    "inf": (lambda: np.array([[np.inf, 1.0, 2.0], [np.inf, -np.inf, 3.0]]), False),
     # 13-row slices of odd width: each slice carries a half into the next
     "odd-width-counts": (lambda: np.random.default_rng(5).integers(0, 40, (6, 20_001)), True),
 }
@@ -190,10 +214,30 @@ def test_sign_mc_bit_identical_on_both_matmul_paths(case):
     make, exact = _EXACTNESS[case]
     values = make()
     assert rademacher._exact_in_float32(values) is exact
-    with np.errstate(invalid="ignore"):     # inf - inf in the nan and inf cases
-        est = _signed_sup_mc(values, 300, seed=9)
-        ref = reference_signed_sup_mc(values, 300, seed=9)
-    assert np.array_equal([est.mean, est.mc_std_error], ref, equal_nan=True)
+    est = _signed_sup_mc(values, 300, seed=9)
+    assert (est.mean, est.mc_std_error) == reference_signed_sup_mc(values, 300, seed=9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_float32_path_refuses_non_finite_values(bad):
+    assert not rademacher._exact_in_float32(np.array([[bad, 1.0], [2.0, 3.0]]))
+
+
+_NOT_FINITE = {
+    "nan": ([[1.0, 2.0, 3.0], [4.0, np.nan, 6.0]], "values are not finite: member 1, block 1 holds nan"),
+    "inf": ([[1.0, 2.0, -np.inf], [np.inf, 5.0, 6.0]], "not finite: member 0, block 2 holds -inf"),
+    "sums": ([[1.0, -1e308, 3.0], [1e308, 1e308, 1e300]],
+             "sums or squares overflow: member 0, block 1 holds -1e\\+308"),
+    "squares": ([[1e155, 2.0], [1.0, 3.0]],
+                "sums or squares overflow: member 0, block 0 holds 1e\\+155"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_FINITE))
+def test_sign_mc_refuses_what_is_not_finite(case):
+    values, message = _NOT_FINITE[case]
+    with pytest.raises(ValueError, match=message):
+        _signed_sup_mc(np.array(values), 300, seed=9)
 
 
 @pytest.mark.parametrize("extra,exact", [(0.0, True), (1.0, False)])
@@ -454,7 +498,8 @@ def test_bound_experiment_builds_one_value_matrix_per_replication(monkeypatch):
     calls = _count_block_values(monkeypatch)
     # At n = 6 some replications end before a second regeneration
     compare_bound_vs_empirical(wrapped_doeblin_chain(0.3, 0.25), halfline_class([0.3, 0.7]),
-                               [6, 64], 8, seed=2, n_mc=100, mode="pm", m_const=1.0)
+                               [6, 64], 8, seed=2, n_mc=100, p=2.0, mode="pm",
+                               m_const=1.0)
     assert 0 < sum(with_blocks) < len(with_blocks) == 16
     assert len(calls) == sum(with_blocks)
 
@@ -656,7 +701,7 @@ def test_compare_bound_vs_empirical_report():
     model = wrapped_doeblin_chain(0.5, 0.25)
     cls = halfline_class(np.linspace(0.05, 0.95, 10))
     report = compare_bound_vs_empirical(model, cls, [2 ** k for k in range(8, 13)],
-                                        3, seed=19, n_mc=500, mode="em", lam=0.3,
+                                        3, seed=19, n_mc=500, p=2.0, mode="em", lam=0.3,
                                         m_const=1.0)
     assert 0.4 <= report.growth_exponent <= 0.65
     assert report.m_min > 0
@@ -671,5 +716,5 @@ def test_em_bound_rejects_overflowing_mgf():
     model = wrapped_doeblin_chain(0.05, 0.25)
     cls = halfline_class(np.linspace(0.05, 0.95, 10))
     with pytest.raises(ValueError, match=r"overflows at n=512: lam=10, longest block \d+"):
-        compare_bound_vs_empirical(model, cls, [256, 512, 1024], 2, seed=0, n_mc=200,
+        compare_bound_vs_empirical(model, cls, [256, 512, 1024], 2, seed=0, n_mc=200, p=2.0,
                                    mode="em", lam=10.0, m_const=1.0)

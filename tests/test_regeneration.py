@@ -512,7 +512,7 @@ def test_geometric_mgf_and_tail():
     delta, lam = 0.3, 0.15
     traj = simulate_split_retrospective(wrapped_doeblin_chain(delta, 0.25), 300_000, seed=23)
     blocks = extract_blocks(traj)
-    stats = regen_stats(blocks)
+    stats = regen_stats(blocks, min_blocks=30)
     # closed-form geometric MGF: delta e^l / (1 - (1-delta) e^l), finite for
     # e^l (1-delta) < 1, i.e. l < -log(0.7) ~ 0.357
     analytic = delta * np.exp(lam) / (1 - (1 - delta) * np.exp(lam))
