@@ -63,5 +63,4 @@ print("\ntruncated-gaussian certificate delta:", cert_tg.delta)
 
 # Geometric backbone of the uniform minorization argument: finitely many
 # eps-ball steps connect any two points of the support.
-print(check_ball_chaining_geometry(Box(np.zeros(2), np.ones(2)), eps=0.1,
-                                   n_trials=2000, seed=3))
+print(check_ball_chaining_geometry(Box(np.zeros(2), np.ones(2)), eps=0.1))

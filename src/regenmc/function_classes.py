@@ -332,8 +332,6 @@ class CoveringCheck:
     holds: bool
     lhs: int
     rhs: Optional[int]
-    lhs_radius: float
-    rhs_radius: float
 
 
 def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid, truncs,
@@ -367,22 +365,21 @@ def covering_checks(cls: EvaluableClass, block_measure: BlockMeasure, eps_grid, 
         groups.setdefault(kept[t], []).append(i)
     checks = [None] * len(truncs)
     for n_kept, pairs in groups.items():
-        grid = [eps_grid[i] for i in pairs]
-        lhs_radii = [e * (ell if truncs[i] is None else truncs[i]) for e, i in zip(grid, pairs)]
         if n_kept == 0:
-            for i, e, r in zip(pairs, grid, lhs_radii):
-                checks[i] = CoveringCheck(holds=True, lhs=1, rhs=None, lhs_radius=r, rhs_radius=e)
+            for i in pairs:
+                checks[i] = CoveringCheck(holds=True, lhs=1, rhs=None)
             continue
         # a level that keeps every block leaves the lift's values as they are
         trunc = None if n_kept == len(lengths) else truncs[pairs[0]]
         lhs = _CoverCounter(LiftedClass(cls, trunc).evaluate(block_measure),
                             block_measure.weights, method).counts(
-            [r if truncs[i] is None else max(r, 1e-300) for r, i in zip(lhs_radii, pairs)])
+            [eps_grid[i] * ell if truncs[i] is None else max(eps_grid[i] * truncs[i], 1e-300)
+             for i in pairs])
         q = lift_measure(block_measure, trunc=trunc)
-        rhs = _CoverCounter(cls.evaluate(q.points), q.weights, method).counts(grid)
-        for i, e, r, left, right in zip(pairs, grid, lhs_radii, lhs, rhs):
-            checks[i] = CoveringCheck(holds=left <= right, lhs=left, rhs=right, lhs_radius=r,
-                                      rhs_radius=e)
+        rhs = _CoverCounter(cls.evaluate(q.points), q.weights, method).counts(
+            [eps_grid[i] for i in pairs])
+        for i, left, right in zip(pairs, lhs, rhs):
+            checks[i] = CoveringCheck(holds=left <= right, lhs=left, rhs=right)
     return checks
 
 

@@ -3,28 +3,27 @@
 The quantity measured everywhere is the deviation of the estimator from its
 smoothed stationary target x -> E_pi[K_h(x - Y)], i.e. the fluctuation part;
 smoothing bias is out of scope.  The supremum over space is taken over a grid
-with spacing at most h/4, whose adequacy is covered by a refinement-stability
-test rather than an analytic modulus argument.
+with spacing h/4, whose adequacy is covered by a refinement-stability test
+rather than an analytic modulus argument.
 
 Samples are one-dimensional.  A kernel's base profile is compactly supported on
 [-1, 1], where it is a polynomial; a ``Kernel`` holds it as its power-basis
-coefficients alone.  The estimator relies on both: each query's window, the
-samples within h of it, is one contiguous slice of the sample sorted once, and
-its kernel sum is a combination of window moments sum ((X_i - o)/h)^j.  The
-sorted sample is cut into blocks of width h, each centred at its own first
-value o and scaled by 1/h, so a window meets at most four blocks and every
-centred value lies in [0, 1] up to rounding.  The moments come from segment
-sums of the centred sample between the windows' ends, so a whole grid costs
-O(n + q log n) and no (query x sample) array is ever built.  The result agrees
-with the dense sum over every sample to the rounding bound given in
-``kde_evaluate``, which depends on n and h but not on where the sample lies;
+coefficients alone, from which its CDF and sup derive.  The estimator relies on
+both: each query's window, the samples within h of it, is one contiguous slice
+of the sorted sample, and its kernel sum is a combination of window moments sum
+((X_i - o)/h)^j.  The sorted sample is cut into blocks of width h, each centred
+at its own first value o and scaled by 1/h, so a window meets at most four
+blocks and every centred value lies in [0, 1] up to rounding.  The moments come
+from segment sums of the centred sample between the windows' ends, so a whole
+grid costs O(n + q log n) and no (query x sample) array is ever built.  The
+result agrees with the dense sum over every sample to the rounding bound given
+in ``kde_evaluate``, which depends on n and h but not on where the sample lies;
 for the box kernel, whose sum is a count, it is bit-identical.
 """
 
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,30 +38,17 @@ QUAD_TOL = 1e-8
 _WINDOW_MARGIN = 2.0 ** -30
 
 
-def _box_k0_cdf(t):
-    t = np.asarray(t, dtype=float)
-    return np.clip((t + 1.0) / 2.0, 0.0, 1.0)
-
-
-def _epanechnikov_k0_cdf(t):
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    return 0.25 * (2.0 + 3.0 * t - t ** 3)
-
-
 @dataclass(frozen=True)
 class Kernel:
     """A base profile k0 on [-1, 1]: K_h(x - X) = k0((x - X)/h) / h.
 
     ``coeffs`` are the power-basis coefficients (a_0, a_1, ...) of k0 on
     [-1, 1], outside of which it is 0; ``kde_evaluate`` sums the kernel over
-    a window from them.  ``k0_sup`` is sup|k0| and ``k0_cdf`` the profile's
-    CDF, which gives the smoothed target in closed form.  The profile must
-    integrate to one, sum_{k even} 2 a_k / (k + 1) = 1.
+    a window from them, and the CDF and sup|k0| derive from them too.  The
+    profile must integrate to one, sum_{k even} 2 a_k / (k + 1) = 1.
     """
 
     name: str
-    k0_sup: float
-    k0_cdf: Callable
     coeffs: tuple
 
     def __post_init__(self):
@@ -77,14 +63,31 @@ class Kernel:
         return np.where(np.abs(t) <= 1.0,
                         sum(a * inside ** k for k, a in enumerate(self.coeffs)), 0.0)
 
+    def k0_cdf(self, t):
+        """The CDF sum_k b_k t^k on t clipped to [-1, 1], summed left to right.
+
+        b_0 = sum_k a_k (-1)^k / (k + 1), b_(k+1) = a_k / (k + 1).  This order
+        rounds as the box and Epanechnikov closed forms do; Horner's does not.
+        """
+        t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+        b = [sum(a * (-1) ** k / (k + 1) for k, a in enumerate(self.coeffs))]
+        b += [a / (k + 1) for k, a in enumerate(self.coeffs)]
+        return sum(c * t ** k for k, c in enumerate(b))
+
+    @property
+    def k0_sup(self) -> float:
+        """sup|k0|: the largest |k0| at +-1 and at the real roots of k0' in (-1, 1)."""
+        roots = np.roots([k * a for k, a in enumerate(self.coeffs)][:0:-1])  # k0', highest first
+        real = roots.real[(roots.imag == 0) & (np.abs(roots.real) < 1.0)]
+        return float(np.max(np.abs(self.k0(np.concatenate(([-1.0, 1.0], real))))))
+
 
 def box_kernel() -> Kernel:
-    return Kernel(name="box", k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5,))
+    return Kernel(name="box", coeffs=(0.5,))
 
 
 def epanechnikov_kernel() -> Kernel:
-    return Kernel(name="epanechnikov", k0_sup=0.75, k0_cdf=_epanechnikov_k0_cdf,
-                  coeffs=(0.75, 0.0, -0.75))
+    return Kernel(name="epanechnikov", coeffs=(0.75, 0.0, -0.75))
 
 
 KERNELS = {"box": box_kernel, "epanechnikov": epanechnikov_kernel}
@@ -284,9 +287,9 @@ def uniform_deviation(sample, kernel: Kernel, h: float, grid, target_values) -> 
     return float(np.max(np.abs(est - np.asarray(target_values, dtype=float))))
 
 
-def deviation_grid(h: float, spacing_factor: float = 4.0) -> np.ndarray:
-    """Evaluation grid with spacing h/spacing_factor over [0, 1], padded by h on each side."""
-    step = h / spacing_factor
+def deviation_grid(h: float) -> np.ndarray:
+    """Evaluation grid with spacing h/4 over [0, 1], padded by h on each side."""
+    step = h / 4.0
     return np.arange(-h, 1.0 + h + step / 2, step)
 
 
@@ -300,7 +303,7 @@ class KDEConfig:
     """Bandwidth rule h_n = scale * n^(-beta) on the Uniform(0, 1) stationary law."""
 
     beta: float
-    scale: float = 1.0
+    scale: float
 
     def bandwidth(self, n: int) -> float:
         return self.scale * float(n) ** (-self.beta)
@@ -328,30 +331,27 @@ class RateReport:
         write_csv(path, ",".join(keys), [[r[k] for k in keys] for r in self.rows])
 
 
-def _rate_one(model, kernel, config, sample_fn, n, task_seed):
+def _rate_one(model, kernel, config, n, task_seed):
     h = config.bandwidth(n)
     grid = deviation_grid(h)
     target = config.smoothed_target(kernel, h, grid)
-    states = simulate(model, n, task_seed).states if sample_fn is None else sample_fn(n, task_seed)
-    return uniform_deviation(states, kernel, h, grid, target)
+    return uniform_deviation(simulate(model, n, task_seed).states, kernel, h, grid, target)
 
 
 def rate_experiment(model: ChainModel, kernel: Kernel, config: KDEConfig, n_grid,
-                    replications: int, seed: int,
-                    sample_fn: Optional[Callable] = None, jobs: int = 1) -> RateReport:
+                    replications: int, seed: int, jobs: int = 1) -> RateReport:
     """Mean uniform deviation per n and the fitted log-log slope.
 
-    Samples come from ``simulate(model, n, .)`` unless ``sample_fn(n, seed)``
-    overrides the source (e.g. an i.i.d. oracle); either must be
-    one-dimensional.  Replication (i, r) runs on its own derived seed, so
-    jobs > 1 changes nothing but wall time.  The theoretical rate reported is
-    sqrt(log(1/h) / (n h)) and the slope -(1 - beta)/2, log factors ignored.
+    Samples come from ``simulate(model, n, .)``, one-dimensional; a chain with
+    delta = 1 is an i.i.d. source.  Replication (i, r) runs on its own derived
+    seed, so jobs > 1 changes nothing but wall time.  The theoretical rate
+    reported is sqrt(log(1/h) / (n h)) and the slope -(1 - beta)/2, log
+    factors ignored.
     """
     if len(n_grid) < 3:
         raise ValueError("need at least 3 grid points to fit a rate")
     ns = [int(n) for n in n_grid]
-    groups = replicate(partial(_rate_one, model, kernel, config, sample_fn), ns,
-                       replications, seed, jobs)
+    groups = replicate(partial(_rate_one, model, kernel, config), ns, replications, seed, jobs)
     rows = []
     for n, devs in zip(ns, groups):
         h = config.bandwidth(n)

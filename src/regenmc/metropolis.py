@@ -17,11 +17,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
-from .chains import REJECTION_CAP, ChainModel, SamplingError, Trajectory, _ConstantState
+from .chains import REJECTION_CAP, ChainModel, SamplingError, Trajectory
 from .parallel import (ELEMENT_BUDGET, fit_loglog_slope, mean_se, replicate, strict_json,
                        write_csv)
 from .regeneration import simulate_split_retrospective
@@ -34,6 +33,9 @@ CERT_GRID = 41
 # peak at 46.6 MB (tracemalloc, trunc_gauss with uniform steps a = 0.25) at
 # d = 6 and grow about 6x per dimension, about 10 GB at d = 9.
 MAX_DIM = 6
+# Random pairs check_ball_chaining_geometry draws, from stream (CHAINING_SEED, 0).
+CHAINING_TRIALS = 10_000
+CHAINING_SEED = 0
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -368,9 +370,6 @@ class Target:
                 return 0.0
         return val
 
-    def marginal_pdf(self, k: int, t):
-        return self.coords[k].pdf(t)
-
     def marginal_quantile(self, k: int, u: float) -> float:
         if not 0.0 < u < 1.0:
             raise ValueError(f"u must lie in (0, 1), got {u!r}")
@@ -622,11 +621,10 @@ def _walk_floats(pdf, path, incs, u_acc):
         path[lo + 1:hi + 1] = walked
 
 
-def run_mh(target: Target, proposal: Proposal, n: int, seed: int,
-           x0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plain MH path of n states; starts at the support centroid by default."""
-    x = target.support.centroid() if x0 is None else x0
-    return MHKernel(target, proposal).sample_path(x, n + 1, stream(seed, 0))[:n]
+def run_mh(target: Target, proposal: Proposal, n: int, seed: int) -> np.ndarray:
+    """Plain MH path of n states from the support centroid."""
+    start = target.support.centroid()
+    return MHKernel(target, proposal).sample_path(start, n + 1, stream(seed, 0))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +726,7 @@ def build_minorization(target: Target, proposal: Proposal,
 
 
 def mh_chain_regen(target: Target, proposal: Proposal, cert: MHMinorization,
-                   n: int, seed: int, x0: Optional[np.ndarray] = None) -> Trajectory:
+                   n: int, seed: int) -> Trajectory:
     """MH path with retrospective regeneration flags from the certificate.
 
     The sampler is split like any other chain, by
@@ -736,10 +734,9 @@ def mh_chain_regen(target: Target, proposal: Proposal, cert: MHMinorization,
     :class:`MHKernel`.  Only a step that starts in the small set and accepts a
     move can regenerate, with probability delta psi(y) / (q(y - x) rho(x, y)),
     which is checked to never exceed 1 + 1e-9; the X-marginal is that of the
-    plain sampler.  The start is a Psi draw unless ``x0`` overrides it.
+    plain sampler.  It starts at a Psi draw, a regeneration.
     """
-    start = cert.psi_sample if x0 is None else _ConstantState(x0)
-    model = ChainModel(MHKernel(target, proposal), start, cert,
+    model = ChainModel(MHKernel(target, proposal), cert.psi_sample, cert,
                        f"mh({target.name},{proposal.name})")
     return simulate_split_retrospective(model, n, seed)
 
@@ -823,7 +820,7 @@ def credible_interval_experiment(target: Target, proposal: Proposal,
     us = np.linspace(2 * gamma, 1 - 2 * gamma, n_u)
     q_ref = np.array([target.marginal_quantile(k, u) for u in us])
     floor_us = np.linspace(gamma, 1 - gamma, 4 * n_u)
-    density_floor = float(min(float(target.marginal_pdf(k, target.marginal_quantile(k, u)))
+    density_floor = float(min(float(target.coords[k].pdf(target.marginal_quantile(k, u)))
                               for u in floor_us))
     rate_checked = density_floor > 0
     if not rate_checked:
@@ -859,22 +856,21 @@ class ChainingCheck:
     failures: int
 
 
-def check_ball_chaining_geometry(support: Box, eps: float, n_trials: int = 10_000,
-                                 seed: int = 0) -> ChainingCheck:
+def check_ball_chaining_geometry(support: Box, eps: float) -> ChainingCheck:
     """Geometric backbone of the uniform-minorization argument.
 
     Computes the minimal k with eps (1 + k/4) > diameter(support), and
-    spot-checks on random pairs (x, y) and nesting levels that the prescribed
-    segment point m satisfies B(m, gamma/4) inside B(x, eta) cap B(y, gamma)
-    whenever |x - y| <= eta + gamma/4.
+    spot-checks on CHAINING_TRIALS random pairs (x, y) and nesting levels that
+    the prescribed segment point m satisfies B(m, gamma/4) inside
+    B(x, eta) cap B(y, gamma) whenever |x - y| <= eta + gamma/4.
     """
     diam = support.diameter()
     min_steps = max(int(math.floor(4.0 * (diam / eps - 1.0))) + 1, 1)
     while eps * (1 + min_steps / 4.0) <= diam:  # guard against float edge cases
         min_steps += 1
-    rng = stream(seed, 0)
+    rng = stream(CHAINING_SEED, 0)
     failures = 0
-    for _ in range(n_trials):
+    for _ in range(CHAINING_TRIALS):
         level = int(rng.integers(0, min_steps + 1))
         eta = eps * (1 + level / 4.0)
         gam = eps
@@ -891,5 +887,5 @@ def check_ball_chaining_geometry(support: Box, eps: float, n_trials: int = 10_00
               and np.linalg.norm(m - y) <= 0.75 * gam + 1e-12)
         if not ok:
             failures += 1
-    return ChainingCheck(ok=failures == 0, min_steps=min_steps, trials=n_trials,
+    return ChainingCheck(ok=failures == 0, min_steps=min_steps, trials=CHAINING_TRIALS,
                          failures=failures)

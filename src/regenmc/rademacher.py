@@ -178,14 +178,19 @@ def _overflow(values: np.ndarray, what: str) -> ValueError:
 
 
 def exhaustive_signed_sup(values: np.ndarray) -> float:
-    """Exact E sup_f |sum eps_k values[f, k]| by enumerating all sign vectors."""
+    """Exact E sup_f |sum eps_k values[f, k]| over all sign vectors; refuses as _signed_sup_mc."""
     m, n = values.shape
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive enumeration limited to {EXHAUSTIVE_CAP} data points")
+    if not np.isfinite(values).all():
+        raise _overflow(values, "values are not finite")
     bits = np.arange(n)
-    sups = _signed_sups(values, 2 ** n, lambda lo, hi, dtype: (
-        (np.arange(lo, hi)[:, None] >> bits) & 1).astype(dtype))
-    return float(sups.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _signed_sups(values, 2 ** n, lambda lo, hi, dtype: (
+            (np.arange(lo, hi)[:, None] >> bits) & 1).astype(dtype)).mean()
+    if not math.isfinite(mean):
+        raise _overflow(values, "signed sums overflow")
+    return float(mean)
 
 
 def empirical_rademacher_iid(cls: EvaluableClass, sample, n_mc: int, seed: int) -> RademacherEstimate:
@@ -371,7 +376,7 @@ def _bounds_one(model, cls, n_mc, n, task_seed, sign_seed):
 
 def compare_bound_vs_empirical(model: ChainModel, cls: EvaluableClass, n_grid,
                                replications: int, seed: int, *, m_const: float, mode: str,
-                               n_mc: int, p: float, lam: Optional[float] = None,
+                               n_mc: int, p: float, lam: Optional[float],
                                jobs: int = 1) -> BoundReport:
     """Measure block complexities on a chain and pit them against the bound.
 
@@ -446,20 +451,20 @@ class GrowthReport:
                             "rows": self.rows})
 
 
-def _centered_sup(sample_fn, cls, true_means, n, task_seed):
-    vals = cls.evaluate(sample_fn(n, task_seed))
+def _centered_sup(draw_states, cls, true_means, n, task_seed):
+    vals = cls.evaluate(draw_states(n, task_seed))
     return float(np.abs(vals.sum(axis=1) - n * true_means).max())
 
 
-def supremum_growth_experiment(sample_fn, cls: EvaluableClass, true_means,
+def supremum_growth_experiment(draw_states, cls: EvaluableClass, true_means,
                                n_grid, replications: int, seed: int) -> GrowthReport:
     """Growth in n of sup over members of |sum_i (f(X_i) - mean_f)|.
 
-    ``sample_fn(n, seed)`` must return the chain states; ``true_means`` are
+    ``draw_states(n, seed)`` must return the chain states; ``true_means`` are
     the stationary means of the members, in order.
     """
     true_means = np.asarray(true_means, dtype=float)
-    groups = replicate(partial(_centered_sup, sample_fn, cls, true_means),
+    groups = replicate(partial(_centered_sup, draw_states, cls, true_means),
                        [int(n) for n in n_grid], replications, seed)
     rows = []
     for n, sups in zip(n_grid, groups):

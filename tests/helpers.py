@@ -58,6 +58,18 @@ def smoothed_target_quadrature(kernel, h: float, grid, density, support: tuple) 
     return out
 
 
+def reference_box_k0_cdf(t):
+    """Closed-form CDF of the box profile 1/2 on [-1, 1]: (t + 1) / 2, clipped to [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    return np.clip((t + 1.0) / 2.0, 0.0, 1.0)
+
+
+def reference_epanechnikov_k0_cdf(t):
+    """Closed-form CDF of the profile 3/4 (1 - t^2): (2 + 3 t - t^3) / 4 on t clipped to [-1, 1]."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    return 0.25 * (2.0 + 3.0 * t - t ** 3)
+
+
 def dense_kde_evaluate(sample, kernel, h: float, x):
     """Reference KDE: the product kernel prod_k k0(u_k) at every (query, sample) pair, in row chunks.
 

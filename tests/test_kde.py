@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,43 +18,65 @@ from regenmc import (
     uniform_smoothed_target,
     wrapped_doeblin_chain,
 )
-from regenmc.kde import (
-    QUAD_TOL,
-    Kernel,
-    _box_k0_cdf,
-    _epanechnikov_k0_cdf,
-    _prefix_sums,
-    deviation_grid,
-)
+from regenmc.kde import QUAD_TOL, Kernel, _prefix_sums, deviation_grid
 from regenmc.cli import RUN_BYTES, peak_bytes
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.rng import stream
 
-from .helpers import dense_kde_evaluate, smoothed_target_quadrature
+from .helpers import (dense_kde_evaluate, reference_box_k0_cdf, reference_epanechnikov_k0_cdf,
+                      smoothed_target_quadrature)
+
+BIWEIGHT = (15 / 16, 0.0, -15 / 8, 0.0, 15 / 16)
 
 
-def test_kernel_constants():
-    box = box_kernel()
-    ep = epanechnikov_kernel()
-    assert box.k0_sup == 0.5
-    assert ep.k0_sup == 0.75
+def test_kernel_is_its_name_and_coefficients():
+    assert [f.name for f in fields(Kernel)] == ["name", "coeffs"]
+
+
+def test_kernel_sup_is_derived_exactly():
+    assert box_kernel().k0_sup == 0.5
+    assert epanechnikov_kernel().k0_sup == 0.75
+    # 15/16 (1 - t^2)^2 peaks at its critical point t = 0
+    assert Kernel(name="biweight", coeffs=BIWEIGHT).k0_sup == 0.9375
+    # a monotone profile peaks at an end: 0.5 + 0.5 t at t = 1
+    assert Kernel(name="ramp", coeffs=(0.5, 0.5)).k0_sup == 1.0
+    assert Kernel(name="padded", coeffs=(0.5, 0.0, 0.0)).k0_sup == 0.5
+
+
+def _kde_rate_cdf_points():
+    """Edge values, and grid/h and (grid - 1)/h for the kde-rate bandwidths of n = 2^7..2^16."""
+    edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, 1e300, np.inf]
+    points = [np.array(edges), -np.array(edges)]
+    for n in 2 ** np.arange(7, 17):
+        for scale in (0.35, 1.0):
+            h = scale * float(n) ** -0.2
+            grid = deviation_grid(h)
+            points += [grid / h, (grid - 1.0) / h]
+    return np.concatenate(points)
+
+
+@pytest.mark.parametrize("make, closed", [(box_kernel, reference_box_k0_cdf),
+                                          (epanechnikov_kernel, reference_epanechnikov_k0_cdf)])
+def test_derived_cdf_equals_the_closed_form_bit_for_bit(make, closed):
+    t = np.concatenate((_kde_rate_cdf_points(), np.linspace(-1.2, 1.2, 240_001)))
+    got, want = make().k0_cdf(t), closed(t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_kernel_normalization_checked():
     with pytest.raises(ValueError, match="integrates"):
-        Kernel(name="bad", k0_sup=0.7, k0_cdf=_box_k0_cdf, coeffs=(0.7,))
+        Kernel(name="bad", coeffs=(0.7,))
 
 
 def test_kernel_mass_one_percent_off_rejected():
     with pytest.raises(ValueError, match=r"integrates to 1\.01, not 1"):
-        Kernel(name="heavy", k0_sup=0.7575, k0_cdf=_epanechnikov_k0_cdf,
-               coeffs=(0.7575, 0.0, -0.7575))
+        Kernel(name="heavy", coeffs=(0.7575, 0.0, -0.7575))
 
 
 @pytest.mark.parametrize("coeffs", [
     (0.5,),
     (0.75, 0.0, -0.75),
-    (15 / 16, 0.0, -15 / 8, 0.0, 15 / 16),        # biweight
+    BIWEIGHT,
     (0.7, 0.3),                                   # odd terms carry no mass
     (0.35, 0.0, 0.45, 0.0, 0.0, 0.0, 0.0, 1.0),
 ])
@@ -61,10 +84,10 @@ def test_kernel_mass_agrees_with_adaptive_quadrature(coeffs):
     exact, _ = quad(lambda t: sum(a * t ** k for k, a in enumerate(coeffs)), -1.0, 1.0,
                     epsabs=QUAD_TOL / 10)
     if abs(exact - 1.0) <= QUAD_TOL / 10:
-        Kernel(name="ok", k0_sup=1.0, k0_cdf=_box_k0_cdf, coeffs=coeffs)
+        Kernel(name="ok", coeffs=coeffs)
     else:
         with pytest.raises(ValueError, match=f"integrates to {exact:.10g}, not 1"):
-            Kernel(name="off", k0_sup=1.0, k0_cdf=_box_k0_cdf, coeffs=coeffs)
+            Kernel(name="off", coeffs=coeffs)
 
 
 def test_box_profile_equals_its_closed_form_exactly():
@@ -96,9 +119,10 @@ def test_builtin_cdf_is_the_antiderivative_of_the_coefficients(make):
 
 
 def test_kernel_coefficients_may_carry_trailing_zeros():
-    padded = Kernel(name="box", k0_sup=0.5, k0_cdf=_box_k0_cdf, coeffs=(0.5, 0.0, 0.0))
+    padded = Kernel(name="box", coeffs=(0.5, 0.0, 0.0))
     t = np.linspace(-1.5, 1.5, 301)
     assert np.array_equal(padded.k0(t), box_kernel().k0(t))
+    assert np.array_equal(padded.k0_cdf(t), box_kernel().k0_cdf(t))
 
 
 def test_single_point_box_evaluation():
@@ -426,7 +450,7 @@ def test_rate_experiment_fixed_bandwidth_clt():
 def test_rate_experiment_needs_three_sizes():
     with pytest.raises(ValueError, match="3 grid points"):
         rate_experiment(wrapped_doeblin_chain(0.5, 0.25), box_kernel(),
-                        KDEConfig(beta=0.2), [256, 512], 2, seed=0)
+                        KDEConfig(beta=0.2, scale=1.0), [256, 512], 2, seed=0)
 
 
 def test_grid_refinement_stability():
@@ -434,8 +458,8 @@ def test_grid_refinement_stability():
     sample = rng.random(4096)
     h = 4096 ** -0.2
     ep = epanechnikov_kernel()
-    coarse = deviation_grid(h, spacing_factor=4.0)
-    fine = deviation_grid(h, spacing_factor=8.0)
+    coarse = deviation_grid(h)
+    fine = np.arange(-h, 1.0 + h + h / 16, h / 8)
     d_coarse = uniform_deviation(sample, ep, h, coarse,
                                  uniform_smoothed_target(ep, h, coarse))
     d_fine = uniform_deviation(sample, ep, h, fine,

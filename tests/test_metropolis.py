@@ -28,8 +28,8 @@ from regenmc import (
     uniform_target,
 )
 from regenmc import metropolis
-from regenmc.chains import ChainModel, FiniteKernel, FiniteMinorization
-from regenmc.metropolis import TARGETS
+from regenmc.chains import ChainModel, FiniteKernel, FiniteMinorization, _ConstantState
+from regenmc.metropolis import CHAINING_TRIALS, TARGETS
 from regenmc.parallel import ELEMENT_BUDGET
 from regenmc.regeneration import block_bootstrap_se, pitman_estimate, simulate_split_retrospective
 from regenmc.rng import stream
@@ -115,6 +115,21 @@ def test_accepted_move_at_proposal_edge_keeps_positive_density():
     assert np.all(kernel.density(ys, xs) == 1.0 / (2 * a))
 
 
+def _regen_path(tgt, prop, cert, n, seed, start):
+    """mh_chain_regen's path, or the same split sampler from a fixed start."""
+    if start is None:
+        return mh_chain_regen(tgt, prop, cert, n, seed).states
+    model = ChainModel(MHKernel(tgt, prop), _ConstantState(start), cert, "mh")
+    return simulate_split_retrospective(model, n, seed).states
+
+
+def _plain_path(tgt, prop, n, seed, start):
+    """run_mh's path, or the same walk from a fixed start."""
+    if start is None:
+        return run_mh(tgt, prop, n, seed)
+    return MHKernel(tgt, prop).sample_path(start, n + 1, stream(seed, 0))[:n]
+
+
 @given(target=st.sampled_from(sorted(TARGETS)), gaussian=st.booleans(),
        d=st.sampled_from([1, 2, 3]), x0=st.none() | st.floats(-0.5, 1.5),
        n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
@@ -126,9 +141,9 @@ def test_mh_paths_bit_identical_to_reference_loops(target, gaussian, d, x0, n, s
     prop = GaussianStep(0.2, 0.3, d) if gaussian else UniformStep(0.25, d)
     cert = build_minorization(tgt, prop)
     start = None if x0 is None else np.full(d, x0)
-    traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
-    assert np.array_equal(traj.states, reference_mh_regen_path(tgt, prop, cert, n, seed, start))
-    assert np.array_equal(run_mh(tgt, prop, n, seed, x0=start),
+    assert np.array_equal(_regen_path(tgt, prop, cert, n, seed, start),
+                          reference_mh_regen_path(tgt, prop, cert, n, seed, start))
+    assert np.array_equal(_plain_path(tgt, prop, n, seed, start),
                           reference_run_mh(tgt, prop, n, seed, start))
 
 
@@ -144,10 +159,9 @@ def test_float_walk_slices_bit_identical_to_reference_loops(target, d, budget, m
     cert = build_minorization(tgt, prop)
     for n in (1, 2, 7, 8, 9, 15, 300):
         for seed, start in ((n, None), (n + 1, np.full(d, 5.0))):
-            traj = mh_chain_regen(tgt, prop, cert, n, seed, x0=start)
-            assert np.array_equal(traj.states,
+            assert np.array_equal(_regen_path(tgt, prop, cert, n, seed, start),
                                   reference_mh_regen_path(tgt, prop, cert, n, seed, start)), n
-            assert np.array_equal(run_mh(tgt, prop, n, seed, x0=start),
+            assert np.array_equal(_plain_path(tgt, prop, n, seed, start),
                                   reference_run_mh(tgt, prop, n, seed, start)), n
 
 
@@ -521,14 +535,12 @@ def test_credible_interval_truncated_gaussian_reference():
 
 
 def test_chaining_unit_interval():
-    check = check_ball_chaining_geometry(Box(np.array([0.0]), np.array([1.0])), 1.0,
-                                         n_trials=5000, seed=1)
-    assert check.min_steps == 1 and check.ok
+    check = check_ball_chaining_geometry(Box(np.array([0.0]), np.array([1.0])), 1.0)
+    assert check.min_steps == 1 and check.ok and check.trials == CHAINING_TRIALS
 
 
 def test_chaining_unit_square():
     # solve 0.1 (1 + k/4) > sqrt(2): k > 52.57
-    check = check_ball_chaining_geometry(Box(np.zeros(2), np.ones(2)), 0.1,
-                                         n_trials=10_000, seed=2)
+    check = check_ball_chaining_geometry(Box(np.zeros(2), np.ones(2)), 0.1)
     assert check.min_steps == 53
     assert check.ok and check.failures == 0

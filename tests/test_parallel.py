@@ -99,7 +99,7 @@ def _boom(*args, **kwargs):
 
 def _rate(monkeypatch):
     monkeypatch.setattr(kde, "simulate", _boom)
-    rate_experiment(wrapped_doeblin_chain(0.5, 0.25), box_kernel(), KDEConfig(beta=0.2),
+    rate_experiment(wrapped_doeblin_chain(0.5, 0.25), box_kernel(), KDEConfig(beta=0.2, scale=1.0),
                     [64, 128, 256], 2, SEED)
 
 
@@ -114,7 +114,7 @@ def _bounds(monkeypatch):
     monkeypatch.setattr(rademacher, "simulate_split_retrospective", _boom)
     compare_bound_vs_empirical(wrapped_doeblin_chain(0.5, 0.25), halfline_class([0.5]),
                                [64, 128, 256], 2, SEED, mode="pm", m_const=1.0,
-                               n_mc=2000, p=2.0)
+                               n_mc=2000, p=2.0, lam=None)
 
 
 def _growth(monkeypatch):

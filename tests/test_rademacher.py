@@ -240,6 +240,15 @@ def test_sign_mc_refuses_what_is_not_finite(case):
         _signed_sup_mc(np.array(values), 300, seed=9)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([[np.nan, 1.0], [2.0, 3.0]], "values are not finite: member 0, block 0 holds nan"),
+    ([[1e308, 1e308]], "signed sums overflow: member 0, block 0 holds 1e\\+308"),
+])
+def test_exhaustive_sup_refuses_what_is_not_finite(values, message):
+    with pytest.raises(ValueError, match=message):
+        exhaustive_signed_sup(np.array(values))
+
+
 @pytest.mark.parametrize("extra,exact", [(0.0, True), (1.0, False)])
 def test_sign_mc_exact_at_the_float32_bound(extra, exact):
     # Every row's sum of |v| is 2^24 + extra, in mixed and in equal signs.
@@ -498,7 +507,7 @@ def test_bound_experiment_builds_one_value_matrix_per_replication(monkeypatch):
     calls = _count_block_values(monkeypatch)
     # At n = 6 some replications end before a second regeneration
     compare_bound_vs_empirical(wrapped_doeblin_chain(0.3, 0.25), halfline_class([0.3, 0.7]),
-                               [6, 64], 8, seed=2, n_mc=100, p=2.0, mode="pm",
+                               [6, 64], 8, seed=2, n_mc=100, p=2.0, lam=None, mode="pm",
                                m_const=1.0)
     assert 0 < sum(with_blocks) < len(with_blocks) == 16
     assert len(calls) == sum(with_blocks)

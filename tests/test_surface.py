@@ -16,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "regenmc"
-MAX_SETTABLE = 59
+MAX_SETTABLE = 51
 # The concentration calculators are not yet tied to data; they stay exported
 # until ROADMAP item 10 either ties them to a run or deletes them.
 UNREACHED_EXPORTS = {"expected_supremum_bound", "excess_probability_bound",
