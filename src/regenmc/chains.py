@@ -11,6 +11,7 @@ streams are safe to run concurrently.
 """
 
 import bisect
+import copy
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -25,6 +26,13 @@ REJECTION_CAP = 10**6
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
+
+# Steps the samplers, the splitter and the writers take per slice, so that a
+# chain's per-step temporaries are one slice, not the whole path.  A float64
+# slice is 64 KiB: below glibc's mmap threshold, so each slice reuses the
+# memory the last one freed instead of faulting in fresh pages (slices of
+# 2^15 steps took more minor faults than whole-path arrays).
+SLICE_STEPS = 2 ** 13
 
 
 class SamplingError(RuntimeError):
@@ -67,13 +75,16 @@ class FiniteKernel:
         return self.matrix.shape[0]
 
     def sample_path(self, x0, n, rng):
-        us = rng.random(max(n - 1, 0)).tolist()
+        """n states from x0, one uniform a step, drawn in consecutive slices of SLICE_STEPS."""
         rows = self._cum_rows
         out = np.empty(n, dtype=np.int64)
         out[0] = x = int(x0)
-        for i, u in enumerate(us):
-            x = bisect.bisect_right(rows[x], u)
-            out[i + 1] = x
+        for lo in range(1, n, SLICE_STEPS):
+            walked = []
+            for u in rng.random(min(SLICE_STEPS, n - lo)).tolist():
+                x = bisect.bisect_right(rows[x], u)
+                walked.append(x)
+            out[lo:lo + len(walked)] = walked
         return out
 
     def density(self, x, y):
@@ -116,25 +127,60 @@ class WrappedMixtureKernel:
         return self.delta + (1.0 - self.delta) * near / (2.0 * self.width)
 
     def sample_path(self, x0, n, rng):
-        x0 = float(np.ravel(x0)[0])
+        """n states from x0, filled in slices of SLICE_STEPS steps.
+
+        The steps read m = n - 1 fresh-step uniforms, then m Psi draws, then m
+        increments, each one 64-bit word of ``rng``'s PCG64 stream: the words
+        [0, m), [m, 2m) and [2m, 3m) of whole-path draws.  A path of one slice
+        reads them from ``rng`` in turn.  A longer one reads the uniforms from
+        ``rng`` and the others from copies of it advanced to their start, slice
+        by slice, and ``rng`` ends where the increments do, at word 3m.
+        """
+        path = np.empty(n)
+        path[0] = float(np.ravel(x0)[0])
         m = n - 1
-        fresh = rng.random(m) < self.delta
-        # Step i lands at (psi[a] + csum[i]) - csum[a] for its last fresh
-        # step a.  Slot 0 of psi and csum holds x0 and 0.0, the a of every
-        # step before the first fresh one.  inc, spent once summed, holds the
-        # gathered csum[a] and then floor(v).
-        psi = np.empty(n)
-        psi[0] = x0
-        rng.random(m, out=psi[1:])
-        inc = rng.uniform(-self.width, self.width, m)
-        csum = np.empty(n)
-        csum[0] = 0.0
-        np.cumsum(inc, out=csum[1:])
-        anchor = np.arange(1, n) * fresh
+        psis = incs = rng
+        if m > SLICE_STEPS:
+            psis, incs = copy.deepcopy(rng), copy.deepcopy(rng)
+            psis.bit_generator.advance(m)
+            incs.bit_generator.advance(2 * m)
+        # -0.0 + v is v for every v, so the first slice's sum starts at its
+        # first increment as a prefix sum of the whole path does
+        carry = (path[0], 0.0, -0.0)
+        for lo in range(1, n, SLICE_STEPS):
+            k = min(SLICE_STEPS, n - lo)
+            carry = self._fill_slice(path[lo:lo + k], carry, rng.random(k), psis.random(k),
+                                    incs.uniform(-self.width, self.width, k))
+        if incs is not rng:
+            # advance() drops a buffered 32-bit half word, which random() keeps
+            state = rng.bit_generator.state
+            state["state"] = incs.bit_generator.state["state"]
+            rng.bit_generator.state = state
+        return path.reshape(n, 1)
+
+    def _fill_slice(self, out, carry, u, psi, inc):
+        """Fill ``out`` with one slice of steps from their draws; return the next carry.
+
+        Step i lands at (psi_a + csum_i) - csum_a for its last fresh step a,
+        where csum is the running sum of the increments.  ``carry`` is
+        (psi_a, csum_a, csum) at the end of the slice before: x0, 0.0 and -0.0
+        before the first.  Slot 0 of ``psi`` and ``cs`` holds the carried
+        anchor, the a of every step before the slice's first fresh one; the
+        running sum is prepended to the slice's increments, so the prefix sums
+        add in the order of one sum over the whole path.  ``inc``, spent once
+        summed, holds the gathered csum_a and then floor(v).
+        """
+        k = len(out)
+        psi_a, csum_a, total = carry
+        psi = np.concatenate(([psi_a], psi))
+        cs = np.concatenate(([total], inc))
+        np.cumsum(cs, out=cs)
+        cs[0] = csum_a
+        anchor = np.arange(1, k + 1) * (u < self.delta)
         np.maximum.accumulate(anchor, out=anchor)
-        out = psi[anchor]
-        out += csum[1:]
-        out -= np.take(csum, anchor, out=inc)
+        np.take(psi, anchor, out=out)
+        out += cs[1:]
+        out -= np.take(cs, anchor, out=inc)
         # v - floor(v) equals v % 1.0 bit for bit: the exact fraction for
         # v >= 0, one rounding of the same real 1 - f for v < 0, +0.0 for a
         # zero result.  It skips np.remainder's sign and divmod handling.
@@ -142,8 +188,8 @@ class WrappedMixtureKernel:
         # circle.
         out -= np.floor(out, out=inc)
         out[out == 1.0] = 0.0
-        psi[1:] = out
-        return psi.reshape(n, 1)
+        a = anchor[-1]
+        return psi[a], cs[a], cs[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +284,23 @@ class Trajectory:
         return 0 if self.states.ndim == 1 and np.issubdtype(self.states.dtype, np.integer) else self.states.shape[1]
 
     def to_csv(self, path):
+        """Write a header, then one row a state (coordinates to 17 digits, then the
+        flag, blank without flags), one slice of SLICE_STEPS rows at a time."""
         d = self.dim
         with open(path, "w") as fh:
             fh.write("n,d,seed,model\n")
             fh.write(f"{self.n},{d},{self.seed},{self.model_id}\n")
             cols = ["state"] if d == 0 else [f"x{k}" for k in range(d)]
             fh.write(",".join(cols + ["regen"]) + "\n")
-            flags = self.regen_flags
-            for i in range(self.n):
+            for lo in range(0, self.n, SLICE_STEPS):
+                states = self.states[lo:lo + SLICE_STEPS].tolist()
                 if d == 0:
-                    row = [str(int(self.states[i]))]
+                    cells = map(str, states)
                 else:
-                    row = [format(v, ".17g") for v in self.states[i]]
-                row.append("" if flags is None else str(int(flags[i])))
-                fh.write(",".join(row) + "\n")
+                    cells = (",".join([format(v, ".17g") for v in row]) for row in states)
+                flags = ([""] * len(states) if self.regen_flags is None
+                         else self.regen_flags[lo:lo + SLICE_STEPS].astype(np.int64).tolist())
+                fh.write("".join([f"{cell},{flag}\n" for cell, flag in zip(cells, flags)]))
 
 
 # ---------------------------------------------------------------------------

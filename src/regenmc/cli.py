@@ -193,10 +193,13 @@ def _center_errors(center, target) -> list:
 
 # The peak bytes of a run, as a sum of terms, so that validate refuses a run
 # too big to hold instead of numpy failing inside it.  Units measured under
-# tracemalloc at two sizes: 89 B a chain step of the split simulation (n = 2^20
-# and 2^22); 431.5 B a step of a blocks run, whose writers hold more a step the
-# more blocks there are (64.0 B at delta = 0.05, 431.5 B at delta = 1; n = 2^18
-# and 2^20); 24 B more a step for each mh-credible target coordinate past the
+# tracemalloc at two sizes: 89 B a chain step, an upper bound (the split
+# simulation holds its path and flags, 9 B a step at n = 2^20 and 2^22, and a
+# rademacher run with one member held 88.9 B a step, most of it in the i.i.d.
+# estimate over the path; n = 2^18 and 2^20); 49.0 B a step of a blocks run,
+# whose block bounds and block-length statistics hold more a step the more
+# blocks there are (10.0 B at delta = 0.05, 49.0 B at delta = 1; n = 2^18 and
+# 2^20); 24 B more a step for each mh-credible target coordinate past the
 # first (trunc_gauss held 64, 112 and 160 B a step at d = 2, 4 and 6, n = 2^20
 # and 2^21); 196 B a work item with its seeds, task and result (10^5 and
 # 4 * 10^5 items); 28 B a member-state of a class along the chain, an upper
@@ -224,7 +227,7 @@ def peak_bytes(cfg) -> dict:
     grid = cfg.get("n_grid")
     n, at = (cfg["n"], "n") if grid is None else (grid[-1], f"n_grid[{len(grid) - 1}]")
     at = f"{at} = {n}"
-    terms = {"chain steps": ((431.5 if cfg["experiment"] == "blocks" else 89.0) * n, at)}
+    terms = {"chain steps": ((49.0 if cfg["experiment"] == "blocks" else 89.0) * n, at)}
     if grid is not None:
         reps = cfg["replications"]
         terms["work items"] = (196.0 * len(grid) * reps,
@@ -415,7 +418,7 @@ def _run_blocks(config, out, jobs):
     model = build(MODELS, config["model"])
     traj = simulate_split_retrospective(model, config["n"], config["seed"])
     blocks = extract_blocks(traj)
-    (out / "blocks.json").write_text(blocks.to_json())
+    blocks.to_json(out / "blocks.json")
     outputs = {"blocks.json": out / "blocks.json"}
     if blocks.n_complete > 0:
         stats = regen_stats(blocks, min_blocks=config["min_blocks"])
@@ -563,7 +566,12 @@ _RUNNERS = {
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read in 64 KiB chunks, so a chain's output is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(2 ** 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def run(config: dict, out_dir, jobs: int = 1):

@@ -599,20 +599,32 @@ def _walk_floats(pdf, path, incs, u_acc):
 
     A path of shape (n,) walks on Python floats, which take the same IEEE
     steps as 1-element arrays, so its path is bit-identical to an array
-    walk; one of shape (n, d) walks on its coordinate rows.  ``pdf`` reads
-    what the walk steps on.  The draws are taken in slices of
+    walk; it reads its draws through memoryviews and writes each state back
+    through one, so it builds no list of the chain.  One of shape (n, d)
+    walks on its coordinate rows, with its draws taken in slices of
     ELEMENT_BUDGET / (8 d) steps: a boxed float and its list slot take 32
     bytes where an array element takes 8, so a slice's objects take about
-    as much memory as ELEMENT_BUDGET array elements.
+    as much memory as ELEMENT_BUDGET array elements.  ``pdf`` reads what
+    the walk steps on.
     """
-    rows = path.ndim > 1
-    x = path[0] if rows else float(path[0])
+    if path.ndim == 1:
+        x = float(path[0])
+        px = pdf(x)
+        out = memoryview(path)
+        for i, (z, u) in enumerate(zip(memoryview(incs), memoryview(u_acc)), 1):
+            y = x + z
+            py = pdf(y)
+            if px == 0.0 or py >= px or u * px < py:
+                x, px = y, py
+            out[i] = x
+        return
+    x = path[0]
     px = pdf(x)
     step = max(1, ELEMENT_BUDGET // (8 * path[0].size))
     for lo in range(0, len(u_acc), step):
         hi = min(lo + step, len(u_acc))
         walked = []
-        for z, u in zip(incs[lo:hi] if rows else incs[lo:hi].tolist(), u_acc[lo:hi].tolist()):
+        for z, u in zip(incs[lo:hi], u_acc[lo:hi].tolist()):
             y = x + z
             py = pdf(y)
             if px == 0.0 or py >= px or u * px < py:

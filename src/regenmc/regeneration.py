@@ -6,14 +6,13 @@ step i+1.  Complete blocks are i.i.d.; the initial segment up to the first
 flag and the trailing segment after the last flag are kept separate.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chains import ChainModel, Trajectory, sample_path
+from .chains import SLICE_STEPS, ChainModel, Trajectory, sample_path
 from .parallel import ELEMENT_BUDGET, strict_json
 from .rng import stream
 
@@ -34,30 +33,42 @@ def simulate_split_retrospective(model: ChainModel, n: int, seed: int) -> Trajec
     X_i lies in the small set.  One extra hidden state is simulated so the
     final step also gets a flag.  Each Bernoulli ratio is checked to be
     <= 1 + 1e-9; a larger value means the certificate is invalid and raises
-    with the offending pair, as does an observed move of zero density.
+    with the offending pair, as does an observed move of zero density.  The
+    first move of zero density is named, ahead of any ratio, and otherwise the
+    first step of the largest ratio.  Small-set mask, densities, ratios and
+    flags are taken in slices of SLICE_STEPS steps, and the flags drawn from
+    stream(seed, 1) in the same consecutive slices, the draws of one random(n).
     """
     cert = model.minorization
     rng = stream(seed, 0)
     x0 = model.initial_sample(rng)
     ext = sample_path(model.kernel, x0, n + 1, rng)
-    xs, ys = ext[:-1], ext[1:]
-    steps = np.flatnonzero(np.asarray(cert.small_set(xs), dtype=bool))
-    probs = np.zeros(n)
-    if len(steps):
-        p = np.asarray(model.kernel.density(xs[steps], ys[steps]), dtype=float)
-        if np.any(p <= 0):
-            i = int(steps[np.argmax(p <= 0)])
-            raise ValueError(f"observed transition has zero density at step {i} "
-                             f"(x={xs[i]}, y={ys[i]}); invalid kernel density")
-        ratio = cert.delta * np.asarray(cert.psi_density(ys[steps]), dtype=float) / p
-        if np.any(ratio > 1.0 + RATIO_TOL):
-            j = int(np.argmax(ratio))
-            i = int(steps[j])
-            raise ValueError(
-                f"invalid certificate: regeneration probability {ratio[j]:.12g} > 1 at step {i} "
-                f"(x={xs[i]}, y={ys[i]}); a flag probability cannot exceed 1")
-        probs[steps] = np.minimum(ratio, 1.0)
-    flags = stream(seed, 1).random(n) < probs
+    flag_draws = stream(seed, 1)
+    flags = np.empty(n, dtype=bool)
+    worst = None   # (ratio, step) of the largest ratio above 1 + RATIO_TOL so far
+    for lo in range(0, n, SLICE_STEPS):
+        hi = min(lo + SLICE_STEPS, n)
+        xs, ys = ext[lo:hi], ext[lo + 1:hi + 1]
+        steps = np.flatnonzero(np.asarray(cert.small_set(xs), dtype=bool))
+        probs = np.zeros(hi - lo)
+        if len(steps):
+            p = np.asarray(model.kernel.density(xs[steps], ys[steps]), dtype=float)
+            if np.any(p <= 0):
+                i = lo + int(steps[np.argmax(p <= 0)])
+                raise ValueError(f"observed transition has zero density at step {i} "
+                                 f"(x={ext[i]}, y={ext[i + 1]}); invalid kernel density")
+            ratio = cert.delta * np.asarray(cert.psi_density(ys[steps]), dtype=float) / p
+            if np.any(ratio > 1.0 + RATIO_TOL):
+                j = int(np.argmax(ratio))
+                if worst is None or ratio[j] > worst[0]:
+                    worst = ratio[j], lo + int(steps[j])
+            probs[steps] = np.minimum(ratio, 1.0)
+        np.less(flag_draws.random(hi - lo), probs, out=flags[lo:hi])
+    if worst is not None:
+        r, i = worst
+        raise ValueError(
+            f"invalid certificate: regeneration probability {r:.12g} > 1 at step {i} "
+            f"(x={ext[i]}, y={ext[i + 1]}); a flag probability cannot exceed 1")
     return Trajectory(states=ext[:n], regen_flags=flags, seed=seed, model_id=model.model_id)
 
 
@@ -136,14 +147,22 @@ class BlockSet:
         return block_sums(f, members, self.states, self.complete_bounds[:, 0],
                           self.complete_bounds[:, 1])
 
-    def to_json(self) -> str:
-        payload = {
-            "l_n": int(self.l_n),
-            "initial": list(map(int, self.initial_bounds)) if self.initial_bounds else None,
-            "complete": self.complete_bounds.tolist(),
-            "trailing": list(map(int, self.trailing_bounds)) if self.trailing_bounds else None,
-        }
-        return json.dumps(payload, indent=2)
+    def to_json(self, path):
+        """Write the bounds to ``path`` as ``json.dumps(..., indent=2)`` lays out
+        {"l_n", "initial", "complete", "trailing"}, one slice of SLICE_STEPS
+        complete blocks at a time."""
+        def pair(bounds):
+            return f"[\n    {int(bounds[0])},\n    {int(bounds[1])}\n  ]" if bounds else "null"
+
+        with open(path, "w") as fh:
+            fh.write(f'{{\n  "l_n": {int(self.l_n)},\n  "initial": {pair(self.initial_bounds)},\n'
+                     f'  "complete": [')
+            for lo in range(0, self.n_complete, SLICE_STEPS):
+                fh.write("," if lo else "")
+                fh.write(",".join([f"\n    [\n      {start},\n      {end}\n    ]" for start, end
+                                   in self.complete_bounds[lo:lo + SLICE_STEPS].tolist()]))
+            fh.write("\n  ]" if self.n_complete else "]")
+            fh.write(f',\n  "trailing": {pair(self.trailing_bounds)}\n}}')
 
 
 def extract_blocks(traj: Trajectory) -> BlockSet:
@@ -161,9 +180,9 @@ def extract_blocks(traj: Trajectory) -> BlockSet:
         return BlockSet(states=traj.states, initial_bounds=(0, n),
                         complete_bounds=np.zeros((0, 2), dtype=np.int64),
                         trailing_bounds=None, l_n=0)
-    starts = pos[:-1] + 1
-    ends = pos[1:] + 1
-    bounds = np.stack([starts, ends], axis=1).astype(np.int64)
+    bounds = np.empty((len(pos) - 1, 2), dtype=np.int64)
+    np.add(pos[:-1], 1, out=bounds[:, 0])
+    np.add(pos[1:], 1, out=bounds[:, 1])
     trailing = None if pos[-1] + 1 >= n else (int(pos[-1] + 1), n)
     return BlockSet(states=traj.states, initial_bounds=(0, int(pos[0] + 1)),
                     complete_bounds=bounds, trailing_bounds=trailing, l_n=int(len(pos)))

@@ -18,6 +18,7 @@ from regenmc.function_classes import (DEDUP_TOL, EXACT_COVER_CAP, BlockMeasure, 
                                       lift_measure, table_class)
 from regenmc.kde import QUAD_TOL
 from regenmc.rademacher import SIGN_CHUNK
+from regenmc.regeneration import RATIO_TOL
 from regenmc.rng import stream
 
 
@@ -138,6 +139,100 @@ def reference_anchor_path(kernel, x0, n, rng):
     out[1:] -= np.floor(out[1:])
     out[1:][out[1:] == 1.0] = 0.0
     return out.reshape(n, 1)
+
+
+def reference_whole_wrapped_path(kernel, x0, n, rng):
+    """Reference Doeblin sampler path: the whole-path sampler, its m = n - 1 fresh-step
+    uniforms, Psi draws and increments each drawn at once, with slot 0 of psi and csum
+    holding x0 and 0.0."""
+    x0 = float(np.ravel(x0)[0])
+    m = n - 1
+    fresh = rng.random(m) < kernel.delta
+    psi = np.empty(n)
+    psi[0] = x0
+    rng.random(m, out=psi[1:])
+    inc = rng.uniform(-kernel.width, kernel.width, m)
+    csum = np.empty(n)
+    csum[0] = 0.0
+    np.cumsum(inc, out=csum[1:])
+    anchor = np.arange(1, n) * fresh
+    np.maximum.accumulate(anchor, out=anchor)
+    out = psi[anchor]
+    out += csum[1:]
+    out -= np.take(csum, anchor, out=inc)
+    out -= np.floor(out, out=inc)
+    out[out == 1.0] = 0.0
+    psi[1:] = out
+    return psi.reshape(n, 1)
+
+
+def reference_finite_path(kernel, x0, n, rng):
+    """Reference finite-chain path: all n - 1 uniforms drawn at once, one bisection a step."""
+    us = rng.random(max(n - 1, 0)).tolist()
+    rows = np.cumsum(kernel.matrix, axis=1).tolist()
+    out = np.empty(n, dtype=np.int64)
+    out[0] = x = int(x0)
+    for i, u in enumerate(us):
+        x = bisect.bisect_right(rows[x], u)
+        out[i + 1] = x
+    return out
+
+
+def reference_split_retrospective(model, n, seed):
+    """Reference retrospective splitter: mask, densities, ratios and flags over the whole
+    path at once, every density checked before any ratio."""
+    cert = model.minorization
+    rng = stream(seed, 0)
+    x0 = model.initial_sample(rng)
+    ext = model.kernel.sample_path(x0, n + 1, rng)
+    xs, ys = ext[:-1], ext[1:]
+    steps = np.flatnonzero(np.asarray(cert.small_set(xs), dtype=bool))
+    probs = np.zeros(n)
+    if len(steps):
+        p = np.asarray(model.kernel.density(xs[steps], ys[steps]), dtype=float)
+        if np.any(p <= 0):
+            i = int(steps[np.argmax(p <= 0)])
+            raise ValueError(f"observed transition has zero density at step {i} "
+                             f"(x={xs[i]}, y={ys[i]}); invalid kernel density")
+        ratio = cert.delta * np.asarray(cert.psi_density(ys[steps]), dtype=float) / p
+        if np.any(ratio > 1.0 + RATIO_TOL):
+            j = int(np.argmax(ratio))
+            i = int(steps[j])
+            raise ValueError(
+                f"invalid certificate: regeneration probability {ratio[j]:.12g} > 1 at step {i} "
+                f"(x={xs[i]}, y={ys[i]}); a flag probability cannot exceed 1")
+        probs[steps] = np.minimum(ratio, 1.0)
+    flags = stream(seed, 1).random(n) < probs
+    return Trajectory(states=ext[:n], regen_flags=flags, seed=seed, model_id=model.model_id)
+
+
+def reference_trajectory_csv(traj, path):
+    """Reference ``Trajectory.to_csv``: one formatted row a state, written one at a time."""
+    d = traj.dim
+    with open(path, "w") as fh:
+        fh.write("n,d,seed,model\n")
+        fh.write(f"{traj.n},{d},{traj.seed},{traj.model_id}\n")
+        cols = ["state"] if d == 0 else [f"x{k}" for k in range(d)]
+        fh.write(",".join(cols + ["regen"]) + "\n")
+        flags = traj.regen_flags
+        for i in range(traj.n):
+            if d == 0:
+                row = [str(int(traj.states[i]))]
+            else:
+                row = [format(v, ".17g") for v in traj.states[i]]
+            row.append("" if flags is None else str(int(flags[i])))
+            fh.write(",".join(row) + "\n")
+
+
+def reference_blocks_json(blocks) -> str:
+    """Reference ``BlockSet.to_json`` text: the bounds through ``json.dumps(indent=2)``."""
+    payload = {
+        "l_n": int(blocks.l_n),
+        "initial": list(map(int, blocks.initial_bounds)) if blocks.initial_bounds else None,
+        "complete": blocks.complete_bounds.tolist(),
+        "trailing": list(map(int, blocks.trailing_bounds)) if blocks.trailing_bounds else None,
+    }
+    return json.dumps(payload, indent=2)
 
 
 def trajectory_from_csv(path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +17,12 @@ from regenmc import (
     two_state_chain,
     wrapped_doeblin_chain,
 )
-from regenmc.chains import WrappedMixtureKernel
+from regenmc import chains
+from regenmc.chains import SLICE_STEPS, Trajectory, WrappedMixtureKernel
 
 from .helpers import (batch_means_se, discrete_ks_pvalue, reference_anchor_path,
-                      reference_wrapped_path, trajectory_from_csv)
+                      reference_finite_path, reference_trajectory_csv,
+                      reference_whole_wrapped_path, reference_wrapped_path, trajectory_from_csv)
 
 
 def test_absorbing_identity_kernel():
@@ -195,21 +199,109 @@ def test_floor_wrap_equals_remainder_on_edge_values():
 _NEG_TINY_STEP = -(0.25 + 2.0 ** -54)
 
 
-class _ForcedStepRng:
-    """Draws no fresh point and returns ``_NEG_TINY_STEP`` as every increment."""
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.ones(size)
-        out[...] = 1.0
-        return out
-
-    def uniform(self, low, high, size=None):
-        assert low <= _NEG_TINY_STEP <= high
-        return _NEG_TINY_STEP if size is None else np.full(size, _NEG_TINY_STEP)
-
-
 def test_wrapped_sample_path_maps_one_to_zero():
-    path = WrappedMixtureKernel(0.5, 0.3).sample_path(0.25, 3, _ForcedStepRng())
+    # One slice of two steps from x0 = 0.25, with no fresh point (uniforms of
+    # 1.0) and every increment _NEG_TINY_STEP
+    out = np.empty(2)
+    WrappedMixtureKernel(0.5, 0.3)._fill_slice(out, (0.25, 0.0, -0.0), np.ones(2), np.ones(2),
+                                               np.full(2, _NEG_TINY_STEP))
     # v = -2^-54, then -2^-54 - (0.25 + 2^-54): the second step wraps normally
-    assert path[1, 0] == 0.0 and 0.0 <= path[2, 0] < 1.0
+    assert out[0] == 0.0 and 0.0 <= out[1] < 1.0
+
+
+# Path lengths at the slice edges: n - 1 steps fill k slices exactly, or one
+# step fewer or more
+_EDGES = [1, 2, 3, SLICE_STEPS, SLICE_STEPS + 1, SLICE_STEPS + 2, 2 * SLICE_STEPS,
+          2 * SLICE_STEPS + 1, 2 * SLICE_STEPS + 2, 3 * SLICE_STEPS + 1]
+_P3 = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+
+
+def _buffered_rngs(seed):
+    """Two equal generators that hold a buffered 32-bit half word, which the sampler
+    must leave as the whole-path draws do."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in rngs:
+        rng.integers(0, 2, dtype=np.uint32)
+    assert rngs[0].bit_generator.state["has_uint32"] == 1
+    return rngs
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.5, 1.0])    # slices with no fresh step, often, always
+@pytest.mark.parametrize("n", _EDGES)
+def test_sliced_wrapped_path_equals_the_whole_path_sampler(delta, n):
+    kernel = WrappedMixtureKernel(delta, 0.3)
+    rng, ref_rng = _buffered_rngs(n)
+    got = kernel.sample_path(np.array([0.7]), n, rng)
+    want = reference_whole_wrapped_path(kernel, np.array([0.7]), n, ref_rng)
+    assert got.shape == want.shape == (n, 1)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(n=st.integers(1, 60), delta=st.sampled_from([0.05, 0.3, 1.0]),
+       slice_steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_wrapped_path_in_tiny_slices_equals_the_whole_path_sampler(n, delta, slice_steps, seed):
+    # slices of a few steps carry the anchor through runs of slices with no fresh step
+    kernel = WrappedMixtureKernel(delta, 0.3)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "SLICE_STEPS", slice_steps)
+        got = kernel.sample_path(0.7, n, rng)
+    assert got.tobytes() == reference_whole_wrapped_path(kernel, 0.7, n, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("slice_steps", [1, 3, SLICE_STEPS])
+@pytest.mark.parametrize("n", _EDGES)
+def test_sliced_finite_path_equals_the_whole_path_sampler(n, slice_steps, monkeypatch):
+    monkeypatch.setattr(chains, "SLICE_STEPS", slice_steps)
+    kernel = FiniteKernel(_P3)
+    rng, ref_rng = _buffered_rngs(n)
+    got = kernel.sample_path(1, n, rng)
+    assert got.dtype == np.int64
+    assert got.tobytes() == reference_finite_path(kernel, 1, n, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _trajectories(n):
+    rng = np.random.default_rng(n)
+    return [simulate(finite_doeblin_chain(0.3, _P3, np.array([0.5, 0.3, 0.2])), n, seed=n),
+            simulate_split_retrospective(wrapped_doeblin_chain(0.4, 0.3), n, seed=n),
+            Trajectory(states=rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2)),
+                       regen_flags=rng.random(n) < 0.5, seed=n, model_id="plane")]
+
+
+@pytest.mark.parametrize("slice_steps", [1, 3, SLICE_STEPS])
+@pytest.mark.parametrize("n", [1, 2, SLICE_STEPS, SLICE_STEPS + 1, 2 * SLICE_STEPS + 1])
+def test_sliced_csv_equals_the_row_writer(n, slice_steps, tmp_path, monkeypatch):
+    monkeypatch.setattr(chains, "SLICE_STEPS", slice_steps)
+    for k, traj in enumerate(_trajectories(n)):   # labels, circle states with flags, 2-d states
+        traj.to_csv(tmp_path / f"{k}.csv")
+        reference_trajectory_csv(traj, tmp_path / f"{k}.ref.csv")
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}.ref.csv").read_bytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_its_path_and_one_slice():
+    # The whole-path sampler held 49 B a step, 51 MB here; the path is 8 MB and
+    # a slice's temporaries a few dozen bytes a slice step
+    n = 2 ** 20
+    peak = _traced_peak(lambda: simulate(wrapped_doeblin_chain(0.4), n, seed=3))
+    assert peak <= 8 * n + 16 * 8 * SLICE_STEPS
+
+
+def test_split_simulation_holds_its_path_flags_and_one_slice():
+    # The whole-path splitter held 64 B a step, 67 MB here; the path and its
+    # hidden last state take 8 B a step and the flags 1 B
+    n = 2 ** 20
+    peak = _traced_peak(lambda: simulate_split_retrospective(wrapped_doeblin_chain(0.4), n, seed=3))
+    assert peak <= 9 * (n + 1) + 16 * 8 * SLICE_STEPS

@@ -362,9 +362,9 @@ _OVER = [
      "chain steps", "n_grid[2] = 700000000 and target.d = 6"),
     ("rademacher_tiny.json", {"class": {"kind": "halfline", "size": 1}, "n": 7 * 10 ** 8},
      "chain steps", "n = 700000000"),
-    # a blocks run at delta = 1 holds 431.5 B a step: about 4.4 x RUN_BYTES here
-    ("blocks_tiny.json", {"model": {"kind": "doeblin_uniform", "delta": 1.0}, "n": 7 * 10 ** 8},
-     "chain steps", "n = 700000000"),
+    # a blocks run at delta = 1 holds 49.0 B a step: about 1.4 x RUN_BYTES here
+    ("blocks_tiny.json", {"model": {"kind": "doeblin_uniform", "delta": 1.0}, "n": 2 * 10 ** 9},
+     "chain steps", "n = 2000000000"),
     ("kde_rate_tiny.json", {"replications": 350609575}, "work items",
      "replications = 350609575 at 3 n_grid entries"),
 ]
@@ -420,15 +420,14 @@ def test_validate_accepts_a_run_just_within_run_bytes(name, changes, key):
 
 
 def test_blocks_steps_are_charged_the_delta_one_slope():
-    # The writers of a blocks run held 64.0 B a step at delta = 0.05 and 431.5 B
-    # at delta = 1; the split simulation's 89 B let n = 7 * 10^8 through at
-    # delta = 1, at 0.91 x RUN_BYTES by that unit
+    # A blocks run held 10.0 B a step at delta = 0.05 and 49.0 B at delta = 1,
+    # where every step ends a block
     cfg = dict(load("blocks_tiny.json"), model={"kind": "doeblin_uniform", "delta": 1.0})
-    largest = int(RUN_BYTES // 431.5)
-    assert peak_bytes(settings(dict(cfg, n=largest)))["chain steps"][0] == 431.5 * largest
+    largest = int(RUN_BYTES // 49.0)
+    assert peak_bytes(settings(dict(cfg, n=largest)))["chain steps"][0] == 49.0 * largest
     assert validate(dict(cfg, n=largest)) == []
     [message] = validate(dict(cfg, n=largest + 1))
-    assert f"its largest term is the chain steps, {431.5 * (largest + 1):.3g} B at n = " in message
+    assert f"its largest term is the chain steps, {49.0 * (largest + 1):.3g} B at n = " in message
 
 
 _MODEL_RSS_SCRIPT = """
@@ -481,6 +480,15 @@ def test_bounds_peak_rss_within_the_memory_model_at_delta_one(tmp_path):
                n_grid=[2 ** 18, 2 ** 19, 2 ** 20], replications=1, n_mc=100)
     terms = _assert_peak_rss_within_the_model(cfg, tmp_path)
     assert terms["member-states"][0] >= 100e6
+
+
+@pytest.mark.stress
+def test_blocks_peak_rss_within_the_memory_model_at_a_million_steps(tmp_path):
+    # The run holds its path, flags, block bounds and block lengths; the
+    # splitter and the writers hold one slice of steps at a time
+    cfg = dict(load("blocks_tiny.json"), seed=3, n=10 ** 6)
+    terms = _assert_peak_rss_within_the_model(cfg, tmp_path)
+    assert terms["chain steps"][0] == 49.0 * 10 ** 6
 
 
 def test_validate_accepts_the_block_bounds_workload():

@@ -35,10 +35,11 @@ from regenmc import (
 )
 from regenmc import regeneration
 from regenmc.function_classes import BlockMeasure, LiftedClass, halfline_class, table_class
-from regenmc.regeneration import RegenStats, block_sums
+from regenmc.regeneration import SLICE_STEPS, RegenStats, block_sums
 
 from .helpers import (callable_certificate_model, lifted_class_values,
-                      reference_block_bootstrap_se, whole_block_sums)
+                      reference_block_bootstrap_se, reference_blocks_json,
+                      reference_split_retrospective, whole_block_sums)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,6 +150,64 @@ def test_built_in_models_round_trip_through_pickle(model):
     assert back.model_id == model.model_id
     assert _same_split(simulate_split_retrospective(model, 500, 3),
                        simulate_split_retrospective(back, 500, 3))
+
+
+# Chain lengths at the slice edges: n steps fill k slices exactly, or one step
+# fewer or more
+_SPLIT_EDGES = [1, 2, SLICE_STEPS - 1, SLICE_STEPS, SLICE_STEPS + 1, 2 * SLICE_STEPS + 1]
+_NEVER_FLAGS = wrapped_doeblin_chain(1e-9, 0.2)
+
+
+@pytest.mark.parametrize("slice_steps", [1, 3, SLICE_STEPS])
+@pytest.mark.parametrize("n", _SPLIT_EDGES)
+@pytest.mark.parametrize("model", BUILT_IN + [_NEVER_FLAGS], ids=lambda m: m.model_id)
+def test_sliced_split_and_blocks_json_equal_the_whole_path_splitter(model, n, slice_steps,
+                                                                    tmp_path, monkeypatch):
+    # BUILT_IN holds delta = 1 and atom chains; _NEVER_FLAGS draws no flag, so
+    # its blocks are one initial segment and no complete block
+    monkeypatch.setattr(regeneration, "SLICE_STEPS", slice_steps)
+    got = simulate_split_retrospective(model, n, 5)
+    want = reference_split_retrospective(model, n, 5)
+    assert _same_split(got, want) and got.regen_flags.dtype == bool
+    if model is _NEVER_FLAGS:
+        assert not got.regen_flags.any()
+    blocks = extract_blocks(got)
+    blocks.to_json(tmp_path / "blocks.json")
+    assert (tmp_path / "blocks.json").read_text() == reference_blocks_json(blocks)
+
+
+def _cycle_model(reported_row_4):
+    """The chain 0 -> 1 -> ... -> 4 -> 0 on five labels, every state small, with
+    delta psi = 0.1 everywhere.  Its kernel reports the density 0.05 for 0 -> 1,
+    a flag ratio of 2 at steps 0, 5, 10, ..., and ``reported_row_4`` from 4,
+    whose move 4 -> 0 comes at steps 4, 9, ..."""
+    cycle = np.roll(np.eye(5), 1, axis=1)
+    reported = cycle.copy()
+    reported[0] = [0.95, 0.05, 0.0, 0.0, 0.0]
+    reported[4] = reported_row_4
+    kernel = _MisreportingKernel(FiniteKernel(cycle), FiniteKernel(reported))
+    cert = FiniteMinorization(delta=0.5, psi=np.full(5, 0.2), small=np.ones(5, dtype=bool))
+    return ChainModel(kernel=kernel, initial_sample=lambda rng: 0, minorization=cert,
+                      model_id="cycle")
+
+
+@pytest.mark.parametrize("row_4,witness", [
+    # a ratio of 2 at step 0 in the first slice; zero density at step 4 in the next
+    ([0.0, 1.0, 0.0, 0.0, 0.0], r"zero density at step 4 \(x=4, y=0\)"),
+    # ratio 5 at steps 4 and 9, larger than step 0's 2: named where it first is
+    ([0.02, 0.98, 0.0, 0.0, 0.0], r"probability 5 > 1 at step 4 \(x=4, y=0\)"),
+    # ratio 1.25 at step 4, smaller than step 0's 2 in the slice before
+    ([0.08, 0.92, 0.0, 0.0, 0.0], r"probability 2 > 1 at step 0 \(x=0, y=1\)"),
+])
+def test_split_witness_across_slices_equals_the_whole_path_one(row_4, witness, monkeypatch):
+    # Slices of 4 steps put steps 0, 4 and 9 in three different slices
+    monkeypatch.setattr(regeneration, "SLICE_STEPS", 4)
+    model = _cycle_model(row_4)
+    with pytest.raises(ValueError, match=witness) as want:
+        reference_split_retrospective(model, 12, 0)
+    with pytest.raises(ValueError, match=witness) as got:
+        simulate_split_retrospective(model, 12, 0)
+    assert str(got.value) == str(want.value)
 
 
 def test_retrospective_delta_one_all_flags():
