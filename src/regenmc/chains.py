@@ -34,6 +34,9 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 # 2^15 steps took more minor faults than whole-path arrays).
 SLICE_STEPS = 2 ** 13
 
+# Bit generators whose advance(k) skips the k 64-bit words of k double draws
+_WORD_ADVANCED = (np.random.PCG64, np.random.PCG64DXSM)
+
 
 class SamplingError(RuntimeError):
     """A rejection sampler exceeded ``REJECTION_CAP`` proposals."""
@@ -130,20 +133,22 @@ class WrappedMixtureKernel:
         """n states from x0, filled in slices of SLICE_STEPS steps.
 
         The steps read m = n - 1 fresh-step uniforms, then m Psi draws, then m
-        increments, each one 64-bit word of ``rng``'s PCG64 stream: the words
-        [0, m), [m, 2m) and [2m, 3m) of whole-path draws.  A path of one slice
-        reads them from ``rng`` in turn.  A longer one reads the uniforms from
+        increments, each one 64-bit word of ``rng``'s stream: the words [0, m),
+        [m, 2m) and [2m, 3m) of whole-path draws.  The uniforms are read from
         ``rng`` and the others from copies of it advanced to their start, slice
-        by slice, and ``rng`` ends where the increments do, at word 3m.
+        by slice, and ``rng`` ends where the increments do, at word 3m.  So
+        ``rng`` must run on a bit generator whose ``advance`` counts those
+        words: PCG64 or PCG64DXSM.
         """
+        if not isinstance(getattr(rng, "bit_generator", None), _WORD_ADVANCED):
+            raise TypeError("sample_path needs a Generator on PCG64 or PCG64DXSM, got "
+                            f"{type(getattr(rng, 'bit_generator', rng)).__name__}")
         path = np.empty(n)
         path[0] = float(np.ravel(x0)[0])
         m = n - 1
-        psis = incs = rng
-        if m > SLICE_STEPS:
-            psis, incs = copy.deepcopy(rng), copy.deepcopy(rng)
-            psis.bit_generator.advance(m)
-            incs.bit_generator.advance(2 * m)
+        psis, incs = copy.deepcopy(rng), copy.deepcopy(rng)
+        psis.bit_generator.advance(m)
+        incs.bit_generator.advance(2 * m)
         # -0.0 + v is v for every v, so the first slice's sum starts at its
         # first increment as a prefix sum of the whole path does
         carry = (path[0], 0.0, -0.0)
@@ -151,11 +156,10 @@ class WrappedMixtureKernel:
             k = min(SLICE_STEPS, n - lo)
             carry = self._fill_slice(path[lo:lo + k], carry, rng.random(k), psis.random(k),
                                     incs.uniform(-self.width, self.width, k))
-        if incs is not rng:
-            # advance() drops a buffered 32-bit half word, which random() keeps
-            state = rng.bit_generator.state
-            state["state"] = incs.bit_generator.state["state"]
-            rng.bit_generator.state = state
+        # advance() drops a buffered 32-bit half word, which random() keeps
+        state = rng.bit_generator.state
+        state["state"] = incs.bit_generator.state["state"]
+        rng.bit_generator.state = state
         return path.reshape(n, 1)
 
     def _fill_slice(self, out, carry, u, psi, inc):

@@ -196,10 +196,11 @@ def _center_errors(center, target) -> list:
 # tracemalloc at two sizes: 89 B a chain step, an upper bound (the split
 # simulation holds its path and flags, 9 B a step at n = 2^20 and 2^22, and a
 # rademacher run with one member held 88.9 B a step, most of it in the i.i.d.
-# estimate over the path; n = 2^18 and 2^20); 49.0 B a step of a blocks run,
-# whose block bounds and block-length statistics hold more a step the more
-# blocks there are (10.0 B at delta = 0.05, 49.0 B at delta = 1; n = 2^18 and
-# 2^20); 24 B more a step for each mh-credible target coordinate past the
+# estimate over the path; n = 2^18 and 2^20); 49 B a step of a blocks run, an
+# upper bound: its block bounds and block lengths hold more a step the more
+# blocks there are (9.8 B at delta = 0.05, 40.8 B at delta = 1, where every
+# step ends a block; n = 2^18 and 2^20), and at delta = 1 its peak RSS rose
+# 43.8 B a step at 10^6 steps and 42.7 B at 2 * 10^6; 24 B more a step for each mh-credible target coordinate past the
 # first (trunc_gauss held 64, 112 and 160 B a step at d = 2, 4 and 6, n = 2^20
 # and 2^21); 196 B a work item with its seeds, task and result (10^5 and
 # 4 * 10^5 items); 28 B a member-state of a class along the chain, an upper

@@ -605,7 +605,10 @@ def _walk_floats(pdf, path, incs, u_acc):
     ELEMENT_BUDGET / (8 d) steps: a boxed float and its list slot take 32
     bytes where an array element takes 8, so a slice's objects take about
     as much memory as ELEMENT_BUDGET array elements.  ``pdf`` reads what
-    the walk steps on.
+    the walk steps on.  The two loops write the accept rule out each, so
+    that neither pays a function call a step; the two copies must stay the
+    same, and the tests that compare both walks with the per-step
+    reference check that they are.
     """
     if path.ndim == 1:
         x = float(path[0])
@@ -614,7 +617,7 @@ def _walk_floats(pdf, path, incs, u_acc):
         for i, (z, u) in enumerate(zip(memoryview(incs), memoryview(u_acc)), 1):
             y = x + z
             py = pdf(y)
-            if px == 0.0 or py >= px or u * px < py:
+            if px == 0.0 or py >= px or u * px < py:    # the accept rule, as below
                 x, px = y, py
             out[i] = x
         return
@@ -627,7 +630,7 @@ def _walk_floats(pdf, path, incs, u_acc):
         for z, u in zip(incs[lo:hi], u_acc[lo:hi].tolist()):
             y = x + z
             py = pdf(y)
-            if px == 0.0 or py >= px or u * px < py:
+            if px == 0.0 or py >= px or u * px < py:    # the accept rule, as above
                 x, px = y, py
             walked.append(x)
         path[lo + 1:hi + 1] = walked

@@ -238,7 +238,9 @@ class RegenStats:
     tau_samples: np.ndarray
 
     def moment(self, p: float) -> float:
-        return float(np.mean(self.tau_samples.astype(float) ** p))
+        powers = self.tau_samples.astype(float)
+        powers **= p
+        return float(np.mean(powers))
 
     def mgf(self, lam: float):
         """Empirical E[exp(lam * tau)] and whether it looks finite.
@@ -249,7 +251,9 @@ class RegenStats:
         the sum overflows.
         """
         with np.errstate(over="ignore"):
-            terms = np.exp(float(lam) * self.tau_samples.astype(float))
+            # one buffer: lam * float(tau), then its exp in place
+            terms = np.multiply(float(lam), self.tau_samples, dtype=float)
+            np.exp(terms, out=terms)
         total = terms.sum()
         reliable = bool(np.isfinite(total) and terms.max() <= MGF_MASS_CAP * total)
         return float(total / len(terms)), reliable
@@ -298,4 +302,4 @@ def regen_stats(blocks: BlockSet, min_blocks: int) -> RegenStats:
     if len(tau) < min_blocks:
         warnings.warn(f"only {len(tau)} complete blocks; tail diagnostics are unreliable",
                       stacklevel=2)
-    return RegenStats(tau_samples=tau.astype(np.int64))
+    return RegenStats(tau_samples=tau.astype(np.int64, copy=False))

@@ -238,6 +238,24 @@ def test_sliced_wrapped_path_equals_the_whole_path_sampler(delta, n):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 3, 2 * SLICE_STEPS + 1])
+def test_sliced_wrapped_path_on_pcg64dxsm_equals_the_whole_path_sampler(n):
+    kernel = WrappedMixtureKernel(0.3, 0.3)
+    rng, ref_rng = (np.random.Generator(np.random.PCG64DXSM(n)) for _ in range(2))
+    got = kernel.sample_path(0.7, n, rng)
+    assert got.tobytes() == reference_whole_wrapped_path(kernel, 0.7, n, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+@pytest.mark.parametrize("n", [2, 2 * SLICE_STEPS + 1])
+def test_wrapped_path_refuses_a_generator_it_cannot_advance_by_words(bit_generator, n):
+    # MT19937 and SFC64 have no advance; Philox advances by blocks of 4 words
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(TypeError, match=f"PCG64 or PCG64DXSM, got {bit_generator.__name__}"):
+        WrappedMixtureKernel(0.3, 0.3).sample_path(0.7, n, rng)
+
+
 @given(n=st.integers(1, 60), delta=st.sampled_from([0.05, 0.3, 1.0]),
        slice_steps=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=200, deadline=None)

@@ -362,7 +362,7 @@ _OVER = [
      "chain steps", "n_grid[2] = 700000000 and target.d = 6"),
     ("rademacher_tiny.json", {"class": {"kind": "halfline", "size": 1}, "n": 7 * 10 ** 8},
      "chain steps", "n = 700000000"),
-    # a blocks run at delta = 1 holds 49.0 B a step: about 1.4 x RUN_BYTES here
+    # a blocks run is charged 49 B a step: about 1.4 x RUN_BYTES here
     ("blocks_tiny.json", {"model": {"kind": "doeblin_uniform", "delta": 1.0}, "n": 2 * 10 ** 9},
      "chain steps", "n = 2000000000"),
     ("kde_rate_tiny.json", {"replications": 350609575}, "work items",
@@ -420,8 +420,8 @@ def test_validate_accepts_a_run_just_within_run_bytes(name, changes, key):
 
 
 def test_blocks_steps_are_charged_the_delta_one_slope():
-    # A blocks run held 10.0 B a step at delta = 0.05 and 49.0 B at delta = 1,
-    # where every step ends a block
+    # A blocks run held 9.8 B a step at delta = 0.05 and 40.8 B at delta = 1,
+    # where every step ends a block, and its peak RSS rose 43.8 B a step there
     cfg = dict(load("blocks_tiny.json"), model={"kind": "doeblin_uniform", "delta": 1.0})
     largest = int(RUN_BYTES // 49.0)
     assert peak_bytes(settings(dict(cfg, n=largest)))["chain steps"][0] == 49.0 * largest
@@ -484,9 +484,11 @@ def test_bounds_peak_rss_within_the_memory_model_at_delta_one(tmp_path):
 
 @pytest.mark.stress
 def test_blocks_peak_rss_within_the_memory_model_at_a_million_steps(tmp_path):
-    # The run holds its path, flags, block bounds and block lengths; the
-    # splitter and the writers hold one slice of steps at a time
-    cfg = dict(load("blocks_tiny.json"), seed=3, n=10 ** 6)
+    # At delta = 1 every step ends a block, so the block bounds and lengths
+    # are met at their largest; the splitter and the writers hold one slice
+    # of steps at a time
+    cfg = dict(load("blocks_tiny.json"), model={"kind": "doeblin_uniform", "delta": 1.0},
+               seed=3, n=10 ** 6)
     terms = _assert_peak_rss_within_the_model(cfg, tmp_path)
     assert terms["chain steps"][0] == 49.0 * 10 ** 6
 

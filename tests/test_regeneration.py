@@ -35,7 +35,7 @@ from regenmc import (
 )
 from regenmc import regeneration
 from regenmc.function_classes import BlockMeasure, LiftedClass, halfline_class, table_class
-from regenmc.regeneration import SLICE_STEPS, RegenStats, block_sums
+from regenmc.regeneration import MGF_MASS_CAP, SLICE_STEPS, RegenStats, block_sums
 
 from .helpers import (callable_certificate_model, lifted_class_values,
                       reference_block_bootstrap_se, reference_blocks_json,
@@ -598,6 +598,36 @@ def test_mgf_overflow_is_unreliable_and_written_as_null():
     assert val == np.inf and not reliable
     entry = next(m for m in json.loads(stats.to_json())["mgf"] if m["lambda"] == 1.0)
     assert entry == {"lambda": 1.0, "value": None, "reliable": False}
+
+
+@pytest.mark.parametrize("tau", [[1, 2, 3], [1] * 100 + [800, 900], list(range(1, 5000, 7)),
+                                 np.random.default_rng(5).geometric(0.05, 30_001).tolist()],
+                         ids=["three", "overflow", "ramp", "geometric"])
+def test_regen_stats_bit_identical_to_whole_array_expressions(tau):
+    tau = np.array(tau, dtype=np.int64)
+    stats = RegenStats(tau_samples=tau)
+    for p in (0, 0.5, 1, 1.5, 2, 3, 4):
+        assert stats.moment(p).hex() == float(np.mean(tau.astype(float) ** p)).hex()
+    for lam in (0.0, 0.01, 0.3, 1.0, 5.0):
+        with np.errstate(over="ignore"):
+            terms = np.exp(float(lam) * tau.astype(float))
+        value, reliable = stats.mgf(lam)
+        assert float(value).hex() == float(terms.sum() / len(terms)).hex()
+        total = terms.sum()
+        assert reliable == bool(np.isfinite(total) and terms.max() <= MGF_MASS_CAP * total)
+
+
+def test_regen_stats_hold_one_float_buffer():
+    # 2^20 block lengths: each moment and MGF value takes one 8 MB float
+    # buffer, where a float copy and its powers or exponentials took 16 MB
+    stats = RegenStats(tau_samples=np.random.default_rng(0).geometric(0.5, 2 ** 20))
+    tracemalloc.start()
+    try:
+        stats.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * 2 ** 20
 
 
 def test_regen_stats_warns_on_few_blocks():
